@@ -7,8 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"tlc/internal/cpu"
-	"tlc/internal/machine"
+	"tlc/internal/l2"
 	"tlc/internal/snapshot"
 	"tlc/internal/workload"
 )
@@ -17,46 +16,6 @@ import (
 // cache state, short timed intervals.
 func cmpOptions() Options {
 	return Options{WarmInstructions: 200_000, RunInstructions: 100_000, Seed: 7}
-}
-
-// TestCMPSingleCoreEquivalence is the PR's non-negotiable invariant: a
-// one-core Machine over the same prepared state replays the legacy
-// single-core path bit-identically — same Result, same full registry
-// snapshot — for every design and every benchmark. RunSpec itself routes
-// N=1 around the CMP spine entirely; this pins that the spine, when asked
-// to run one core, would have produced the same numbers anyway.
-func TestCMPSingleCoreEquivalence(t *testing.T) {
-	opt := cmpOptions()
-	for _, d := range Designs() {
-		for _, spec := range workload.Specs() {
-			var ref MetricsSnapshot
-			ropt := opt
-			ropt.OnMetrics = func(ev MetricsEvent) { ref = ev.Snapshot }
-			want, err := RunSpec(d, spec, ropt)
-			if err != nil {
-				t.Fatalf("%v/%s reference run: %v", d, spec.Name, err)
-			}
-
-			inst, core, gen, err := prepare(d, spec, opt)
-			if err != nil {
-				t.Fatalf("%v/%s prepare: %v", d, spec.Name, err)
-			}
-			m := machine.New([]*cpu.Core{core}, []cpu.Stream{gen}, nil)
-			cr := m.Run(opt.RunInstructions)
-			if uint64(cr.Cycles) != want.Cycles || cr.Instructions != want.Instructions {
-				t.Fatalf("%v/%s: machine arm %d cycles / %d instrs, legacy %d / %d",
-					d, spec.Name, cr.Cycles, cr.Instructions, want.Cycles, want.Instructions)
-			}
-			if got := inst.Metrics().Snapshot(cr.Cycles); !reflect.DeepEqual(got, ref) {
-				for i := range got {
-					if i < len(ref) && got[i] != ref[i] {
-						t.Errorf("%v/%s: metric %q: %+v != %+v", d, spec.Name, got[i].Name, got[i], ref[i])
-					}
-				}
-				t.Fatalf("%v/%s: registry snapshots differ", d, spec.Name)
-			}
-		}
-	}
 }
 
 // TestCMPRunAllDesigns drives a 2-core migratory run through every design:
@@ -230,8 +189,8 @@ func TestCMPCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("first run store stats %+v, want 1 put / 1 miss", st)
 	}
 	got, gotSnap := run(store)
-	if st := store.Stats(); st.Hits != 1 {
-		t.Fatalf("second run store stats %+v, want a hit", st)
+	if st := store.Stats(); st.Hits != 1 || st.Puts != 1 {
+		t.Fatalf("second run store stats %+v, want a restoring hit (no second put)", st)
 	}
 	if got != want || !reflect.DeepEqual(gotSnap, wantSnap) {
 		t.Fatal("checkpoint-restored CMP run is not bit-identical")
@@ -258,22 +217,29 @@ func TestCMPCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCMPCheckpointProvenance pins the restore gates directly: a
-// single-core checkpoint (nil CMP) never restores into a CMP machine, a
-// CMP checkpoint never restores into a single-core run, and a checkpoint
-// from a machine of another width misses.
+// TestCMPCheckpointProvenance pins the restore gate: a checkpoint restores
+// only into a machine of its own width. A 1-core checkpoint never restores
+// into a CMP machine, and a CMP checkpoint never into a 1-core machine or
+// one of another width.
 func TestCMPCheckpointProvenance(t *testing.T) {
-	if restoreCheckpoint(snapshot.Checkpoint{CMP: &snapshot.CMPCheckpoint{}}, nil, nil, nil) {
-		t.Fatal("single-core restore accepted a CMP checkpoint")
+	spec := workload.Specs()[1]
+	rigOf := func(cores int) *rig {
+		o := withSharing(withCores(cmpOptions(), cores), SharingSpec{Pattern: "producer-consumer"})
+		return newRig(Designs()[0], spec, o.Seed, o)
 	}
-	twoCores := make([]*cpu.Core, 2)
-	twoGens := make([]*workload.CMPStream, 2)
-	if restoreCMPCheckpoint(snapshot.Checkpoint{}, twoCores, nil, twoGens, nil) {
-		t.Fatal("CMP restore accepted a single-core checkpoint (nil CMP)")
+	ckpOf := func(cores int) snapshot.Checkpoint {
+		r := rigOf(cores)
+		return r.checkpoint(r.inst.(l2.Snapshotter))
 	}
-	narrow := &snapshot.CMPCheckpoint{Cores: make([]cpu.State, 1), Gens: make([]workload.CMPState, 1)}
-	if restoreCMPCheckpoint(snapshot.Checkpoint{CMP: narrow}, twoCores, nil, twoGens, nil) {
-		t.Fatal("CMP restore accepted a checkpoint of another core count")
+	for _, n := range []int{1, 2} {
+		if err := rigOf(n).restore(ckpOf(n)); err != nil {
+			t.Errorf("%d-core checkpoint rejected by a %d-core machine: %v", n, n, err)
+		}
+	}
+	for _, c := range []struct{ from, into int }{{1, 2}, {2, 1}, {2, 4}, {4, 2}} {
+		if err := rigOf(c.into).restore(ckpOf(c.from)); err == nil {
+			t.Errorf("%d-core checkpoint restored into a %d-core machine", c.from, c.into)
+		}
 	}
 }
 

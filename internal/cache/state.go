@@ -58,6 +58,9 @@ func (c *SetAssoc) Restore(st SetAssocState) error {
 		return fmt.Errorf("cache: state arrays sized %d/%d/%d, want %d",
 			len(st.Lines), len(st.Valid), len(st.LRU), n)
 	}
+	if err := st.checkContents(); err != nil {
+		return err
+	}
 	copy(c.lines, st.Lines)
 	for i, v := range st.Valid {
 		if v {
@@ -70,6 +73,30 @@ func (c *SetAssoc) Restore(st SetAssocState) error {
 		}
 	}
 	copy(c.lru, st.LRU)
+	return nil
+}
+
+// checkContents verifies what the access paths assume of a restored
+// array, so a corrupt checkpoint is rejected instead of panicking later:
+// each set's recency ranks are a permutation of 0..assoc-1 (victim
+// selection looks for rank assoc-1), and every valid line sits in the set
+// its block maps to.
+func (st SetAssocState) checkContents() error {
+	seen := make([]bool, st.Assoc)
+	for s := 0; s < st.Sets; s++ {
+		clear(seen)
+		for w := 0; w < st.Assoc; w++ {
+			i := s*st.Assoc + w
+			r := int(st.LRU[i])
+			if r >= st.Assoc || seen[r] {
+				return fmt.Errorf("cache: set %d recency ranks are not a permutation", s)
+			}
+			seen[r] = true
+			if st.Valid[i] && st.Lines[i].SetIndex(st.Sets) != s {
+				return fmt.Errorf("cache: block %#x stored in set %d", st.Lines[i], s)
+			}
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tlc/internal/mem"
@@ -100,6 +101,43 @@ func TestSetAssocRestoreRejectsGeometryMismatch(t *testing.T) {
 	st.Lines = st.Lines[:10]
 	if err := NewSetAssoc(64, 8).Restore(st); err == nil {
 		t.Fatal("restore accepted truncated state arrays")
+	}
+}
+
+// TestSetAssocRestoreRejectsCorruptContents pins the content checks a
+// checkpoint read from disk must pass: recency ranks that are not a
+// permutation would leave victim selection without an LRU way, and a line
+// stored outside its set would never be found. Either fails the restore
+// before the array changes.
+func TestSetAssocRestoreRejectsCorruptContents(t *testing.T) {
+	c := NewSetAssoc(64, 8)
+	for b := mem.Block(0); b < 300; b++ {
+		c.Insert(b)
+	}
+	good := c.Snapshot()
+	clone := func() SetAssocState {
+		st := good
+		st.Lines = append([]mem.Block(nil), good.Lines...)
+		st.LRU = append([]uint8(nil), good.LRU...)
+		return st
+	}
+	dupRank := clone()
+	dupRank.LRU[1] = dupRank.LRU[0]
+	bigRank := clone()
+	bigRank.LRU[0] = 8
+	misplaced := clone()
+	misplaced.Lines[0] = 1 // set 0 holds a set-1 block
+	for name, st := range map[string]SetAssocState{"duplicate rank": dupRank, "rank >= assoc": bigRank, "misplaced line": misplaced} {
+		dst := NewSetAssoc(64, 8)
+		if err := dst.Restore(st); err == nil {
+			t.Errorf("%s: restore accepted a corrupt state", name)
+		}
+		if !reflect.DeepEqual(dst.Snapshot(), NewSetAssoc(64, 8).Snapshot()) {
+			t.Errorf("%s: rejected restore changed the array", name)
+		}
+	}
+	if err := NewSetAssoc(64, 8).Restore(good); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"tlc/internal/cpu"
 	"tlc/internal/sim"
 )
@@ -18,10 +20,9 @@ const quantum = 4096
 // parallel issue. It implements sample.Target, so sampled CMP runs reuse
 // the interval math unchanged.
 //
-// A 1-core Machine built with a nil Shared layer degenerates to exactly
-// the legacy path: Warm is one core.Warm call and each Interval is one
-// RunFrom/Resume call, the same call sequence (hence bit-identical state
-// and timing) as driving the core directly.
+// A 1-core Machine, built with a nil Shared layer, makes the plain
+// single-core call sequence: Warm is one core.Warm call and each Interval
+// is one RunFrom/Resume call.
 type Machine struct {
 	cores   []*cpu.Core
 	streams []cpu.Stream
@@ -59,8 +60,27 @@ func New(cores []*cpu.Core, streams []cpu.Stream, shared *Shared) *Machine {
 // Cores reports the core count.
 func (m *Machine) Cores() int { return len(m.cores) }
 
-// Shared reports the shared-L2 layer (nil for a single-core machine).
-func (m *Machine) Shared() *Shared { return m.shared }
+// DirectorySnapshot captures the coherence directory; a single-core
+// machine has none and returns nil.
+func (m *Machine) DirectorySnapshot() []DirEntry {
+	if m.shared == nil {
+		return nil
+	}
+	return m.shared.DirectorySnapshot()
+}
+
+// RestoreDirectory replaces the coherence directory with a captured
+// snapshot (see Shared.RestoreDirectory). A single-core machine accepts
+// only an empty one.
+func (m *Machine) RestoreDirectory(entries []DirEntry) error {
+	if m.shared != nil {
+		return m.shared.RestoreDirectory(entries)
+	}
+	if len(entries) > 0 {
+		return fmt.Errorf("machine: %d directory entries for a single-core machine", len(entries))
+	}
+	return nil
+}
 
 // Clock reports the machine's current time: the latest core's clock.
 func (m *Machine) Clock() sim.Time {

@@ -161,13 +161,51 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 	}
 
 	other := NewShared(nuca.NewSNUCA(config.DefaultSystem().MemoryLatency), 2)
-	other.RestoreDirectory(snap)
+	if err := other.RestoreDirectory(snap); err != nil {
+		t.Fatal(err)
+	}
 	if again := other.DirectorySnapshot(); !reflect.DeepEqual(again, snap) {
 		t.Fatalf("restored snapshot differs:\n got %+v\nwant %+v", again, snap)
 	}
 }
 
 func len64(ins []cpu.Instr) uint64 { return uint64(len(ins)) }
+
+// TestRestoreDirectoryRejectsForeignCores pins the restore gate for
+// directories read from disk: an entry naming a core the machine lacks (a
+// sharer bit >= N, an owner outside 0..N) would index past the core slice
+// in StoreNotify or busRd, so the whole restore fails and the directory
+// keeps its prior contents.
+func TestRestoreDirectoryRejectsForeignCores(t *testing.T) {
+	shd := NewShared(nuca.NewSNUCA(config.DefaultSystem().MemoryLatency), 2)
+	good := []DirEntry{{Block: 0x10, Sharers: 0b11, Owner: 2}}
+	if err := shd.RestoreDirectory(good); err != nil {
+		t.Fatalf("valid directory rejected: %v", err)
+	}
+	for _, bad := range []DirEntry{
+		{Block: 0x20, Sharers: 0b100},
+		{Block: 0x20, Sharers: 1 << 63},
+		{Block: 0x20, Sharers: 0b1, Owner: 3},
+		{Block: 0x20, Sharers: 0b1, Owner: -1},
+	} {
+		if err := shd.RestoreDirectory([]DirEntry{good[0], bad}); err == nil {
+			t.Errorf("entry %+v accepted by a 2-core directory", bad)
+		}
+		if got := shd.DirectorySnapshot(); !reflect.DeepEqual(got, good) {
+			t.Fatalf("rejected restore changed the directory: %+v", got)
+		}
+	}
+
+	// A single-core machine has no directory: only an empty one restores.
+	sys := config.DefaultSystem()
+	one := New([]*cpu.Core{cpu.New(sys, nuca.NewSNUCA(sys.MemoryLatency))}, []cpu.Stream{&sliceStream{ins: []cpu.Instr{load(1)}}}, nil)
+	if err := one.RestoreDirectory(nil); err != nil || one.DirectorySnapshot() != nil {
+		t.Fatalf("single-core machine: empty directory restore %v, snapshot %v", err, one.DirectorySnapshot())
+	}
+	if err := one.RestoreDirectory(good); err == nil {
+		t.Error("single-core machine accepted directory entries")
+	}
+}
 
 // TestAccessDoesNotAllocate extends the designs' zero-alloc pin to the CMP
 // hot path: N-core port injection, frontier arbitration, and the MSI

@@ -5,13 +5,15 @@
 // NOC injection ports and a controller frontier that arbitrates the
 // interleaved request streams onto the design's monotone-time calendars.
 //
-// The N=1 wiring deliberately bypasses everything in shared.go: a
-// single-core Machine is built with no Shared layer, its core driving the
-// instrumented L2 directly, so the one-core case stays bit-identical to
-// the pre-CMP path (TestCMPSingleCoreEquivalence pins this).
+// The Machine drives every run, of any width. The N=1 wiring bypasses
+// everything in shared.go: a single-core Machine is built with no Shared
+// layer, its core driving the instrumented L2 directly, so one-core runs
+// make the plain single-core call sequence and publish no coherence
+// metrics (TestReplaysCommittedArtifacts pins their results).
 package machine
 
 import (
+	"fmt"
 	"math/bits"
 	"sort"
 
@@ -256,12 +258,23 @@ func (s *Shared) DirectorySnapshot() []DirEntry {
 	return out
 }
 
-// RestoreDirectory replaces the directory with a captured snapshot.
-func (s *Shared) RestoreDirectory(entries []DirEntry) {
+// RestoreDirectory replaces the directory with a captured snapshot. An
+// entry naming a core this machine does not have (a sharer bit >= N, an
+// owner outside 0..N) is rejected before anything changes: coherence
+// actions would index the missing core.
+func (s *Shared) RestoreDirectory(entries []DirEntry) error {
+	n := s.ports.Cores()
+	for _, e := range entries {
+		if e.Sharers>>uint(n) != 0 || e.Owner < 0 || int(e.Owner) > n {
+			return fmt.Errorf("machine: directory entry %#x (sharers %#x, owner %d) names a core outside 0..%d",
+				e.Block, e.Sharers, e.Owner, n-1)
+		}
+	}
 	clear(s.dir)
 	for _, e := range entries {
 		s.dir[e.Block] = dirLine{sharers: e.Sharers, owner: e.Owner}
 	}
+	return nil
 }
 
 // DirEntries reports the live directory size (tests and reporting).

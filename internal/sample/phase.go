@@ -19,7 +19,6 @@ import (
 	"hash/fnv"
 	"math"
 
-	"tlc/internal/cpu"
 	"tlc/internal/sim"
 	"tlc/internal/stats"
 )
@@ -378,12 +377,6 @@ func meanOf(points [][]float64, idx []int) []float64 {
 		m[j] /= float64(len(idx))
 	}
 	return m
-}
-
-// RunPhasedCore executes a phase-sampled measurement on a warmed core, the
-// phase-mode counterpart of Run.
-func RunPhasedCore(core *cpu.Core, s cpu.Stream, total uint64, opt Options, p Profile, observe func(Interval)) Estimate {
-	return RunPhased(coreTarget{core, s}, total, opt, p, observe)
 }
 
 // RunPhased executes a phase-sampled measurement of total instructions on

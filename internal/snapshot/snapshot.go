@@ -14,6 +14,12 @@
 // because batching is pinned bit-identical to scalar delivery: checkpoints
 // written by scalar warm-up and batched warm-up are interchangeable.
 //
+// One Checkpoint envelope covers machines of every width: per-core cache
+// states and stream positions, the shared L2, and (for N >= 2) the
+// coherence directory. The store treats entries as opaque; the consumer
+// restores all of it or none, so a checkpoint that fails any layer's
+// validation is a miss.
+//
 // The store is an in-process LRU with an optional on-disk tier. Disk
 // persistence uses encoding/gob with atomic temp-file + rename writes, so
 // concurrent processes sharing a directory never observe torn checkpoints.
@@ -72,36 +78,23 @@ func (k Key) filename() string {
 	return fmt.Sprintf("ckpt-%016x.gob", h.Sum64())
 }
 
-// Checkpoint is the complete post-warm machine state: core caches, L2
-// contents, and the workload generator's stream position.
+// Checkpoint is the complete post-warm state of a machine of N >= 1 cores:
+// every core's cache state, the shared L2 contents, every core's stream
+// position, and the MSI coherence directory (sorted by block; see
+// machine.DirectorySnapshot). One envelope serves every width: a 1-core
+// machine stores one core, its generator's position in Gens[0].Gen, and no
+// directory. Consumers restoring for an N-core key must treat a checkpoint
+// with len(Cores) != N as a miss.
 type Checkpoint struct {
-	Core cpu.State
-	L2   l2.State
-	Gen  workload.State
+	Cores []cpu.State
+	L2    l2.State
+	Gens  []workload.CMPState
+	Dir   []machine.DirEntry
 	// Lanes marks a checkpoint produced by a lane-parallel warm pass (one
 	// shared stream warming several configurations at once). Provenance
 	// only: lane-warmed state is bit-identical to scalar-warmed state, so
-	// consumers restore both the same way. Old stored checkpoints decode
-	// with Lanes false.
+	// consumers restore both the same way.
 	Lanes bool
-	// CMP holds the extra state of an N-core machine (nil for single-core
-	// checkpoints). It is the CMP provenance flag: consumers restoring for
-	// a multi-core key must treat a checkpoint whose CMP is nil — or whose
-	// core count differs — as a miss, the same way the lane planner's Has
-	// probe gates lane reuse. Core/Gen keep core 0's state for such
-	// checkpoints (redundantly with CMP.Cores[0]/Gens[0].Gen) so older
-	// tooling reading the envelope sees a coherent single-core view.
-	CMP *CMPCheckpoint
-}
-
-// CMPCheckpoint is an N-core machine's post-warm state beyond the shared
-// L2: every core's cache state, every core's CMP stream position, and the
-// MSI coherence directory (sorted by block; see
-// machine.DirectorySnapshot).
-type CMPCheckpoint struct {
-	Cores []cpu.State
-	Gens  []workload.CMPState
-	Dir   []machine.DirEntry
 }
 
 // Stats counts store traffic, for tests and the experiment harness's

@@ -29,7 +29,11 @@ func fixture(t *testing.T, seed int64) Checkpoint {
 	gen := workload.New(spec, seed)
 	core := cpu.New(config.DefaultSystem(), cache)
 	core.Warm(gen, 100_000)
-	return Checkpoint{Core: core.Snapshot(), L2: cache.SnapshotState(), Gen: gen.State()}
+	return Checkpoint{
+		Cores: []cpu.State{core.Snapshot()},
+		L2:    cache.SnapshotState(),
+		Gens:  []workload.CMPState{{Gen: gen.State()}},
+	}
 }
 
 func key(i int) Key {

@@ -138,7 +138,7 @@ func TestLaneCheckpointInterop(t *testing.T) {
 
 	warmSeed, warm := warmPlan(spec, opt)
 	for _, d := range Designs() {
-		key := snapshot.Key{Config: configHash(d, spec, singleCoreCMP(), opt.fidelity()), Bench: bench, Seed: warmSeed, Warm: warm}
+		key := snapshot.Key{Config: configHash(d, spec, CMPConfig{Cores: 1}, opt.fidelity()), Bench: bench, Seed: warmSeed, Warm: warm}
 		lc, ok := laneOpt.Checkpoints.Get(key)
 		if !ok {
 			t.Fatalf("%v: lane store has no checkpoint", d)
@@ -150,13 +150,13 @@ func TestLaneCheckpointInterop(t *testing.T) {
 		if !lc.Lanes || sc.Lanes {
 			t.Errorf("%v: provenance flags wrong: lane=%v scalar=%v", d, lc.Lanes, sc.Lanes)
 		}
-		if !reflect.DeepEqual(lc.Core, sc.Core) {
+		if !reflect.DeepEqual(lc.Cores, sc.Cores) {
 			t.Errorf("%v: lane and scalar checkpoints differ in core state", d)
 		}
 		if !reflect.DeepEqual(lc.L2, sc.L2) {
 			t.Errorf("%v: lane and scalar checkpoints differ in L2 state", d)
 		}
-		if !reflect.DeepEqual(lc.Gen, sc.Gen) {
+		if !reflect.DeepEqual(lc.Gens, sc.Gens) {
 			t.Errorf("%v: lane and scalar checkpoints differ in generator state", d)
 		}
 	}

@@ -62,10 +62,9 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 		return LaneStats{}, nil
 	}
 	if opt.cores() > 1 {
-		// Lane warming is a single-core accelerator: CMP runs warm N
-		// per-core streams (and seed a coherence directory) in prepareCMP;
-		// a shared single-stream pass has nothing bit-identical to offer
-		// them. No-op, like the other ineligible cases.
+		// Core-count branch: lane warming is a single-core accelerator. CMP
+		// runs warm N per-core streams and seed a coherence directory; a
+		// shared single-stream pass has nothing bit-identical to offer them.
 		return LaneStats{}, nil
 	}
 	warmSeed, warm := warmPlan(spec, opt)
@@ -78,7 +77,7 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 	seen := make(map[snapshot.Key]bool, len(designs))
 	lanes := make([]lane, 0, len(designs))
 	for _, d := range designs {
-		key := snapshot.Key{Config: configHash(d, spec, singleCoreCMP(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
+		key := snapshot.Key{Config: configHash(d, spec, opt.cmpConfig(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
 		if seen[key] {
 			continue
 		}
@@ -118,9 +117,9 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 	genState := gen.State()
 	for i := range lanes {
 		opt.Checkpoints.Put(lanes[i].key, snapshot.Checkpoint{
-			Core:  lanes[i].core.Snapshot(),
+			Cores: []cpu.State{lanes[i].core.Snapshot()},
 			L2:    lanes[i].snap.SnapshotState(),
-			Gen:   genState,
+			Gens:  []workload.CMPState{{Gen: genState}},
 			Lanes: true,
 		})
 	}

@@ -2,9 +2,9 @@ package tlc
 
 // Phase-aware representative sampling: the root-package glue between the
 // clustering machinery (internal/sample, internal/cpu.PhaseProfiler) and
-// the run paths. A phased run profiles the timed stream in a cheap
-// functional pass (rewinding the generator afterwards, so the measured
-// stream is untouched), clusters the windows into program phases, and
+// the run pipeline. A phased run profiles the timed streams in a cheap
+// functional pass (rewinding them afterwards, so the measured streams are
+// untouched), clusters the windows into program phases, and
 // times one weighted representative interval per cluster — several times
 // fewer detailed intervals than uniform sampling at the same accuracy.
 // Profiles are design-independent and content-addressed, so a
@@ -12,14 +12,10 @@ package tlc
 // six designs — and, with the fleet's peer-fill hook, once per fleet.
 
 import (
-	"fmt"
-
 	"tlc/internal/config"
 	"tlc/internal/cpu"
-	"tlc/internal/l2"
 	"tlc/internal/metrics"
 	"tlc/internal/sample"
-	"tlc/internal/stats"
 	"tlc/internal/workload"
 )
 
@@ -69,58 +65,35 @@ func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compu
 	return prof, false
 }
 
-// computePhaseProfile runs the profiling pass over a prepared single-core
-// generator: save the stream state, drive every window through shadow
-// caches, rewind. The rewound generator is bit-identical to one that never
-// profiled (the counters it dirtied reset, matching prepare's contract
-// that metrics cover only the timed interval).
-func computePhaseProfile(key string, gen *workload.Generator, opt Options) sample.Profile {
-	st := gen.State()
-	prof := cpu.NewPhaseProfiler(config.DefaultSystem())
-	lens := sample.WindowLengths(opt.RunInstructions, opt.PhaseWindows)
-	feats := make([][]float64, len(lens))
-	instr := make([]uint64, len(lens))
-	for w, n := range lens {
-		f := prof.Window(gen, n)
-		feats[w] = f.Vector()
-		instr[w] = f.Instr
-	}
-	gen.SetState(st)
-	gen.ResetCounters()
-	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr)
-}
-
-// computePhaseProfileCMP is the N-core profiling pass: every core's stream
-// advances through each window (its own shadow hierarchy — private L1 and
-// an uncontended view of the L2), features sum across cores, and window
-// weights stay per-core instruction counts to match RunTarget's per-core
-// accounting.
-func computePhaseProfileCMP(key string, gens []*workload.CMPStream, opt Options) sample.Profile {
-	states := make([]workload.CMPState, len(gens))
-	for i, g := range gens {
-		states[i] = g.State()
-	}
-	sys := config.DefaultSystem()
-	profs := make([]*cpu.PhaseProfiler, len(gens))
-	for i := range profs {
-		profs[i] = cpu.NewPhaseProfiler(sys)
+// computePhaseProfile runs the profiling pass over the prepared streams:
+// save every stream's position, drive each window through per-core shadow
+// caches (a private L1 and an uncontended view of the L2), rewind. Features
+// sum across cores; window weights stay per-core instruction counts, to
+// match RunPhased's per-core accounting. The rewound streams are
+// bit-identical to streams that never profiled (the counters the pass
+// dirtied reset, matching prepare's contract that metrics cover only the
+// timed interval).
+func computePhaseProfile(key string, streams []stream, opt Options) sample.Profile {
+	states := make([]workload.CMPState, len(streams))
+	profs := make([]*cpu.PhaseProfiler, len(streams))
+	for i, s := range streams {
+		states[i] = streamState(s)
+		profs[i] = cpu.NewPhaseProfiler(config.DefaultSystem())
 	}
 	lens := sample.WindowLengths(opt.RunInstructions, opt.PhaseWindows)
 	feats := make([][]float64, len(lens))
-	instr := make([]uint64, len(lens))
 	for w, n := range lens {
 		var f cpu.PhaseFeatures
-		for i, g := range gens {
-			f.Add(profs[i].Window(g, n))
+		for i, s := range streams {
+			f.Add(profs[i].Window(s, n))
 		}
 		feats[w] = f.Vector()
-		instr[w] = n
 	}
-	for i, g := range gens {
-		g.SetState(states[i])
-		g.ResetCounters()
+	for i, s := range streams {
+		setStreamState(s, states[i])
+		s.ResetCounters()
 	}
-	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, instr)
+	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, lens)
 }
 
 // registerPhaseMetrics publishes phase-sampling provenance. The counters
@@ -136,92 +109,6 @@ func registerPhaseMetrics(reg *metrics.Registry, prof sample.Profile, cached boo
 	}
 }
 
-// phaseObserver builds the per-interval observer for a phased run: the
-// same L2-stat and registry-counter deltas the uniform observer samples,
-// but every observation weighted by its cluster's instruction count, so
-// the estimates are unbiased even though small phases get the same one
-// detailed interval big phases do.
-type phaseObserver struct {
-	lookup, missRate stats.Weighted
-	counters         []stats.Weighted
-	names            []string
-	// Per-interval calibration covariates, in cluster order: the interval's
-	// L2-miss and fetch-mispredict counts plus its instruction length, fed
-	// to sample.Estimate.Calibrate after the run.
-	spans []phaseSpan
-}
-
-type phaseSpan struct {
-	cluster    int
-	instr      uint64
-	cpi        float64
-	l2m, mispr float64
-}
-
-func newPhaseObserver(reg *metrics.Registry, inst l2.Instrumented, prof sample.Profile) (*phaseObserver, func(sample.Interval)) {
-	st := inst.L2Stats()
-	names := reg.CounterNames()
-	o := &phaseObserver{counters: make([]stats.Weighted, len(names)), names: names}
-	misprIdx := -1
-	for i, n := range names {
-		if n == "cpu.fetch.mispredicts" {
-			misprIdx = i
-		}
-	}
-	var prevLookupSum, prevLookupCount, prevMisses uint64
-	prevVals := make([]uint64, len(names))
-	curVals := make([]uint64, 0, len(names))
-	prevVals = reg.AppendCounterValues(prevVals[:0], names)
-	return o, func(iv sample.Interval) {
-		w := float64(prof.Weights[iv.Index])
-		dSum := st.Lookup.Sum() - prevLookupSum
-		dCount := st.Lookup.Count() - prevLookupCount
-		dMiss := st.Misses.Value() - prevMisses
-		prevLookupSum, prevLookupCount, prevMisses = st.Lookup.Sum(), st.Lookup.Count(), st.Misses.Value()
-		if dCount > 0 {
-			o.lookup.Observe(float64(dSum)/float64(dCount), w)
-		}
-		o.missRate.Observe(1000*float64(dMiss)/float64(iv.Result.Instructions), w)
-		curVals = reg.AppendCounterValues(curVals[:0], names)
-		for i, v := range curVals {
-			o.counters[i].Observe(1000*float64(v-prevVals[i])/float64(iv.Result.Instructions), w)
-		}
-		span := phaseSpan{
-			cluster: iv.Index,
-			instr:   iv.Result.Instructions,
-			cpi:     float64(iv.Cycles) / float64(iv.Result.Instructions),
-			l2m:     float64(dMiss),
-		}
-		if misprIdx >= 0 {
-			span.mispr = float64(curVals[misprIdx] - prevVals[misprIdx])
-		}
-		o.spans = append(o.spans, span)
-		prevVals, curVals = curVals, prevVals
-	}
-}
-
-// counterTotal estimates a counter's full-run event count from its
-// cluster-weighted per-1K rate (per-1K of total instructions across
-// cores); a counter missing from the registry falls back to plain scaling
-// of the detailed-window total.
-func (o *phaseObserver) counterTotal(name string, total, raw, detailed uint64) uint64 {
-	for i, n := range o.names {
-		if n == name {
-			return uint64(o.counters[i].Mean()*float64(total)/1000 + 0.5)
-		}
-	}
-	return scaleCount(raw, total, detailed)
-}
-
-// metricCIs renders the weighted per-counter estimates.
-func (o *phaseObserver) metricCIs() []MetricCI {
-	mcis := make([]MetricCI, len(o.names))
-	for i, n := range o.names {
-		mcis[i] = MetricCI{Name: n, MeanPer1K: o.counters[i].Mean(), CI95: o.counters[i].CI95()}
-	}
-	return mcis
-}
-
 // calibratePhase sharpens the phased cycle estimate with the GREG
 // estimator (sample.Estimate.Calibrate): measured representative CPIs
 // regress on three per-span event rates whose exact full-run totals we
@@ -232,7 +119,7 @@ func (o *phaseObserver) metricCIs() []MetricCI {
 // physical caps: an L2 miss cannot plausibly cost more than twice the
 // DRAM latency, a mispredict more than a few pipeline refills, an L1 miss
 // more than a far-bank L2 lookup.
-func calibratePhase(est *sample.Estimate, prof sample.Profile, obs *phaseObserver, totL2, totMispr float64) {
+func calibratePhase(est *sample.Estimate, prof sample.Profile, obs *observer, totL2, totMispr float64) {
 	sys := config.DefaultSystem()
 	var totL1 float64
 	for w, f := range prof.Features {
@@ -258,89 +145,4 @@ func calibratePhase(est *sample.Estimate, prof sample.Profile, obs *phaseObserve
 		})
 	}
 	est.Calibrate(prof, cal)
-}
-
-// runSpecPhased is RunSpecSampled's phase-mode arm: profile (or fetch) the
-// phase clustering, time one representative window per cluster, then
-// calibrate the cycle estimate against exact covariate totals.
-func runSpecPhased(d Design, spec workload.Spec, opt Options, sopt sample.Options) (SampledResult, error) {
-	inst, core, gen, err := prepare(d, spec, opt)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	prof, cached := phaseProfileFor(spec, opt, sopt, func(key string) sample.Profile {
-		return computePhaseProfile(key, gen, opt)
-	})
-	reg := inst.Metrics()
-	registerPhaseMetrics(reg, prof, cached)
-	obs, observe := newPhaseObserver(reg, inst, prof)
-	// Count functional L2 misses across the timed region's warm stretches;
-	// added to the detailed counter they give the region's exact miss total.
-	core.SetWarmMissCounting(true)
-	warmBase := core.WarmL2Misses()
-	est := sample.RunPhasedCore(core, gen, opt.RunInstructions, sopt, prof, observe)
-	if err := core.CancelErr(); err != nil {
-		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
-	}
-	totL2 := float64(reg.CounterValue("l2.misses")) + float64(core.WarmL2Misses()-warmBase)
-	calibratePhase(&est, prof, obs, totL2, float64(reg.CounterValue("workload.mispredicts")))
-	return assemblePhased(d, spec, opt, inst, est, obs, 1)
-}
-
-// runSpecCMPPhased is the N-core arm: the machine implements
-// sample.Target, so profile computation (per-core streams) and weighted
-// interval execution share all the single-core machinery. RunInstructions
-// and SampleLength count instructions per core, exactly like uniform CMP
-// sampling.
-func runSpecCMPPhased(d Design, spec workload.Spec, opt Options, sopt sample.Options) (SampledResult, error) {
-	inst, m, gens, err := prepareCMP(d, spec, opt)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	prof, cached := phaseProfileFor(spec, opt, sopt, func(key string) sample.Profile {
-		return computePhaseProfileCMP(key, gens, opt)
-	})
-	reg := inst.Metrics()
-	registerPhaseMetrics(reg, prof, cached)
-	obs, observe := newPhaseObserver(reg, inst, prof)
-	est := sample.RunPhased(m, opt.RunInstructions, sopt, prof, observe)
-	if err := m.CancelErr(); err != nil {
-		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
-	}
-	return assemblePhased(d, spec, opt, inst, est, obs, uint64(opt.cores()))
-}
-
-// assemblePhased turns a phased estimate into a SampledResult. Registry
-// aggregates over the detailed window would over-represent small clusters
-// (each gets the same one interval regardless of weight), so the rate
-// metrics — misses/1K, mean lookup, the load/store totals — come from the
-// observer's cluster-weighted estimates instead; structural counters
-// without a per-interval rate reading keep the assemble values.
-func assemblePhased(d Design, spec workload.Spec, opt Options, inst l2.Instrumented, est sample.Estimate, obs *phaseObserver, cores uint64) (SampledResult, error) {
-	estCycles := est.Cycles()
-	totalInstr := opt.RunInstructions * cores
-	detailedTotal := est.Detailed * cores
-	res := assemble(d, spec.Name, inst.Metrics(), detailedTotal, est.FinalClock)
-	res.Instructions = totalInstr
-	res.Cycles = uint64(estCycles + 0.5)
-	res.MissesPer1K = obs.missRate.Mean()
-	if obs.lookup.N() > 0 {
-		res.MeanLookup = obs.lookup.Mean()
-	}
-	res.L2Loads = obs.counterTotal("l2.loads", totalInstr, res.L2Loads, detailedTotal)
-	res.L2Stores = obs.counterTotal("l2.stores", totalInstr, res.L2Stores, detailedTotal)
-	if estCycles > 0 {
-		res.IPC = float64(totalInstr) / estCycles
-	}
-	attachErrorBound(&res, opt)
-	emitMetrics(d, spec.Name, inst, est.FinalClock, opt)
-	return SampledResult{
-		Result:               res,
-		CyclesCI:             est.CyclesCI(),
-		MeanLookupCI:         obs.lookup.CI95(),
-		MissesPer1KCI:        obs.missRate.CI95(),
-		Intervals:            est.Intervals,
-		DetailedInstructions: detailedTotal,
-		Metrics:              obs.metricCIs(),
-	}, nil
 }

@@ -24,7 +24,6 @@ import (
 	"tlc/internal/area"
 	"tlc/internal/calibrate"
 	"tlc/internal/config"
-	"tlc/internal/cpu"
 	"tlc/internal/dram"
 	"tlc/internal/l2"
 	"tlc/internal/metrics"
@@ -96,12 +95,12 @@ type Options struct {
 	// runs: Validate rejects Fidelity=fast with Cores > 1.
 	Fidelity string
 
-	// Cores is the CMP core count. Zero or one runs the single-core
-	// machine — bit-identical to the pre-CMP path, same cycles and same
-	// metrics registry. 2..64 runs N cores as NOC peers over the shared
-	// L2 design, with private L1s kept coherent by an MSI directory;
-	// per-core counters appear under "core.<i>." alongside the aggregate
-	// names, and coherence traffic under "coh.".
+	// Cores is the CMP core count. Zero or one runs a one-core machine:
+	// its core drives the L2 design directly and the registry holds the
+	// plain cpu.* and workload.* names. 2..64 runs N cores as NOC peers
+	// over the shared L2 design, with private L1s kept coherent by an MSI
+	// directory; per-core counters appear under "core.<i>." alongside the
+	// aggregate names, and coherence traffic under "coh.".
 	Cores int
 	// Sharing shapes how the cores' streams relate (CMP runs only): the
 	// zero value stripes each core's private copy of the benchmark across
@@ -240,6 +239,8 @@ func (o Options) validateFidelity() error {
 	default:
 		return fmt.Errorf("tlc: unknown fidelity %q (want %q or %q)", o.Fidelity, FidelityFull, FidelityFast)
 	}
+	// Core-count branch: the fast tier is calibrated on single-core runs
+	// only, and whether it survives at all is still open.
 	if o.fidelity() == FidelityFast && o.cores() > 1 {
 		return fmt.Errorf("tlc: fidelity %q does not support CMP runs (Cores=%d); use the full tier", FidelityFast, o.Cores)
 	}
@@ -280,9 +281,6 @@ func (o Options) cmpConfig() CMPConfig {
 	}
 	return CMPConfig{Cores: n, Protocol: "MSI", Sharing: o.Sharing.Normalize()}
 }
-
-// singleCoreCMP is the CMP axis of every pre-CMP run.
-func singleCoreCMP() CMPConfig { return CMPConfig{Cores: 1} }
 
 // Validate checks the options for configurations a run would reject: the
 // CMP axis (a negative core count, more cores than the 64-wide directory
@@ -495,7 +493,7 @@ func Run(d Design, benchmark string, opt Options) (Result, error) {
 // checkpointFormat versions the warm-state layout. Bump it whenever the
 // captured state's shape or semantics change, so stale on-disk checkpoints
 // miss instead of restoring garbage.
-const checkpointFormat = 3 // v3: fidelity tier in keys; v2: CMP axis in keys, optional CMP state in checkpoints
+const checkpointFormat = 4 // v4: one envelope for every core count; v3: fidelity tier in keys; v2: CMP axis in keys
 
 // keyHasher folds checkpoint-key fields into an FNV hash with explicit,
 // typed encoding: every value is written as a fixed-width little-endian
@@ -748,125 +746,6 @@ func SummarizeSeeds(vals []float64) SeedStats {
 	return st
 }
 
-// prepare builds the machine for a run and brings it to measured-interval
-// start: post-warm cache state with the generator positioned (and seeded)
-// for the timed stream. Warm-up restores from opt.Checkpoints when
-// possible, re-executing (and storing the result) otherwise. A non-nil
-// error means opt.Cancel aborted the warm-up; the half-warm machine is
-// discarded, never checkpointed.
-func prepare(d Design, spec workload.Spec, opt Options) (l2.Instrumented, *cpu.Core, *workload.Generator, error) {
-	sys := config.DefaultSystem()
-	inst := build(d, opt)
-	warmSeed, warm := warmPlan(spec, opt)
-	gen := workload.New(spec, warmSeed)
-	core := cpu.New(sys, inst)
-	core.SetFast(opt.fidelity() == FidelityFast)
-	core.SetCancel(opt.Cancel)
-	// The design's registry becomes the run's: the core and the generator
-	// publish alongside the cache layers.
-	core.RegisterMetrics(inst.Metrics())
-	gen.RegisterMetrics(inst.Metrics())
-
-	key := snapshot.Key{Config: configHash(d, spec, singleCoreCMP(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
-	restored := false
-	if opt.Checkpoints != nil {
-		if ckp, ok := opt.Checkpoints.Get(key); ok {
-			restored = restoreCheckpoint(ckp, core, inst, gen)
-			if restored && ckp.Lanes {
-				// Provenance marker: this run skipped warm-up thanks to a
-				// lane-parallel pass. Registered only on lane-restored runs,
-				// so scalar and lane artifacts diff clean on shared names.
-				inst.Metrics().CounterFunc("sim.lanes.restored", func() uint64 { return 1 })
-			}
-		}
-	}
-	if !restored {
-		// Pre-warm installs the whole footprint so capacity state matches
-		// a long-running process, then the trace warm-up establishes
-		// recency and migration steady state.
-		gen.PreWarm(inst)
-		core.Warm(gen, warm)
-		if err := core.CancelErr(); err != nil {
-			// An aborted warm-up leaves the machine mid-stream: surface the
-			// cancellation and, critically, keep the half-warm state out of
-			// the checkpoint store.
-			return nil, nil, nil, fmt.Errorf("tlc: %v %s warm-up cancelled: %w", d, spec.Name, err)
-		}
-		if opt.Checkpoints != nil {
-			if snap, ok := inst.(l2.Snapshotter); ok {
-				opt.Checkpoints.Put(key, snapshot.Checkpoint{
-					Core: core.Snapshot(),
-					L2:   snap.SnapshotState(),
-					Gen:  gen.State(),
-				})
-			}
-		}
-	}
-	if opt.Seed != warmSeed {
-		// The timed interval measures its own stream: decorrelate it from
-		// the (shared) warm-up stream.
-		gen.Reseed(opt.Seed)
-	}
-	// The generator's counters, like every other metric, cover only the
-	// timed interval — whether warm-up ran or a checkpoint skipped it.
-	gen.ResetCounters()
-	return inst, core, gen, nil
-}
-
-// restoreCheckpoint applies a stored checkpoint; a false return (type or
-// geometry mismatch, e.g. a stale disk entry) falls back to re-warming.
-func restoreCheckpoint(ckp snapshot.Checkpoint, core *cpu.Core, c l2.Cache, gen *workload.Generator) bool {
-	if ckp.CMP != nil {
-		// Provenance: a CMP machine's checkpoint never restores into a
-		// single-core run (the mirror of restoreCMPCheckpoint's nil check).
-		return false
-	}
-	snap, ok := c.(l2.Snapshotter)
-	if !ok {
-		return false
-	}
-	if err := core.Restore(ckp.Core); err != nil {
-		return false
-	}
-	if err := snap.RestoreState(ckp.L2); err != nil {
-		return false
-	}
-	gen.SetState(ckp.Gen)
-	return true
-}
-
-// RunSpec simulates a custom workload spec on one design.
-func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
-	if err := opt.validateCMP(); err != nil {
-		return Result{}, err
-	}
-	if err := opt.validateFidelity(); err != nil {
-		return Result{}, err
-	}
-	if opt.sampledMode() {
-		sres, err := RunSpecSampled(d, spec, opt)
-		return sres.Result, err
-	}
-	if opt.cores() > 1 {
-		return runSpecCMP(d, spec, opt)
-	}
-	inst, core, gen, err := prepare(d, spec, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	cr := core.Run(gen, opt.RunInstructions)
-	if err := core.CancelErr(); err != nil {
-		return Result{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
-	}
-	res := assemble(d, spec.Name, inst.Metrics(), cr.Instructions, cr.Cycles)
-	res.Instructions = cr.Instructions
-	res.Cycles = uint64(cr.Cycles)
-	res.IPC = cr.IPC()
-	attachErrorBound(&res, opt)
-	emitMetrics(d, spec.Name, inst, cr.Cycles, opt)
-	return res, nil
-}
-
 // assemble fills a Result entirely from registry reads — the single
 // reporting path shared by every design. Counters absent from a design's
 // registry (DNUCA's close hits on SNUCA, ECC on the mesh designs) read
@@ -946,100 +825,6 @@ func RunSampled(d Design, benchmark string, opt Options) (SampledResult, error) 
 		return SampledResult{}, fmt.Errorf("tlc: unknown benchmark %q", benchmark)
 	}
 	return RunSpecSampled(d, spec, opt)
-}
-
-// RunSpecSampled simulates a custom workload spec on one design in sampled
-// mode: SampleIntervals detailed intervals of SampleLength instructions,
-// interleaved with functional fast-forwarding, standing in for a full
-// RunInstructions-long detailed run.
-func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, error) {
-	sopt := opt.SampleOptions()
-	if err := sopt.Validate(opt.RunInstructions); err != nil {
-		return SampledResult{}, err
-	}
-	if err := opt.validateCMP(); err != nil {
-		return SampledResult{}, err
-	}
-	if err := opt.validateFidelity(); err != nil {
-		return SampledResult{}, err
-	}
-	if sopt.Phase() {
-		if opt.cores() > 1 {
-			return runSpecCMPPhased(d, spec, opt, sopt)
-		}
-		return runSpecPhased(d, spec, opt, sopt)
-	}
-	if opt.cores() > 1 {
-		return runSpecCMPSampled(d, spec, opt)
-	}
-	inst, core, gen, err := prepare(d, spec, opt)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	reg := inst.Metrics()
-
-	// Per-interval L2 stat deltas feed the lookup-latency and miss-rate
-	// confidence intervals.
-	st := inst.L2Stats()
-	var lookup, missRate stats.Sample
-	var prevLookupSum, prevLookupCount, prevMisses uint64
-	// Generic per-counter deltas extend the CIs to every registered
-	// counter. The name list and the value buffers are fixed up front so
-	// the per-interval observer allocates nothing.
-	names := reg.CounterNames()
-	counterSamples := make([]stats.Sample, len(names))
-	prevVals := make([]uint64, len(names))
-	curVals := make([]uint64, 0, len(names))
-	prevVals = reg.AppendCounterValues(prevVals[:0], names)
-	est := sample.Run(core, gen, opt.RunInstructions, sopt, func(iv sample.Interval) {
-		dSum := st.Lookup.Sum() - prevLookupSum
-		dCount := st.Lookup.Count() - prevLookupCount
-		dMiss := st.Misses.Value() - prevMisses
-		prevLookupSum, prevLookupCount, prevMisses = st.Lookup.Sum(), st.Lookup.Count(), st.Misses.Value()
-		if dCount > 0 {
-			lookup.Observe(float64(dSum) / float64(dCount))
-		}
-		missRate.Observe(1000 * float64(dMiss) / float64(iv.Result.Instructions))
-		curVals = reg.AppendCounterValues(curVals[:0], names)
-		for i, v := range curVals {
-			counterSamples[i].Observe(1000 * float64(v-prevVals[i]) / float64(iv.Result.Instructions))
-		}
-		prevVals, curVals = curVals, prevVals
-	})
-
-	if err := core.CancelErr(); err != nil {
-		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
-	}
-	estCycles := est.Cycles()
-	// The L2 counters cover only the detailed instructions; rates are
-	// computed over that denominator, and the absolute load/store counts
-	// are scaled to the full run like the cycle estimate. Power and
-	// utilization integrate over the detailed window: the clock only
-	// advances during detailed intervals, so FinalClock is that window's
-	// span.
-	res := assemble(d, spec.Name, reg, est.Detailed, est.FinalClock)
-	res.Instructions = opt.RunInstructions
-	res.Cycles = uint64(estCycles + 0.5)
-	res.L2Loads = scaleCount(res.L2Loads, opt.RunInstructions, est.Detailed)
-	res.L2Stores = scaleCount(res.L2Stores, opt.RunInstructions, est.Detailed)
-	if estCycles > 0 {
-		res.IPC = float64(opt.RunInstructions) / estCycles
-	}
-	mcis := make([]MetricCI, len(names))
-	for i, n := range names {
-		mcis[i] = MetricCI{Name: n, MeanPer1K: counterSamples[i].Mean(), CI95: counterSamples[i].CI95()}
-	}
-	attachErrorBound(&res, opt)
-	emitMetrics(d, spec.Name, inst, est.FinalClock, opt)
-	return SampledResult{
-		Result:               res,
-		CyclesCI:             est.CyclesCI(),
-		MeanLookupCI:         lookup.CI95(),
-		MissesPer1KCI:        missRate.CI95(),
-		Intervals:            est.Intervals,
-		DetailedInstructions: est.Detailed,
-		Metrics:              mcis,
-	}, nil
 }
 
 // scaleCount extrapolates a detailed-interval event count to the full run.
