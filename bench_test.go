@@ -199,73 +199,46 @@ func BenchmarkFigure8TLCFamilyExecTime(b *testing.B) {
 }
 
 func BenchmarkFullScaleSampledSpeedup(b *testing.B) {
-	// The perf acceptance gate: for a full-scale-shaped run (16 M warm +
-	// 2 M timed), skipping warm-up via a checkpoint and cutting detailed
-	// work via sampling must reduce wall-clock ≥5× while staying within
-	// the sampled-mode accuracy envelope.
-	opt := Options{WarmInstructions: 16_000_000, RunInstructions: 2_000_000, Seed: 1}
-	fast := opt
-	fast.Checkpoints = NewCheckpointStore(0, "")
-	fast.SampleIntervals = 50
-	fast.SampleLength = 2_000
+	// Sampling's wall-clock gain at full scale (16 M warm + 2 M timed),
+	// like for like: both arms restore the same pre-populated checkpoint,
+	// so wallclock_speedup measures only the cut in detailed work. The
+	// gain from skipping warm-up is reported separately as
+	// warm_amortization: a cold full run (warm-up re-executed) against the
+	// restored full run.
+	cold := Options{WarmInstructions: 16_000_000, RunInstructions: 2_000_000, Seed: 1}
+	full := cold
+	full.Checkpoints = NewCheckpointStore(0, "")
+	sampled := full
+	sampled.SampleIntervals = 50
+	sampled.SampleLength = 2_000
 	// Populate the checkpoint outside the timed region: the steady state
 	// being modeled is a sweep or seed set that warms once.
-	if _, err := RunSampled(DesignTLC, "gcc", fast); err != nil {
+	if _, err := Run(DesignTLC, "gcc", full); err != nil {
 		b.Fatal(err)
 	}
-	var fullNS, fastNS time.Duration
-	var speedup float64
+	var coldNS, fullNS, sampledNS time.Duration
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := Run(DesignTLC, "gcc", opt); err != nil {
+		if _, err := Run(DesignTLC, "gcc", cold); err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		if _, err := RunSampled(DesignTLC, "gcc", fast); err != nil {
+		if _, err := Run(DesignTLC, "gcc", full); err != nil {
 			b.Fatal(err)
 		}
-		fullNS += t1.Sub(t0)
-		fastNS += time.Since(t1)
-		speedup = float64(fullNS) / float64(fastNS)
+		t2 := time.Now()
+		if _, err := RunSampled(DesignTLC, "gcc", sampled); err != nil {
+			b.Fatal(err)
+		}
+		coldNS += t1.Sub(t0)
+		fullNS += t2.Sub(t1)
+		sampledNS += time.Since(t2)
 	}
-	b.ReportMetric(speedup, "wallclock_speedup")
+	b.ReportMetric(float64(fullNS)/float64(sampledNS), "wallclock_speedup")
+	b.ReportMetric(float64(coldNS)/float64(fullNS), "warm_amortization")
+	b.ReportMetric(float64(coldNS.Milliseconds())/float64(b.N), "cold_ms_per_run")
 	b.ReportMetric(float64(fullNS.Milliseconds())/float64(b.N), "full_ms_per_run")
-	b.ReportMetric(float64(fastNS.Milliseconds())/float64(b.N), "sampled_ms_per_run")
-}
-
-func BenchmarkFullScaleFastSpeedup(b *testing.B) {
-	// The fast-tier perf acceptance gate, same shape as
-	// BenchmarkFullScaleSampledSpeedup: a full-scale run (16 M warm + 2 M
-	// timed) against the fast tier restoring its checkpoint and running the
-	// calibrated in-order model must be ≥5× faster in wall-clock, with the
-	// accuracy side covered by the committed CALIBRATION.json bounds
-	// (TestFastTierErrorWithinCalibratedBounds).
-	opt := Options{WarmInstructions: 16_000_000, RunInstructions: 2_000_000, Seed: 1}
-	fast := opt
-	fast.Fidelity = FidelityFast
-	fast.Checkpoints = NewCheckpointStore(0, "")
-	// Populate the fast tier's checkpoint outside the timed region.
-	if _, err := Run(DesignTLC, "gcc", fast); err != nil {
-		b.Fatal(err)
-	}
-	var fullNS, fastNS time.Duration
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := Run(DesignTLC, "gcc", opt); err != nil {
-			b.Fatal(err)
-		}
-		t1 := time.Now()
-		if _, err := Run(DesignTLC, "gcc", fast); err != nil {
-			b.Fatal(err)
-		}
-		fullNS += t1.Sub(t0)
-		fastNS += time.Since(t1)
-		speedup = float64(fullNS) / float64(fastNS)
-	}
-	b.ReportMetric(speedup, "fast_speedup")
-	b.ReportMetric(float64(fullNS.Milliseconds())/float64(b.N), "full_ms_per_run")
-	b.ReportMetric(float64(fastNS.Milliseconds())/float64(b.N), "fast_ms_per_run")
+	b.ReportMetric(float64(sampledNS.Milliseconds())/float64(b.N), "sampled_ms_per_run")
 }
 
 func BenchmarkWarmThroughput(b *testing.B) {

@@ -58,7 +58,6 @@ type document struct {
 	SampleLength      uint64             `json:"sample_length,omitempty"`
 	PhaseWindows      int                `json:"phase_windows,omitempty"`
 	PhaseClusters     int                `json:"phase_clusters,omitempty"`
-	Fidelity          string             `json:"fidelity,omitempty"`
 	Runs              []record           `json:"runs"`
 	Headline          map[string]float64 `json:"headline"`
 	SimulatedRuns     uint64             `json:"simulated_runs"`
@@ -191,7 +190,6 @@ func main() {
 		SampleLength:      opt.SampleLength,
 		PhaseWindows:      opt.PhaseWindows,
 		PhaseClusters:     opt.PhaseClusters,
-		Fidelity:          opt.Fidelity,
 		Headline:          map[string]float64{},
 		ElapsedMS:         float64(elapsed.Microseconds()) / 1000,
 	}
@@ -234,10 +232,6 @@ func main() {
 				LinkUtilization: r.LinkUtilization,
 				NetworkPowerW:   r.NetworkPowerW,
 				WallMS:          float64(wall[d.String()+"/"+b].Microseconds()) / 1000,
-			}
-			if opt.FidelityTier() == tlc.FidelityFast {
-				rec.Fidelity = tlc.FidelityFast
-				rec.ErrorBound = r.ErrorBound
 			}
 			if s.Sampled() {
 				sr, err := s.SampledErr(d, b)

@@ -56,7 +56,6 @@ func main() {
 		quick       = flag.Bool("quick", false, "quick base options for figure endpoints (shorter runs)")
 		cores       = flag.Int("cores", 1, "base options CMP core count for figure endpoints (run requests set their own)")
 		sharing     = flag.String("sharing", "", "base options CMP sharing pattern: private|producer-consumer|migratory|read-mostly")
-		fidelity    = flag.String("fidelity", "", "base options core timing tier for figure endpoints: full (default) or fast")
 		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator (routes runs, simulates nothing)")
 		join        = flag.String("join", "", "coordinator base URL to register with as a worker")
 		advertise   = flag.String("advertise", "", "base URL peers reach this worker at (default http://<bound addr>)")
@@ -93,7 +92,6 @@ func main() {
 	}
 	base.Cores = *cores
 	base.Sharing = tlc.SharingSpec{Pattern: *sharing}
-	base.Fidelity = *fidelity
 	if err := base.Validate(); err != nil {
 		log.Fatalf("tlcd: %v", err)
 	}

@@ -52,15 +52,10 @@ type runJSON struct {
 	MissesPer1KCI        float64 `json:"misses_per_1k_ci,omitempty"`
 	SampleIntervals      int     `json:"sample_intervals,omitempty"`
 	DetailedInstructions uint64  `json:"detailed_instructions,omitempty"`
-
-	// Fast-tier extras: the fidelity tier and its committed calibration
-	// envelope. Omitted on full-tier runs.
-	Fidelity   string          `json:"fidelity,omitempty"`
-	ErrorBound *tlc.ErrorBound `json:"error_bound,omitempty"`
 }
 
-func toJSON(r tlc.Result, fidelity string) runJSON {
-	j := runJSON{
+func toJSON(r tlc.Result) runJSON {
+	return runJSON{
 		Design:          r.Design.String(),
 		Benchmark:       r.Benchmark,
 		Instructions:    r.Instructions,
@@ -75,15 +70,10 @@ func toJSON(r tlc.Result, fidelity string) runJSON {
 		LinkUtilization: r.LinkUtilization,
 		NetworkPowerW:   r.NetworkPowerW,
 	}
-	if fidelity == tlc.FidelityFast {
-		j.Fidelity = fidelity
-		j.ErrorBound = r.ErrorBound
-	}
-	return j
 }
 
-func toJSONSampled(sr tlc.SampledResult, fidelity string) runJSON {
-	j := toJSON(sr.Result, fidelity)
+func toJSONSampled(sr tlc.SampledResult) runJSON {
+	j := toJSON(sr.Result)
 	j.CyclesCI = sr.CyclesCI
 	j.MeanLookupCI = sr.MeanLookupCI
 	j.MissesPer1KCI = sr.MissesPer1KCI
@@ -151,10 +141,10 @@ func main() {
 						fmt.Fprintln(os.Stderr, err)
 						os.Exit(2)
 					}
-					out = append(out, toJSONSampled(sr, opt.FidelityTier()))
+					out = append(out, toJSONSampled(sr))
 					continue
 				}
-				out = append(out, toJSON(s.Run(d, b), opt.FidelityTier()))
+				out = append(out, toJSON(s.Run(d, b)))
 			}
 		}
 		enc := json.NewEncoder(os.Stdout)

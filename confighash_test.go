@@ -83,10 +83,9 @@ func TestConfigHashCoversEveryParameter(t *testing.T) {
 	// content (the reflection walk covers Cores, Protocol, and the three
 	// SharingSpec fields).
 	cm := CMPConfig{Cores: 4, Protocol: "MSI", Sharing: SharingSpec{Pattern: "migratory", SharedMB: 2, SharedFrac: 0.25}}
-	fid := FidelityFull
 
-	base := configHashOf(d, sys, spec, np, tp, cm, fid)
-	if again := configHashOf(d, sys, spec, np, tp, cm, fid); again != base {
+	base := configHashOf(d, sys, spec, np, tp, cm)
+	if again := configHashOf(d, sys, spec, np, tp, cm); again != base {
 		t.Fatalf("configHashOf is not deterministic: %s vs %s", base, again)
 	}
 
@@ -103,23 +102,22 @@ func TestConfigHashCoversEveryParameter(t *testing.T) {
 	}
 
 	perturbLeaves(reflect.ValueOf(&sys).Elem(), "System", func(label string) {
-		check(label, configHashOf(d, sys, spec, np, tp, cm, fid))
+		check(label, configHashOf(d, sys, spec, np, tp, cm))
 	})
 	perturbLeaves(reflect.ValueOf(&spec).Elem(), "Spec", func(label string) {
-		check(label, configHashOf(d, sys, spec, np, tp, cm, fid))
+		check(label, configHashOf(d, sys, spec, np, tp, cm))
 	})
 	perturbLeaves(reflect.ValueOf(&np).Elem(), "NUCAParams", func(label string) {
-		check(label, configHashOf(d, sys, spec, np, tp, cm, fid))
+		check(label, configHashOf(d, sys, spec, np, tp, cm))
 	})
 	perturbLeaves(reflect.ValueOf(&tp).Elem(), "TLCParams", func(label string) {
-		check(label, configHashOf(d, sys, spec, np, tp, cm, fid))
+		check(label, configHashOf(d, sys, spec, np, tp, cm))
 	})
 	perturbLeaves(reflect.ValueOf(&cm).Elem(), "CMPConfig", func(label string) {
-		check(label, configHashOf(d, sys, spec, np, tp, cm, fid))
+		check(label, configHashOf(d, sys, spec, np, tp, cm))
 	})
 
-	check("Design", configHashOf(DesignSNUCA2, sys, spec, np, tp, cm, fid))
-	check("Fidelity", configHashOf(d, sys, spec, np, tp, cm, FidelityFast))
+	check("Design", configHashOf(DesignSNUCA2, sys, spec, np, tp, cm))
 }
 
 // TestConfigHashSliceBoundaries asserts the length-prefixed slice encoding
@@ -144,8 +142,8 @@ func TestConfigHashSliceBoundaries(t *testing.T) {
 	b.Mesh.VertRespLat = []sim.Time{3, 4, 5}
 
 	cm := CMPConfig{Cores: 1}
-	ha := configHashOf(d, sys, spec, a, tp, cm, FidelityFull)
-	hb := configHashOf(d, sys, spec, b, tp, cm, FidelityFull)
+	ha := configHashOf(d, sys, spec, a, tp, cm)
+	hb := configHashOf(d, sys, spec, b, tp, cm)
 	if ha == hb {
 		t.Fatalf("slice boundary move did not change the config hash (%s)", ha)
 	}
@@ -161,7 +159,7 @@ func TestConfigHashDistinctPerDesign(t *testing.T) {
 	}
 	hashes := map[string]Design{}
 	for _, d := range Designs() {
-		h := configHash(d, spec, CMPConfig{Cores: 1}, FidelityFull)
+		h := configHash(d, spec, CMPConfig{Cores: 1})
 		if prev, ok := hashes[h]; ok {
 			t.Errorf("designs %v and %v share config hash %s", prev, d, h)
 		}

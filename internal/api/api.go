@@ -6,10 +6,30 @@
 package api
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"tlc"
 )
+
+// Decode reads one JSON request body into v and fails closed: a field v
+// does not declare (a misspelled or retired option, say) or data after the
+// first value is an error rather than silently ignored. Every service
+// endpoint that accepts a body decodes through it; response decoding in
+// internal/client stays tolerant so newer servers can add record fields.
+func Decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the request body")
+	}
+	return nil
+}
 
 // RunOptions is the serializable subset of tlc.Options a request may set.
 // Zero-valued WarmInstructions, RunInstructions, and Seed take the
@@ -37,12 +57,6 @@ type RunOptions struct {
 	SharingPattern string  `json:"sharing_pattern,omitempty"`
 	SharedMB       float64 `json:"shared_mb,omitempty"`
 	SharedFrac     float64 `json:"shared_frac,omitempty"`
-
-	// Fidelity selects the core timing tier: "full" (the default; ""
-	// normalizes to it) or "fast" (calibrated in-order model; the record
-	// carries error bounds). Fidelity is part of the run key, so the tiers
-	// never share a cached result.
-	Fidelity string `json:"fidelity,omitempty"`
 }
 
 // Options expands the wire options into a runnable tlc.Options, applying
@@ -73,7 +87,6 @@ func (o RunOptions) Options() tlc.Options {
 		SharedMB:   o.SharedMB,
 		SharedFrac: o.SharedFrac,
 	}
-	opt.Fidelity = o.Fidelity
 	return opt
 }
 
@@ -94,7 +107,6 @@ func FromOptions(opt tlc.Options) RunOptions {
 		SharingPattern:   opt.Sharing.Pattern,
 		SharedMB:         opt.Sharing.SharedMB,
 		SharedFrac:       opt.Sharing.SharedFrac,
-		Fidelity:         opt.Fidelity,
 	}
 }
 
@@ -106,8 +118,9 @@ type RunRequest struct {
 }
 
 // Validate resolves the design name, checks the benchmark exists, and
-// rejects impossible CMP options (core count out of 1..64, unknown sharing
-// pattern) with the same one-line errors a local run would produce.
+// rejects options a run would reject (core count out of 1..64, unknown
+// sharing pattern, a sampling plan that does not fit the run) with the same
+// one-line errors a local run would produce.
 func (r RunRequest) Validate() (tlc.Design, error) {
 	d, err := ParseDesign(r.Design)
 	if err != nil {
@@ -175,12 +188,6 @@ type RunRecord struct {
 	MeanLookupCI  float64 `json:"mean_lookup_ci,omitempty"`
 	MissesPer1KCI float64 `json:"misses_per_1k_ci,omitempty"`
 
-	// Fidelity is the core timing tier the run executed at ("full" or
-	// "fast"); ErrorBound is the fast tier's committed calibration envelope
-	// (nil on full-fidelity records and on benchmarks never calibrated).
-	Fidelity   string          `json:"fidelity,omitempty"`
-	ErrorBound *tlc.ErrorBound `json:"error_bound,omitempty"`
-
 	// Metrics is the run's full registry snapshot — every counter, gauge,
 	// and histogram each simulation layer registered.
 	Metrics tlc.MetricsSnapshot `json:"metrics,omitempty"`
@@ -213,7 +220,6 @@ func RecordFrom(res tlc.Result, sres *tlc.SampledResult, snap tlc.MetricsSnapsho
 		NetworkPowerW:   res.NetworkPowerW,
 		WallMS:          wallMS,
 		Metrics:         snap,
-		ErrorBound:      res.ErrorBound,
 	}
 	if sres != nil {
 		rec.CyclesCI = sres.CyclesCI
@@ -245,7 +251,6 @@ func (r RunRecord) ToResult() (tlc.Result, error) {
 		PredictablePct:  r.PredictablePct,
 		LinkUtilization: r.LinkUtilization,
 		NetworkPowerW:   r.NetworkPowerW,
-		ErrorBound:      r.ErrorBound,
 	}, nil
 }
 

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"tlc"
@@ -102,5 +104,60 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if partial.Cycles != res.Cycles || partial.MeanLookup != res.MeanLookup || partial.Design != res.Design {
 		t.Fatalf("headline projection diverged: %+v", partial)
+	}
+}
+
+// FuzzRunRequest drives arbitrary bytes through the service's request
+// path: Decode, then RunRequest.Validate. Nothing may panic, and a body
+// both accept must name a runnable configuration — it keys, and its
+// expanded options pass tlc.Options.Validate, so the worker never sees a
+// request admission should have refused. The seeds are the request
+// bodies scripts/service_e2e.sh posts.
+func FuzzRunRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"design":"TLC","benchmark":"perl","options":{"warm_instructions":2000000,"run_instructions":200000}}`,
+		`{"design":"DNUCA","benchmark":"oltp","options":{"run_instructions":2000000}}`,
+		`{"design":"TLC","benchmark":"perl","options":{"warm_instructions":2000000,"run_instructions":200000,"fidelity":"fast"}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req RunRequest
+		if Decode(bytes.NewReader(body), &req) != nil {
+			return
+		}
+		if _, err := req.Validate(); err != nil {
+			return
+		}
+		if _, err := req.Key(); err != nil {
+			t.Fatalf("validated request does not key: %v", err)
+		}
+		if err := req.Options.Options().Validate(); err != nil {
+			t.Fatalf("validated request carries invalid options: %v", err)
+		}
+	})
+}
+
+// TestDecodeRejectsUnknownFieldsAndTrailingData pins the request-decoding
+// policy every service endpoint shares.
+func TestDecodeRejectsUnknownFieldsAndTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"design":"TLC","benchmark":"gcc","options":{"fidelity":"fast"}}`,
+		`{"design":"TLC","benchmark":"gcc","extra":true}`,
+		`{"design":"TLC","benchmark":"gcc"} {"design":"DNUCA"}`,
+		`{"design":"TLC","benchmark":"gcc"} x`,
+		``,
+	} {
+		var req RunRequest
+		if err := Decode(strings.NewReader(body), &req); err == nil {
+			t.Errorf("Decode(%q) accepted", body)
+		}
+	}
+	var req RunRequest
+	if err := Decode(strings.NewReader("{\"design\":\"TLC\",\"benchmark\":\"gcc\"}\n"), &req); err != nil {
+		t.Fatalf("well-formed body rejected: %v", err)
+	}
+	if req.Design != "TLC" || req.Benchmark != "gcc" {
+		t.Fatalf("decoded %+v", req)
 	}
 }

@@ -42,9 +42,6 @@ type Flags struct {
 	Sharing    string
 	SharedMB   float64
 	SharedFrac float64
-	// Fidelity selects the core timing tier: "full" (default) or "fast"
-	// (calibrated in-order model; results carry error bounds).
-	Fidelity string
 
 	mu     sync.Mutex
 	events []tlc.MetricsEvent
@@ -90,8 +87,6 @@ func Register() *Flags {
 		"shared-region footprint in MB for CMP sharing patterns (0 = pattern default)")
 	flag.Float64Var(&f.SharedFrac, "sharedfrac", 0,
 		"fraction of references aimed at the shared region (0 = pattern default)")
-	flag.StringVar(&f.Fidelity, "fidelity", "",
-		"core timing tier: full (default) or fast (calibrated in-order model with committed error bounds)")
 	return f
 }
 
@@ -112,7 +107,6 @@ func (f *Flags) Apply(opt *tlc.Options) error {
 	}
 	opt.Cores = f.Cores
 	opt.Sharing = tlc.SharingSpec{Pattern: f.Sharing, SharedMB: f.SharedMB, SharedFrac: f.SharedFrac}
-	opt.Fidelity = f.Fidelity
 	if err := opt.Validate(); err != nil {
 		return err
 	}

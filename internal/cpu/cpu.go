@@ -177,18 +177,6 @@ type Core struct {
 
 	res Result
 
-	// fast selects the fast timing tier (fast.go): SetFast switches the
-	// run dispatch, everything else — warm kernels, checkpoints, metrics —
-	// is tier-independent. fastRem carries the fast tier's sub-cycle fetch
-	// remainder across chunks and Resume calls; it is epoch state and
-	// resets with the pipeline in resetTiming.
-	fast    bool
-	fastRem uint64
-	// fastL2 is the L2's uncontended analytic timing path, resolved by
-	// SetFast when the design offers it (nil otherwise: fall back to the
-	// contended Access path under fast timing).
-	fastL2 l2.FastTimer
-
 	// Batched-delivery buffers, allocated lazily on first use and reused
 	// for the core's lifetime so the hot loops stay allocation-free.
 	// batch receives detailed-mode instructions (Core.run), memBuf receives
@@ -533,9 +521,6 @@ func (c *Core) Resume(s Stream, n uint64) Result { return c.run(s, n) }
 // reusable buffer directly; legacy Streams go through the core's resident
 // shim, so neither path allocates per call.
 func (c *Core) run(s Stream, n uint64) Result {
-	if c.fast {
-		return c.runFast(s, n)
-	}
 	c.res = Result{Instructions: n}
 	rob := uint64(c.sys.ROBEntries)
 	sched := uint64(c.sys.SchedulerEntries)
@@ -629,7 +614,6 @@ func (c *Core) resetTiming() {
 	c.lastLoad = 0
 	c.prevComplete = 0
 	c.fetchPenalty = 0
-	c.fastRem = 0
 	c.cancelErr = nil
 	c.epochBase = 0
 	c.epochInstrs = 0

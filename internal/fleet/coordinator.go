@@ -422,7 +422,7 @@ func writeCoordError(w http.ResponseWriter, e *coordError) {
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := api.Decode(r.Body, &req); err != nil {
 		writeCoordError(w, &coordError{status: 400, msg: "decoding registration: " + err.Error()})
 		return
 	}
@@ -450,7 +450,7 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := api.Decode(r.Body, &req); err != nil {
 		writeCoordError(w, &coordError{status: 400, msg: "decoding request: " + err.Error()})
 		return
 	}
@@ -489,7 +489,7 @@ func (c *Coordinator) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // 429-bouncing its own sweep.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sreq api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&sreq); err != nil {
+	if err := api.Decode(r.Body, &sreq); err != nil {
 		writeCoordError(w, &coordError{status: 400, msg: "decoding sweep: " + err.Error()})
 		return
 	}

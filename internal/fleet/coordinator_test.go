@@ -343,6 +343,36 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsUnknownFields: the coordinator decodes request
+// bodies as strictly as a worker does. An undeclared field answers 400 on
+// every body-carrying endpoint and nothing reaches a worker.
+func TestCoordinatorRejectsUnknownFields(t *testing.T) {
+	w := newFakeWorker(t)
+	c, hs := newTestCoordinator(t, Config{})
+	registerWorker(t, hs.URL, w.hs.URL)
+	for name, tc := range map[string]struct{ path, body string }{
+		"run":      {"/v1/runs", `{"design":"TLC","benchmark":"gcc","options":{"fidelity":"fast"}}`},
+		"sweep":    {"/v1/sweeps", `{"points":[{"design":"TLC","benchmark":"gcc","options":{"fidelty":"fast"}}]}`},
+		"register": {"/v1/workers", `{"base_url":"http://127.0.0.1:1","weight":2}`},
+	} {
+		resp, err := http.Post(hs.URL+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with an unknown field: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := w.executions(); n != 0 {
+		t.Errorf("%d worker executions, want 0", n)
+	}
+	if n := len(c.snapshot().Workers); n != 1 {
+		t.Errorf("%d registered workers, want 1 (the rejected registration must not join)", n)
+	}
+}
+
 // TestGetRunAcrossFleet: the coordinator's GET /v1/runs/{id} finds a record
 // wherever it lives on the ring and 404s cleanly when nowhere.
 func TestGetRunAcrossFleet(t *testing.T) {

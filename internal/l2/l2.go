@@ -83,20 +83,6 @@ func WarmAll(c Cache, blocks []mem.Block) {
 	}
 }
 
-// FastTimer is an optional Cache capability used by the fast core tier:
-// AccessFast performs the same functional state transition as Access —
-// lookups, LRU movement, fills, evictions, statistics — but charges the
-// design's uncontended nominal latency instead of simulating link and bank
-// contention, so a fast-tier run preserves the full tier's hit/miss
-// trajectory at a fraction of the per-access cost. Contention and
-// rare-event timing (multi-match resolution, ECC retries) fold into the
-// fast tier's calibrated per-benchmark bias (internal/calibrate). Designs
-// without the capability are still valid under the fast tier; the core
-// falls back to Access.
-type FastTimer interface {
-	AccessFast(at sim.Time, req mem.Request) Outcome
-}
-
 // Instrumented is a Cache wired into the instrumentation spine: it exposes
 // the common access stats and the full metrics registry every layer
 // published into at construction. The harness reports exclusively through

@@ -36,10 +36,6 @@ type SNUCA struct {
 	// Writebacks counts victim blocks sent back toward memory.
 	Writebacks uint64
 
-	// fastNominal[b] is bank b's uncontended lookup latency, built lazily
-	// on the first AccessFast call.
-	fastNominal []sim.Time
-
 	reg   *metrics.Registry
 	hooks *probe.Hooks
 }
@@ -171,60 +167,6 @@ func (s *SNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 		h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Hit: hit, Latency: uint64(resolve - at), Banks: 1})
 	}
 	return out
-}
-
-// AccessFast implements l2.FastTimer: the same functional state evolution
-// as Access — lookup, touch, insert with eviction, writeback accounting,
-// hit/miss statistics — timed with the bank's uncontended nominal latency
-// instead of mesh routing and port reservation. Contention folds into the
-// fast tier's calibrated per-benchmark bias. DNUCA stays on the Access
-// fallback: duplicating its migration state machine is not worth the
-// divergence risk.
-func (s *SNUCA) AccessFast(at sim.Time, req mem.Request) l2.Outcome {
-	idx, _, _ := s.bankOf(req.Block)
-	bank := s.banks[idx]
-	local := s.local(req.Block)
-
-	if req.Type == mem.Store {
-		present := bank.Array.Lookup(local)
-		if _, evicted := bank.Array.Insert(local); evicted {
-			s.Writebacks++
-		}
-		s.RecordStore(present, 1)
-		if h := s.hooks; h != nil && h.OnAccess != nil {
-			h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Store: true, Hit: present, Banks: 1})
-		}
-		return l2.Outcome{Hit: present, ResolveAt: at, CompleteAt: at, Predictable: true, BanksAccessed: 1}
-	}
-
-	hit := bank.Array.Access(local)
-	resolve := at + s.nominalOf(idx)
-	out := l2.Outcome{Hit: hit, ResolveAt: resolve, CompleteAt: resolve, Predictable: true, BanksAccessed: 1}
-	if !hit {
-		out.CompleteAt = s.memory.Fetch(resolve, req.Block)
-		if _, evicted := bank.Array.Insert(local); evicted {
-			s.Writebacks++
-		}
-	}
-	s.RecordLoad(uint64(resolve-at), hit, true, 1)
-	if h := s.hooks; h != nil && h.OnAccess != nil {
-		h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Hit: hit, Latency: uint64(resolve - at), Banks: 1})
-	}
-	return out
-}
-
-// nominalOf is Nominal with the bank already mapped, backed by a lazily
-// built per-bank table.
-func (s *SNUCA) nominalOf(idx int) sim.Time {
-	if s.fastNominal == nil {
-		s.fastNominal = make([]sim.Time, s.p.Banks)
-		for i := range s.fastNominal {
-			col := i % s.p.Mesh.Cols
-			row := i / s.p.Mesh.Cols
-			s.fastNominal[i] = s.p.BankAccess + s.mesh.UncontendedRoundTrip(col, row)
-		}
-	}
-	return s.fastNominal[idx]
 }
 
 // fill installs a block fetched from memory into its static bank, routing

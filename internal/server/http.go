@@ -84,7 +84,7 @@ func writeError(w http.ResponseWriter, e *httpError) {
 // single server's own figure/sweep handlers enqueue internally.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := api.Decode(r.Body, &req); err != nil {
 		writeError(w, &httpError{status: 400, msg: "decoding request: " + err.Error()})
 		return
 	}
@@ -114,7 +114,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // the stream itself stays 200 once opened.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var sreq api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&sreq); err != nil {
+	if err := api.Decode(r.Body, &sreq); err != nil {
 		writeError(w, &httpError{status: 400, msg: "decoding sweep: " + err.Error()})
 		return
 	}

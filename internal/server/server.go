@@ -116,21 +116,16 @@ type Server struct {
 
 	// Counters behind /metricz; atomics so the HTTP paths never contend
 	// with the worker pool on mu for bookkeeping.
-	nRequested atomic.Uint64
-	nExecuted  atomic.Uint64
-	// Per-fidelity-tier execution counts: nExecuted split by the run's
-	// tier, so /metricz shows that fast and full traffic execute
-	// separately (the fidelity e2e leg asserts no cross-tier cache hit).
-	nExecutedFull atomic.Uint64
-	nExecutedFast atomic.Uint64
-	nCacheHits    atomic.Uint64
-	nCoalesced    atomic.Uint64
-	nRejected     atomic.Uint64
-	nDeadline     atomic.Uint64
-	nFailed       atomic.Uint64
-	nHTTP         atomic.Uint64
-	nPeerFills    atomic.Uint64
-	nPeerMisses   atomic.Uint64
+	nRequested  atomic.Uint64
+	nExecuted   atomic.Uint64
+	nCacheHits  atomic.Uint64
+	nCoalesced  atomic.Uint64
+	nRejected   atomic.Uint64
+	nDeadline   atomic.Uint64
+	nFailed     atomic.Uint64
+	nHTTP       atomic.Uint64
+	nPeerFills  atomic.Uint64
+	nPeerMisses atomic.Uint64
 
 	// Lane-parallel warm phase: sweep and figure grids are planned into
 	// shared-stream groups and warmed once per group before their points
@@ -245,8 +240,6 @@ func New(cfg Config) *Server {
 func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("server.runs.requested", s.nRequested.Load)
 	s.reg.CounterFunc("server.runs.executed", s.nExecuted.Load)
-	s.reg.CounterFunc("server.runs.executed_full", s.nExecutedFull.Load)
-	s.reg.CounterFunc("server.runs.executed_fast", s.nExecutedFast.Load)
 	s.reg.CounterFunc("server.runs.cache_hits", s.nCacheHits.Load)
 	s.reg.CounterFunc("server.runs.coalesced", s.nCoalesced.Load)
 	s.reg.CounterFunc("server.runs.rejected", s.nRejected.Load)
@@ -522,11 +515,6 @@ func (s *Server) runOne(f *runFlight) {
 		f.rec.ID = f.key
 		f.rec.WallMS = float64(wall.Microseconds()) / 1000
 		s.nExecuted.Add(1)
-		if f.opt.FidelityTier() == tlc.FidelityFast {
-			s.nExecutedFast.Add(1)
-		} else {
-			s.nExecutedFull.Add(1)
-		}
 		s.observeWall(f.rec.WallMS)
 	}
 	s.mu.Lock()
@@ -560,7 +548,6 @@ func (s *Server) executeSuite(ctx context.Context, d tlc.Design, bench string, o
 	}
 	snap, _ := suite.RunMetrics(d, bench)
 	rec := api.RecordFrom(res, sres, snap, 0)
-	rec.Fidelity = opt.FidelityTier()
 	// Embed the complete Result so remote callers reconstruct exactly what
 	// this in-process run returned (the byte-identity contract).
 	rec.Result = &res

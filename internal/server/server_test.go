@@ -371,6 +371,66 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestSamplingPlanMustFitRun: a sampling plan that cannot fit the run —
+// uniform intervals longer than the run in total, or more phase windows
+// than instructions — is a 400 at admission, not a 500 from the worker
+// that bumps server.runs.failed. The server executes for real here, so a
+// plan that slipped past validation would fail inside the run.
+func TestSamplingPlanMustFitRun(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1, BaseOptions: tinyOptions()})
+	for name, body := range map[string]string{
+		"uniform":        `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":1000,"sample_intervals":50}}`,
+		"uniform length": `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":1000,"sample_intervals":50,"sample_length":2000}}`,
+		"phase":          `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":10,"phase_windows":40,"phase_clusters":14}}`,
+	} {
+		resp, err := http.Post(hs.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s plan longer than the run: status %d (%s), want 400", name, resp.StatusCode, data)
+		}
+	}
+	if got := counter(t, s, "server.runs.failed"); got != 0 {
+		t.Errorf("failed counter = %d, want 0: a rejected plan must never reach a worker", got)
+	}
+}
+
+// TestUnknownFieldsRejected: request bodies decode strictly. A misspelled
+// or retired field answers 400 on both body-carrying endpoints instead of
+// running a simulation that silently ignored it.
+func TestUnknownFieldsRejected(t *testing.T) {
+	var executions atomic.Uint64
+	_, hs := newTestServer(t, Config{
+		Workers: 1,
+		execute: func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
+			executions.Add(1)
+			return stubRecord(d, bench), nil
+		},
+	})
+	for name, c := range map[string]struct{ path, body string }{
+		"run option":  {"/v1/runs", `{"design":"TLC","benchmark":"gcc","options":{"fidelty":"fast"}}`},
+		"run field":   {"/v1/runs", `{"design":"TLC","benchmark":"gcc","priority":1}`},
+		"sweep point": {"/v1/sweeps", `{"points":[{"design":"TLC","benchmark":"gcc","options":{"fidelity":"fast"}}]}`},
+		"sweep field": {"/v1/sweeps", `{"points":[{"design":"TLC","benchmark":"gcc"}],"par":4}`},
+	} {
+		resp, err := http.Post(hs.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, data)
+		}
+	}
+	if got := executions.Load(); got != 0 {
+		t.Errorf("%d executions, want 0", got)
+	}
+}
+
 // TestDrain: draining answers 503 on healthz and new runs, completes queued
 // work, and Drain returns cleanly.
 func TestDrain(t *testing.T) {

@@ -71,10 +71,6 @@ type Cache struct {
 	bankScratch []int
 	lineScratch []cache.Line
 
-	// fastNominal[g] is group g's uncontended lookup latency, built lazily
-	// on the first AccessFast call (after any AddLinkMargin widening).
-	fastNominal []sim.Time
-
 	// noise, when set, injects line errors checked by end-to-end ECC.
 	noise *Noise
 
@@ -343,61 +339,6 @@ func (c *Cache) Access(at sim.Time, req mem.Request) l2.Outcome {
 		h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Hit: hit, Latency: uint64(resolve - at), Banks: c.p.BanksPerBlock})
 	}
 	return out
-}
-
-// AccessFast implements l2.FastTimer: the same functional state evolution
-// as Access — lookup, LRU touch, insert with eviction, fill and writeback
-// accounting, hit/miss statistics — timed with the per-group uncontended
-// nominal latency instead of link, bank-port, and ECC simulation. The fast
-// core tier drives it so a fast run walks the identical hit/miss
-// trajectory as a full run over the same stream while the per-access cost
-// drops to the tag arithmetic. Partial-tag shadows are left unsynced
-// (nothing on this path reads them), and multi-match and ECC-retry events
-// cannot occur by construction; their timing contribution is part of the
-// fast tier's calibrated bias.
-func (c *Cache) AccessFast(at sim.Time, req mem.Request) l2.Outcome {
-	g, local := c.groupOf(req.Block)
-	if req.Type == mem.Store {
-		present := c.groups[g].Lookup(local)
-		if _, evicted := c.groups[g].Insert(local); evicted {
-			c.Writebacks++
-		}
-		c.RecordStore(present, c.p.BanksPerBlock)
-		if h := c.hooks; h != nil && h.OnAccess != nil {
-			h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Store: true, Hit: present, Banks: c.p.BanksPerBlock})
-		}
-		return l2.Outcome{Hit: present, ResolveAt: at, CompleteAt: at, Predictable: true, BanksAccessed: c.p.BanksPerBlock}
-	}
-	hit := c.groups[g].Lookup(local)
-	resolve := at + c.nominalOf(g)
-	out := l2.Outcome{Hit: hit, ResolveAt: resolve, CompleteAt: resolve, Predictable: true, BanksAccessed: c.p.BanksPerBlock}
-	if hit {
-		c.groups[g].Touch(local)
-	} else {
-		out.CompleteAt = c.memory.Fetch(resolve, req.Block)
-		c.FillsApplied++
-		if _, evicted := c.groups[g].Insert(local); evicted {
-			c.Writebacks++
-		}
-	}
-	c.RecordLoad(uint64(resolve-at), hit, true, c.p.BanksPerBlock)
-	if h := c.hooks; h != nil && h.OnAccess != nil {
-		h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Hit: hit, Latency: uint64(resolve - at), Banks: c.p.BanksPerBlock})
-	}
-	return out
-}
-
-// nominalOf is Nominal with the group already mapped, backed by the lazily
-// built per-group table.
-func (c *Cache) nominalOf(g int) sim.Time {
-	if c.fastNominal == nil {
-		c.fastNominal = make([]sim.Time, c.p.Groups())
-		for i := range c.fastNominal {
-			pr := c.pairs[pairOf(c.banksOf(i)[0])]
-			c.fastNominal[i] = c.p.BankAccess + 2*c.p.TLCycles + pr.ctrlReq + pr.ctrlResp
-		}
-	}
-	return c.fastNominal[g]
 }
 
 // roundTrip times one request/response exchange with group g's banks and

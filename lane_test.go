@@ -138,7 +138,7 @@ func TestLaneCheckpointInterop(t *testing.T) {
 
 	warmSeed, warm := warmPlan(spec, opt)
 	for _, d := range Designs() {
-		key := snapshot.Key{Config: configHash(d, spec, CMPConfig{Cores: 1}, opt.fidelity()), Bench: bench, Seed: warmSeed, Warm: warm}
+		key := snapshot.Key{Config: configHash(d, spec, CMPConfig{Cores: 1}), Bench: bench, Seed: warmSeed, Warm: warm}
 		lc, ok := laneOpt.Checkpoints.Get(key)
 		if !ok {
 			t.Fatalf("%v: lane store has no checkpoint", d)

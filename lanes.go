@@ -77,7 +77,7 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 	seen := make(map[snapshot.Key]bool, len(designs))
 	lanes := make([]lane, 0, len(designs))
 	for _, d := range designs {
-		key := snapshot.Key{Config: configHash(d, spec, opt.cmpConfig(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
+		key := snapshot.Key{Config: configHash(d, spec, opt.cmpConfig()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
 		if seen[key] {
 			continue
 		}

@@ -10,10 +10,9 @@ package tlc
 // holds only the unprefixed cpu.* and workload.* names, so single-core
 // results come out of the same code as CMP results.
 //
-// The core count changes the pipeline in four places, each marked where
+// The core count changes the pipeline in three places, each marked where
 // it branches: building the shared layer and naming metrics (newRig),
-// lane-warm eligibility (WarmLanes), GREG calibration (RunSpecSampled),
-// and the fast tier's CMP rejection (validateFidelity).
+// lane-warm eligibility (WarmLanes) and GREG calibration (RunSpecSampled).
 
 import (
 	"errors"
@@ -103,7 +102,6 @@ func newRig(d Design, spec workload.Spec, warmSeed int64, opt Options) *rig {
 		shd.RegisterMetrics(reg)
 	}
 	for _, c := range r.cores {
-		c.SetFast(opt.fidelity() == FidelityFast)
 		c.SetCancel(opt.Cancel)
 	}
 	r.m = machine.New(r.cores, ss, shd)
@@ -156,7 +154,7 @@ func (r *rig) checkpoint(snap l2.Snapshotter) snapshot.Checkpoint {
 // never checkpointed.
 func prepare(d Design, spec workload.Spec, opt Options) (*rig, error) {
 	warmSeed, warm := warmPlan(spec, opt)
-	key := snapshot.Key{Config: configHash(d, spec, opt.cmpConfig(), opt.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
+	key := snapshot.Key{Config: configHash(d, spec, opt.cmpConfig()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
 	var r *rig
 	if opt.Checkpoints != nil {
 		if ckp, ok := opt.Checkpoints.Get(key); ok {
@@ -208,9 +206,6 @@ func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
 	if err := opt.validateCMP(); err != nil {
 		return Result{}, err
 	}
-	if err := opt.validateFidelity(); err != nil {
-		return Result{}, err
-	}
 	if opt.sampledMode() {
 		sres, err := RunSpecSampled(d, spec, opt)
 		return sres.Result, err
@@ -227,7 +222,6 @@ func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
 	res.Instructions = cr.Instructions
 	res.Cycles = uint64(cr.Cycles)
 	res.IPC = cr.IPC()
-	attachErrorBound(&res, opt)
 	emitMetrics(d, spec.Name, r.inst, cr.Cycles, opt)
 	return res, nil
 }
@@ -246,9 +240,6 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 		return SampledResult{}, err
 	}
 	if err := opt.validateCMP(); err != nil {
-		return SampledResult{}, err
-	}
-	if err := opt.validateFidelity(); err != nil {
 		return SampledResult{}, err
 	}
 	r, err := prepare(d, spec, opt)
@@ -463,7 +454,6 @@ func assembleSampled(d Design, spec workload.Spec, opt Options, r *rig, est samp
 	for i, n := range f.names {
 		mcis[i] = MetricCI{Name: n, MeanPer1K: f.counters[i].Mean(), CI95: f.counters[i].CI95()}
 	}
-	attachErrorBound(&res, opt)
 	emitMetrics(d, spec.Name, r.inst, est.FinalClock, opt)
 	return SampledResult{
 		Result:               res,

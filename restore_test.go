@@ -67,7 +67,7 @@ func TestRestoreIsAllOrNothing(t *testing.T) {
 			o.Checkpoints = NewCheckpointStore(0, "")
 			run(o)
 			warmSeed, warm := warmPlan(spec, o)
-			key := snapshot.Key{Config: configHash(d, spec, o.cmpConfig(), o.fidelity()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
+			key := snapshot.Key{Config: configHash(d, spec, o.cmpConfig()), Bench: spec.Name, Seed: warmSeed, Warm: warm}
 			ckp, ok := o.Checkpoints.Get(key)
 			if !ok {
 				t.Fatalf("%v/%d cores: no checkpoint stored", d, cores)

@@ -8,8 +8,9 @@
 #   3. repeating it is served from the result cache (cached=true, zero new
 #      executions by the server's own metrics)
 #   4. concurrent identical requests coalesce into ONE execution
-#   5. tlcsweep -remote output is byte-identical to the local run
-#   6. SIGTERM drains gracefully (exit 0, "drained cleanly")
+#   5. a body with an unknown field answers 400
+#   6. tlcsweep -remote output is byte-identical to the local run
+#   7. SIGTERM drains gracefully (exit 0, "drained cleanly")
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -97,33 +98,13 @@ for i in 1 2 3 4; do
     grep -q '"cycles"' "$workdir/co$i.json" || fail "concurrent caller $i got no result"
 done
 
-echo "== fidelity knob"
-# The same configuration at the fast tier: a distinct run identity (the
-# tier folds into the content key, so it must miss the full-tier cache
-# entry and execute), a response that embeds the committed calibration
-# envelope, and per-tier execution counters that account one execution
-# each. The full-tier run above already executed once; the fast run must
-# bump executed_fast exactly once and leave executed_full alone.
-fast_body='{"design":"TLC","benchmark":"perl","options":{"warm_instructions":2000000,"run_instructions":200000,"fidelity":"fast"}}'
-full_before=$(metric server.runs.executed_full)
-fast_before=$(metric server.runs.executed_fast)
-fast=$(curl -sf -X POST "$base/v1/runs" -d "$fast_body")
-echo "$fast" | grep -q '"cached": true' && fail "fast run hit the full-tier cache entry"
-fast_id=$(echo "$fast" | tr -d ' ' | grep -o '"id":"[^"]*"' | cut -d'"' -f4)
-[ -n "$fast_id" ] || fail "fast run has no id: $fast"
-[ "$fast_id" != "$id" ] || fail "fast and full runs share a run id"
-echo "$fast" | grep -q '"fidelity": "fast"' || fail "fast record not tagged with its tier: $fast"
-echo "$fast" | grep -q '"error_bound"' || fail "fast record carries no error bound: $fast"
-echo "$fast" | grep -q '"cycles_bias_pct"' || fail "error bound is empty: $fast"
-[ "$(metric server.runs.executed_fast)" -eq $((fast_before + 1)) ] \
-    || fail "fast run did not count one fast-tier execution"
-[ "$(metric server.runs.executed_full)" -eq "$full_before" ] \
-    || fail "fast run bumped the full-tier execution counter"
-# The fast entry is cacheable under its own key: a repeat must not execute.
-fast_cached=$(curl -sf -X POST "$base/v1/runs" -d "$fast_body")
-echo "$fast_cached" | grep -q '"cached": true' || fail "fast repeat not served from cache"
-[ "$(metric server.runs.executed_fast)" -eq $((fast_before + 1)) ] \
-    || fail "fast cache hit triggered a new execution"
+echo "== unknown request fields are rejected"
+# Request bodies decode strictly: a field the API does not declare (here
+# the retired core-tier knob) answers 400 instead of running a full-detail
+# simulation that silently ignored it.
+stale_body='{"design":"TLC","benchmark":"perl","options":{"warm_instructions":2000000,"run_instructions":200000,"fidelity":"fast"}}'
+status=$(curl -s -o "$workdir/stale.json" -w '%{http_code}' -X POST "$base/v1/runs" -d "$stale_body")
+[ "$status" -eq 400 ] || fail "unknown option field answered $status, want 400: $(cat "$workdir/stale.json")"
 
 echo "== remote sweep is byte-identical to local"
 "$workdir/tlcsweep" -quick -bench perl > "$workdir/sweep_local.txt"

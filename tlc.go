@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"tlc/internal/area"
-	"tlc/internal/calibrate"
 	"tlc/internal/config"
 	"tlc/internal/dram"
 	"tlc/internal/l2"
@@ -82,18 +81,6 @@ type Options struct {
 	// single-bit upsets are corrected in place, detected double-bit
 	// errors cost a retry round trip. Zero disables injection.
 	BitErrorRate float64
-
-	// Fidelity selects the core timing tier: FidelityFull (the default;
-	// "" normalizes to it) is the Table 3 out-of-order model, FidelityFast
-	// an in-order fixed-IPC-with-MLP model roughly an order of magnitude
-	// faster whose per-benchmark error against the full tier is measured
-	// and committed (internal/calibrate); fast results carry the
-	// calibrated ErrorBound. Fidelity is part of a run's identity — it
-	// folds into configHash, ContentKey, and RunKey, so the tiers never
-	// share a checkpoint, a cached result, or a fleet owner slot. The fast
-	// tier composes with sampling and phase mode but not (yet) with CMP
-	// runs: Validate rejects Fidelity=fast with Cores > 1.
-	Fidelity string
 
 	// Cores is the CMP core count. Zero or one runs a one-core machine:
 	// its core drives the L2 design directly and the registry holds the
@@ -213,40 +200,6 @@ func (o Options) phaseMode() bool { return o.PhaseWindows > 0 || o.PhaseClusters
 // uniform intervals or phase-aware representatives.
 func (o Options) sampledMode() bool { return o.SampleIntervals > 0 || o.phaseMode() }
 
-// The two core timing tiers Options.Fidelity selects.
-const (
-	FidelityFull = "full"
-	FidelityFast = "fast"
-)
-
-// fidelity normalizes Options.Fidelity: empty means full, so the pre-tier
-// key space ("" everywhere) and explicit FidelityFull are one identity.
-func (o Options) fidelity() string {
-	if o.Fidelity == "" {
-		return FidelityFull
-	}
-	return o.Fidelity
-}
-
-// FidelityTier reports the normalized fidelity tier ("full" or "fast") —
-// the value keys, records, and per-tier metrics use.
-func (o Options) FidelityTier() string { return o.fidelity() }
-
-// validateFidelity rejects unknown tiers and unsupported combinations.
-func (o Options) validateFidelity() error {
-	switch o.fidelity() {
-	case FidelityFull, FidelityFast:
-	default:
-		return fmt.Errorf("tlc: unknown fidelity %q (want %q or %q)", o.Fidelity, FidelityFull, FidelityFast)
-	}
-	// Core-count branch: the fast tier is calibrated on single-core runs
-	// only, and whether it survives at all is still open.
-	if o.fidelity() == FidelityFast && o.cores() > 1 {
-		return fmt.Errorf("tlc: fidelity %q does not support CMP runs (Cores=%d); use the full tier", FidelityFast, o.Cores)
-	}
-	return nil
-}
-
 // SharingSpec parameterizes cross-core sharing in CMP runs; see
 // workload.SharingSpec.
 type SharingSpec = workload.SharingSpec
@@ -284,36 +237,17 @@ func (o Options) cmpConfig() CMPConfig {
 
 // Validate checks the options for configurations a run would reject: the
 // CMP axis (a negative core count, more cores than the 64-wide directory
-// bitmap holds, an unknown sharing pattern) and impossible sampling-field
-// combinations. The run entry points validate internally; CLIs and the
-// service call this early so a bad flag or request fails with the same
-// one-line error before any simulation starts. Length-dependent sampling
-// checks (the detailed plan fitting RunInstructions) stay at run time in
-// sample.Options.Validate.
+// bitmap holds, an unknown sharing pattern) and, when the options select
+// sampled execution, the whole sampling plan including its fit in
+// RunInstructions (sample.Options.Validate). The run entry points validate
+// internally; CLIs and the service call this early so a bad flag or request
+// fails with the same one-line error before any simulation starts.
 func (o Options) Validate() error {
 	if err := o.validateCMP(); err != nil {
 		return err
 	}
-	if err := o.validateFidelity(); err != nil {
-		return err
-	}
-	if o.phaseMode() {
-		if o.SampleIntervals > 0 {
-			return fmt.Errorf("sample: Intervals=%d combined with PhaseWindows=%d/PhaseClusters=%d; uniform and phase sampling are mutually exclusive",
-				o.SampleIntervals, o.PhaseWindows, o.PhaseClusters)
-		}
-		if o.PhaseWindows <= 0 {
-			return fmt.Errorf("sample: PhaseWindows=%d; phase mode needs at least 1 window (set with PhaseClusters=%d)",
-				o.PhaseWindows, o.PhaseClusters)
-		}
-		if o.PhaseClusters <= 0 {
-			return fmt.Errorf("sample: PhaseClusters=%d; phase mode needs at least 1 cluster (set with PhaseWindows=%d)",
-				o.PhaseClusters, o.PhaseWindows)
-		}
-		if o.PhaseClusters > o.PhaseWindows {
-			return fmt.Errorf("sample: PhaseClusters=%d exceeds PhaseWindows=%d; cannot have more clusters than windows",
-				o.PhaseClusters, o.PhaseWindows)
-		}
+	if o.sampledMode() {
+		return o.SampleOptions().Validate(o.RunInstructions)
 	}
 	return nil
 }
@@ -400,29 +334,6 @@ type Result struct {
 	// Reliability results (TLC designs with a nonzero BitErrorRate).
 	ECCCorrections uint64
 	ECCRetries     uint64
-
-	// ErrorBound is the calibrated fast-tier error envelope: nil on
-	// full-fidelity results, and on fast results the committed
-	// per-benchmark bias and interval on cycles/IPC relative to the full
-	// tier (see internal/calibrate and EXPERIMENTS.md).
-	ErrorBound *ErrorBound `json:",omitempty"`
-}
-
-// ErrorBound is the per-benchmark calibrated error envelope fast-tier
-// results carry; see calibrate.Bound for field semantics.
-type ErrorBound = calibrate.Bound
-
-// attachErrorBound stamps the committed calibration envelope onto a
-// fast-tier result. Full-tier results stay untouched (nil ErrorBound), and
-// a benchmark absent from the committed artifact — a custom spec, say —
-// yields a fast result with no bound rather than an error.
-func attachErrorBound(res *Result, opt Options) {
-	if opt.fidelity() != FidelityFast {
-		return
-	}
-	if b, ok := calibrate.DefaultBound(res.Benchmark); ok {
-		res.ErrorBound = &b
-	}
 }
 
 // build instantiates a design wired into the instrumentation spine. Every
@@ -493,7 +404,10 @@ func Run(d Design, benchmark string, opt Options) (Result, error) {
 // checkpointFormat versions the warm-state layout. Bump it whenever the
 // captured state's shape or semantics change, so stale on-disk checkpoints
 // miss instead of restoring garbage.
-const checkpointFormat = 4 // v4: one envelope for every core count; v3: fidelity tier in keys; v2: CMP axis in keys
+// v5: the fidelity tier left the keys, so every configHash changed; v4: one
+// envelope for every core count; v3: fidelity tier in keys; v2: CMP axis in
+// keys.
+const checkpointFormat = 5
 
 // keyHasher folds checkpoint-key fields into an FNV hash with explicit,
 // typed encoding: every value is written as a fixed-width little-endian
@@ -639,16 +553,13 @@ func (k *keyHasher) cmp(c CMPConfig) {
 
 // configHash keys checkpoints by everything that shapes post-warm machine
 // state: the design and its parameters, the system (L1 geometry), the
-// workload spec, the CMP axis (core count, protocol, sharing), and the
-// fidelity tier. Warm-up itself is tier-independent, but keying on the
-// tier keeps fast and full runs in disjoint checkpoint spaces — the
-// isolation TestFidelityInRunKey pins. Over-keying (including parameters
-// warm-up ignores) only costs spurious misses; under-keying would silently
-// restore wrong state. Every parameter is folded field by field with typed
+// workload spec, and the CMP axis (core count, protocol, sharing).
+// Over-keying (including parameters warm-up ignores) only costs spurious
+// misses; under-keying would silently restore wrong state. Every parameter is folded field by field with typed
 // encoding (keyHasher); TestConfigHashCoversEveryParameter asserts that
 // perturbing any single field changes the key.
-func configHash(d Design, spec workload.Spec, cmp CMPConfig, fidelity string) string {
-	return configHashOf(d, config.DefaultSystem(), spec, nucaParamsFor(d), tlcParamsFor(d), cmp, fidelity)
+func configHash(d Design, spec workload.Spec, cmp CMPConfig) string {
+	return configHashOf(d, config.DefaultSystem(), spec, nucaParamsFor(d), tlcParamsFor(d), cmp)
 }
 
 // nucaParamsFor and tlcParamsFor return the design's parameter struct, or a
@@ -674,7 +585,7 @@ func tlcParamsFor(d Design) config.TLCParams {
 
 // configHashOf is the explicit-encoding core of configHash, parameterized
 // for testing.
-func configHashOf(d Design, sys config.System, spec workload.Spec, np config.NUCAParams, tp config.TLCParams, cmp CMPConfig, fidelity string) string {
+func configHashOf(d Design, sys config.System, spec workload.Spec, np config.NUCAParams, tp config.TLCParams, cmp CMPConfig) string {
 	k := newKeyHasher()
 	k.u64(checkpointFormat)
 	k.i(int(d))
@@ -683,7 +594,6 @@ func configHashOf(d Design, sys config.System, spec workload.Spec, np config.NUC
 	k.nucaParams(np)
 	k.tlcParams(tp)
 	k.cmp(cmp)
-	k.str(fidelity)
 	return k.sum()
 }
 
@@ -707,7 +617,6 @@ func (o Options) ContentKey() string {
 	k.i(o.PhaseWindows)
 	k.i(o.PhaseClusters)
 	k.cmp(o.cmpConfig())
-	k.str(o.fidelity())
 	return k.sum()
 }
 
@@ -721,7 +630,7 @@ func (o Options) ContentKey() string {
 func RunKey(d Design, benchmark string, opt Options) string {
 	spec, _ := workload.SpecByName(benchmark)
 	k := newKeyHasher()
-	k.str(configHash(d, spec, opt.cmpConfig(), opt.fidelity()))
+	k.str(configHash(d, spec, opt.cmpConfig()))
 	k.str(benchmark)
 	k.str(opt.ContentKey())
 	return k.sum()
