@@ -16,6 +16,7 @@ import (
 	"tlc/internal/config"
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
+	"tlc/internal/mem"
 	"tlc/internal/nuca"
 	"tlc/internal/sim"
 	"tlc/internal/stats"
@@ -373,6 +374,45 @@ func BenchmarkLaneSweep(b *testing.B) {
 					b.Fatalf("%v: lane and scalar warm diverged: L2 state mismatch", d)
 				}
 			}
+		})
+	}
+}
+
+// warmRecorder is an L2 that only records the blocks warm-up installs, in
+// order, so one warm-up's install stream can be replayed into every design.
+type warmRecorder struct{ blocks []mem.Block }
+
+func (r *warmRecorder) Access(sim.Time, mem.Request) l2.Outcome {
+	panic("warmRecorder: timed access during warm-up")
+}
+func (r *warmRecorder) Warm(b mem.Block)            { r.blocks = append(r.blocks, b) }
+func (r *warmRecorder) WarmBulk(blocks []mem.Block) { r.blocks = append(r.blocks, blocks...) }
+func (r *warmRecorder) Contains(mem.Block) bool     { return false }
+
+// BenchmarkL2Warm times each design's warm-up install path alone: gcc's
+// pre-warm plus a 2 M-instruction warm stretch is recorded once, then
+// replayed into a fresh cache of each design in the 1024-block batches
+// pre-warm uses. It reports ns per installed block; building the cache is
+// not timed.
+func BenchmarkL2Warm(b *testing.B) {
+	spec, _ := workload.SpecByName("gcc")
+	gen := workload.New(spec, 1)
+	rec := &warmRecorder{}
+	gen.PreWarm(rec)
+	cpu.New(config.DefaultSystem(), rec).Warm(gen, 2_000_000)
+	blocks := rec.blocks
+	for _, d := range Designs() {
+		b.Run(d.String(), func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				c := build(d, Options{})
+				b.StartTimer()
+				for lo := 0; lo < len(blocks); lo += 1024 {
+					l2.WarmAll(c, blocks[lo:min(lo+1024, len(blocks))])
+				}
+				b.StopTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
 		})
 	}
 }

@@ -102,14 +102,14 @@ func TestDiffMetricsTolerance(t *testing.T) {
 		old, new, tol float64
 		changed       bool
 	}{
-		{100, 100, 0, false},         // identical, exact
-		{100, 100.0001, 0, true},     // any drift, exact
-		{100, 102, 0.03, false},      // 2% drift inside a 3% band
-		{100, 104, 0.03, true},       // 4% drift outside it
-		{102, 100, 0.03, false},      // symmetric: direction does not matter
-		{0, 0, 0.03, false},          // both zero
-		{0, 1, 0.03, true},           // zero to nonzero is a full-scale change
-		{-100, -102, 0.03, false},    // negative values use magnitudes
+		{100, 100, 0, false},           // identical, exact
+		{100, 100.0001, 0, true},       // any drift, exact
+		{100, 102, 0.03, false},        // 2% drift inside a 3% band
+		{100, 104, 0.03, true},         // 4% drift outside it
+		{102, 100, 0.03, false},        // symmetric: direction does not matter
+		{0, 0, 0.03, false},            // both zero
+		{0, 1, 0.03, true},             // zero to nonzero is a full-scale change
+		{-100, -102, 0.03, false},      // negative values use magnitudes
 		{1e-12, 1.02e-12, 0.03, false}, // relative, not absolute
 	}
 	for _, c := range cases {

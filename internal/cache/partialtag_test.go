@@ -13,15 +13,12 @@ func TestPartialTagNoFalseNegatives(t *testing.T) {
 	p := NewPartialTags(sets, banks, assoc)
 	b := blk(5, 3, sets)
 	p.Install(b, 2, 1)
-	cands := p.Candidates(b)
-	if len(cands) != 1 || cands[0] != 2 {
-		t.Fatalf("candidates %v, want [2]", cands)
+	match, free := p.Masks(b)
+	if match != 1<<2 {
+		t.Fatalf("match mask %b, want bank 2 only", match)
 	}
-	if !p.MatchesIn(b, 2) {
-		t.Fatal("MatchesIn missed installed block")
-	}
-	if p.MatchesIn(b, 1) {
-		t.Fatal("MatchesIn matched wrong bank")
+	if free != 0b1111 {
+		t.Fatalf("free mask %b, want every bank (bank 2 keeps a free way)", free)
 	}
 }
 
@@ -36,9 +33,8 @@ func TestPartialTagFalsePositive(t *testing.T) {
 		t.Fatal("test blocks should share a partial tag")
 	}
 	p.Install(a, 0, 0)
-	cands := p.Candidates(b)
-	if len(cands) != 1 || cands[0] != 0 {
-		t.Fatalf("expected false-positive candidate [0], got %v", cands)
+	if match, free := p.Masks(b); match != 1 || free != 0b10 {
+		t.Fatalf("masks %b/%b, want false-positive match in bank 0 and bank 1 free", match, free)
 	}
 }
 
@@ -48,7 +44,7 @@ func TestPartialTagClear(t *testing.T) {
 	b := blk(5, 3, sets)
 	p.Install(b, 1, 0)
 	p.Clear(b, 1, 0)
-	if len(p.Candidates(b)) != 0 {
+	if match, _ := p.Masks(b); match != 0 {
 		t.Fatal("cleared entry still matches")
 	}
 }
@@ -120,7 +116,7 @@ func TestQuickPartialTagConsistency(t *testing.T) {
 			}
 			// No false negatives for any resident block.
 			for rb := range resident {
-				if !p.MatchesIn(rb, 0) {
+				if match, _ := p.Masks(rb); match != 1 {
 					return false
 				}
 			}
@@ -129,6 +125,96 @@ func TestQuickPartialTagConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// naiveMasks is the reference bank-set scan: one entry at a time through
+// the exported snapshot layout.
+func naiveMasks(st PartialTagsState, b mem.Block) (match, free uint64) {
+	set := b.SetIndex(st.Sets)
+	pt := b.PartialTag(st.Sets)
+	for bank := 0; bank < st.Banks; bank++ {
+		for way := 0; way < st.Assoc; way++ {
+			i := (set*st.Banks+bank)*st.Assoc + way
+			if !st.Valid[i] {
+				free |= 1 << bank
+			} else if st.Tags[i] == pt {
+				match |= 1 << bank
+			}
+		}
+	}
+	return match, free
+}
+
+// TestMasksMatchesNaiveScan checks the word-parallel scan (DNUCA's 16x2,
+// a 64-bank edge, 4- and 8-way folds) and the byte loop (TLCopt's 1x4, odd
+// associativities) against a per-entry scan over random installs and
+// clears. Tags are drawn from few values so matches, false positives and
+// free ways are all common.
+func TestMasksMatchesNaiveScan(t *testing.T) {
+	for _, g := range []struct{ sets, banks, assoc int }{
+		{8, 16, 2}, {4, 64, 1}, {8, 4, 4}, {4, 8, 8}, {8, 8, 3}, {16, 1, 4}, {8, 12, 3},
+	} {
+		rng := rand.New(rand.NewSource(int64(g.banks*10 + g.assoc)))
+		p := NewPartialTags(g.sets, g.banks, g.assoc)
+		block := func() mem.Block { return blk(uint64(rng.Intn(4))|uint64(rng.Intn(2))<<6, rng.Intn(g.sets), g.sets) }
+		for step := 0; step < 2000; step++ {
+			b, bank, way := block(), rng.Intn(g.banks), rng.Intn(g.assoc)
+			if rng.Intn(3) == 0 {
+				p.Clear(b, bank, way)
+			} else {
+				p.Install(b, bank, way)
+			}
+			probe := block()
+			match, free := p.Masks(probe)
+			wantMatch, wantFree := naiveMasks(p.Snapshot(), probe)
+			if match != wantMatch || free != wantFree {
+				t.Fatalf("%+v step %d: masks %b/%b, want %b/%b", g, step, match, free, wantMatch, wantFree)
+			}
+		}
+	}
+}
+
+func TestZeroBytes(t *testing.T) {
+	for _, c := range []struct{ x, want uint64 }{
+		{0, 0xff},
+		{0x7f7f7f7f7f7f7f7f, 0},
+		{0x0100000000000001, 0b01111110},
+		{0x0000007f00000000, 0b11101111},
+	} {
+		if got := zeroBytes(c.x); got != c.want {
+			t.Errorf("zeroBytes(%#x) = %08b, want %08b", c.x, got, c.want)
+		}
+	}
+}
+
+func TestVerifyRejectsInconsistentShadow(t *testing.T) {
+	const sets, assoc = 8, 2
+	arr := NewSetAssoc(sets, assoc)
+	p := NewPartialTags(sets, 2, assoc)
+	for i := 0; i < 12; i++ {
+		b := blk(uint64(i), i%sets, sets)
+		arr.Insert(b)
+		p.SyncSet(b.SetIndex(sets), 1, arr.LinesIn(b.SetIndex(sets)))
+	}
+	if err := p.Verify(1, arr); err != nil {
+		t.Fatalf("synced shadow rejected: %v", err)
+	}
+	if err := p.Verify(0, arr); err == nil {
+		t.Fatal("empty shadow accepted for a filled array")
+	}
+	b := blk(3, 3, sets)
+	way, _ := arr.WayOf(b)
+	p.Install(blk(4, 3, sets), 1, way)
+	if err := p.Verify(1, arr); err == nil {
+		t.Fatal("shadow with a wrong tag accepted")
+	}
+	p.Clear(b, 1, way)
+	if err := p.Verify(1, arr); err == nil {
+		t.Fatal("shadow missing a valid line accepted")
+	}
+	if err := p.Verify(1, NewSetAssoc(sets, 4)); err == nil {
+		t.Fatal("shadow accepted for a differently shaped array")
 	}
 }
 

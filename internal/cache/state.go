@@ -101,7 +101,9 @@ func (st SetAssocState) checkContents() error {
 }
 
 // PartialTagsState is a deep copy of a PartialTags shadow structure in its
-// own ((set*banks+bank)*assoc+way) layout.
+// own ((set*banks+bank)*assoc+way) layout, with tags and validity apart
+// (the structure keeps both in one byte). Invalid entries export a zero
+// tag.
 type PartialTagsState struct {
 	Sets  int
 	Banks int
@@ -117,27 +119,43 @@ func (p *PartialTags) Snapshot() PartialTagsState {
 		Sets:  p.sets,
 		Banks: p.banks,
 		Assoc: p.assoc,
-		Tags:  make([]uint8, len(p.tags)),
-		Valid: make([]bool, len(p.valid)),
+		Tags:  make([]uint8, len(p.entry)),
+		Valid: make([]bool, len(p.entry)),
 	}
-	copy(st.Tags, p.tags)
-	copy(st.Valid, p.valid)
+	tags, valid := st.Tags[:len(p.entry)], st.Valid[:len(p.entry)]
+	for i, e := range p.entry {
+		tags[i] = e &^ ptagValid
+		valid[i] = e != 0
+	}
 	return st
 }
 
-// Restore overwrites the shadow with a previously captured state, rejecting
-// geometry mismatches.
+// Restore overwrites the shadow with a previously captured state,
+// rejecting geometry mismatches and valid tags wider than six bits.
 func (p *PartialTags) Restore(st PartialTagsState) error {
 	if st.Sets != p.sets || st.Banks != p.banks || st.Assoc != p.assoc {
 		return fmt.Errorf("cache: restoring %d/%d/%d partial-tag state into %d/%d/%d structure",
 			st.Sets, st.Banks, st.Assoc, p.sets, p.banks, p.assoc)
 	}
-	n := p.sets * p.banks * p.assoc
+	n := len(p.entry)
 	if len(st.Tags) != n || len(st.Valid) != n {
 		return fmt.Errorf("cache: partial-tag state arrays sized %d/%d, want %d",
 			len(st.Tags), len(st.Valid), n)
 	}
-	copy(p.tags, st.Tags)
-	copy(p.valid, st.Valid)
+	// wide collects the bits of every valid tag, so one test after the
+	// loop rejects any tag wider than six bits.
+	var wide uint8
+	tags, entry := st.Tags[:n], p.entry[:n]
+	for i, v := range st.Valid {
+		var e uint8
+		if v {
+			e = ptagValid | tags[i]
+			wide |= tags[i]
+		}
+		entry[i] = e
+	}
+	if wide > 0x3f {
+		return fmt.Errorf("cache: partial tag wider than six bits")
+	}
 	return nil
 }

@@ -178,6 +178,24 @@ func TestPartialTagsSnapshotRestoreRoundTrip(t *testing.T) {
 		// the snapshot was unaffected.
 		t.Fatal("mutating the shadow changed a captured snapshot")
 	}
+	// The exported layout round-trips exactly.
+	if !reflect.DeepEqual(p2.Snapshot(), st) {
+		t.Fatal("snapshot of a restored shadow differs from the state it restored")
+	}
+}
+
+func TestPartialTagsRestoreRejectsWideTag(t *testing.T) {
+	p := NewPartialTags(32, 4, 8)
+	p.Install(mem.Block(5), 2, 3)
+	st := p.Snapshot()
+	i := (5*4+2)*8 + 3
+	if !st.Valid[i] {
+		t.Fatal("installed entry not valid in the exported layout")
+	}
+	st.Tags[i] |= 0x40
+	if err := NewPartialTags(32, 4, 8).Restore(st); err == nil {
+		t.Fatal("restore accepted a valid tag wider than six bits")
+	}
 }
 
 func TestPartialTagsRestoreRejectsGeometryMismatch(t *testing.T) {

@@ -99,7 +99,7 @@ func (c *SetAssoc) warmSweep2(refs []WarmRef, dirty []uint8, spill []mem.Block) 
 		// only branches are the loop and bounds checks.
 		y0 := uint64(l0) ^ uint64(b)
 		y1 := uint64(l1) ^ uint64(b)
-		eq1 := ((y1 | -y1) >> 63) ^ 1       // way 1 holds b
+		eq1 := ((y1 | -y1) >> 63) ^ 1          // way 1 holds b
 		hitF := eq1 | (((y0 | -y0) >> 63) ^ 1) // some way holds b
 		z0 := uint64(l0) ^ ^uint64(0)
 		v0 := (z0 | -z0) >> 63 // way 0 valid (not the sentinel)

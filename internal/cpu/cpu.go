@@ -524,10 +524,19 @@ func (c *Core) run(s Stream, n uint64) Result {
 	c.res = Result{Instructions: n}
 	rob := uint64(c.sys.ROBEntries)
 	sched := uint64(c.sys.SchedulerEntries)
-	width := sim.Time(c.sys.FetchWidth)
+	width := uint64(c.sys.FetchWidth)
 	base := c.epochBase
 	start := c.epochInstrs
 	last := c.lastRetire
+	// Ring cursors for instruction i, advanced once per instruction so the
+	// loop pays no division: robAt = i%rob, prevAt = (i-1)%rob (the
+	// previous instruction's retire slot), backAt = (i-width)%rob,
+	// schedAt = i%sched, and i = fetchCycle*width + fetchSlot.
+	robAt := start % rob
+	prevAt := (start + rob - 1) % rob
+	backAt := (start + rob - width%rob) % rob
+	schedAt := start % sched
+	fetchCycle, fetchSlot := sim.Time(start/width), start%width
 	bs, native := s.(BatchStream)
 	if !native {
 		c.shim.Stream = s
@@ -552,44 +561,58 @@ func (c *Core) run(s Stream, n uint64) Result {
 			i := start + j
 			// Fetch bandwidth: FetchWidth instructions per cycle, pushed
 			// back by accumulated misprediction refills.
-			issue := base + sim.Time(i)/width + c.fetchPenalty
+			issue := base + fetchCycle + c.fetchPenalty
 			// ROB availability: instruction i needs instruction i-ROB
 			// retired.
 			if i >= rob {
-				if t := c.retire[i%rob]; t > issue {
+				if t := c.retire[robAt]; t > issue {
 					issue = t
 					c.cum.robStalls++
 				}
 			}
 			// Scheduler availability: instruction i-sched must have issued.
 			if i >= sched {
-				if t := c.issued[i%sched]; t > issue {
+				if t := c.issued[schedAt]; t > issue {
 					issue = t
 					c.cum.schedStalls++
 				}
 			}
 			issueAt, complete := c.execute(issue, in)
-			c.issued[i%sched] = issueAt
+			c.issued[schedAt] = issueAt
 			if in.Mispredict {
 				c.fetchPenalty += sim.Time(c.sys.PipelineStages)
 				c.cum.mispredicts++
 			}
 			c.prevComplete = complete
 			// In-order retirement at fetch width.
-			slot := c.retire[(i+rob-1)%rob] // previous instruction's retire
+			slot := c.retire[prevAt] // previous instruction's retire
 			if i == 0 {
 				slot = base
 			}
 			if complete > slot {
 				slot = complete
 			}
-			if i >= uint64(width) {
-				if t := c.retire[(i-uint64(width))%rob] + 1; t > slot {
+			if i >= width {
+				if t := c.retire[backAt] + 1; t > slot {
 					slot = t
 				}
 			}
-			c.retire[i%rob] = slot
+			c.retire[robAt] = slot
 			last = slot
+			prevAt = robAt
+			if robAt++; robAt == rob {
+				robAt = 0
+			}
+			if backAt++; backAt == rob {
+				backAt = 0
+			}
+			if schedAt++; schedAt == sched {
+				schedAt = 0
+			}
+			if fetchSlot++; fetchSlot == width {
+				fetchSlot = 0
+				fetchCycle++
+			}
 			j++
 		}
 	}

@@ -81,6 +81,9 @@ type Memory struct {
 	cfg   Config
 	banks [][]*bank
 	bus   []sim.Resource // per-channel data bus
+	// chBits, bkBits and rowShift are log2 of the channel count, the
+	// banks per channel and the row size in blocks, fixed at construction.
+	chBits, bkBits, rowShift int
 
 	// Accesses, RowHits, RowMisses, RowConflicts count outcomes;
 	// Refreshes counts booked refresh windows.
@@ -90,7 +93,13 @@ type Memory struct {
 // New builds the memory system.
 func New(cfg Config) *Memory {
 	cfg.validate()
-	m := &Memory{cfg: cfg, bus: make([]sim.Resource, cfg.Channels)}
+	m := &Memory{
+		cfg:      cfg,
+		bus:      make([]sim.Resource, cfg.Channels),
+		chBits:   mem.Log2(cfg.Channels),
+		bkBits:   mem.Log2(cfg.BanksPerChannel),
+		rowShift: mem.Log2(cfg.RowBlocks),
+	}
 	for c := 0; c < cfg.Channels; c++ {
 		row := make([]*bank, cfg.BanksPerChannel)
 		for b := range row {
@@ -120,11 +129,9 @@ func (m *Memory) RegisterMetrics(r *metrics.Registry) {
 // on hashed low bits so streams spread; the row is the block's high bits,
 // so spatially adjacent blocks share an open row.
 func (m *Memory) route(b mem.Block) (ch, bk int, row uint64) {
-	chBits := mem.Log2(m.cfg.Channels)
-	bkBits := mem.Log2(m.cfg.BanksPerChannel)
-	ch = int(mem.FoldHash(uint64(b), chBits))
-	bk = int(mem.FoldHash(uint64(b)>>uint(chBits), bkBits))
-	row = uint64(b) / uint64(m.cfg.RowBlocks)
+	ch = int(mem.FoldHash(uint64(b), m.chBits))
+	bk = int(mem.FoldHash(uint64(b)>>uint(m.chBits), m.bkBits))
+	row = uint64(b) >> uint(m.rowShift)
 	return ch, bk, row
 }
 

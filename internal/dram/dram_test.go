@@ -202,3 +202,26 @@ func TestRefreshDisabled(t *testing.T) {
 		t.Fatal("row should survive forever without refresh")
 	}
 }
+
+func TestSingleChannelAndBank(t *testing.T) {
+	// One channel and one bank are powers of two, so New accepts them;
+	// routing then hashes with zero-width fields and must select channel
+	// and bank 0 rather than hang.
+	cfg := Default()
+	cfg.Channels = 1
+	cfg.BanksPerChannel = 1
+	m := New(cfg)
+	first := m.Fetch(0, mem.Block(0x1234))
+	if first == 0 {
+		t.Fatal("fetch completed at cycle 0")
+	}
+	for b := mem.Block(0); b < 64; b++ {
+		if ch, bk, _ := m.route(b); ch != 0 || bk != 0 {
+			t.Fatalf("block %d routed to channel %d bank %d", b, ch, bk)
+		}
+	}
+	m.Fetch(10000, mem.Block(0x1235))
+	if m.Accesses != 2 {
+		t.Fatalf("accesses %d, want 2", m.Accesses)
+	}
+}

@@ -61,18 +61,26 @@ func Log2(v int) int {
 	return n
 }
 
-// FoldHash folds every higher bit group of v into the low `bits` bits by
-// repeated XOR shifts. It is the bank-hash every design uses to select a
-// bank/group/bank-set: unlike plain low-bit interleaving it decorrelates
-// all power-of-two strides (notably the L1-capacity stride between a
-// streaming load and its own dirty-victim writeback) from bank conflicts,
-// while remaining trivially invertible given the remaining high bits.
+// FoldHash folds every higher bit group of v into the low `bits` bits: the
+// result is the XOR of all `bits`-wide groups of v. It is the bank-hash
+// every design uses to select a bank/group/bank-set: unlike plain low-bit
+// interleaving it decorrelates all power-of-two strides (notably the
+// L1-capacity stride between a streaming load and its own dirty-victim
+// writeback) from bank conflicts, while remaining trivially invertible
+// given the remaining high bits.
+//
+// The fold is a prefix XOR by doubling: after the step with shift s, each
+// position holds the XOR of the 2s/bits groups at and above it, so
+// ceil(log2(64/bits)) steps cover the word instead of one step per group.
+// A zero-width hash (a single bank or channel) is 0.
 func FoldHash(v uint64, bits int) uint64 {
-	var h uint64
-	for x := v; x != 0; x >>= uint(bits) {
-		h ^= x
+	if bits <= 0 {
+		return 0
 	}
-	return h & (1<<uint(bits) - 1)
+	for s := uint(bits); s < 64; s <<= 1 {
+		v ^= v >> s
+	}
+	return v & (1<<uint(bits) - 1)
 }
 
 // AccessType distinguishes loads from stores. All TLC designs are exclusive

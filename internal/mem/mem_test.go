@@ -165,3 +165,44 @@ func TestFoldHashUniform(t *testing.T) {
 		}
 	}
 }
+
+// foldHashLoop is the reference fold: XOR every `bits`-wide group of v,
+// one group per iteration.
+func foldHashLoop(v uint64, bits int) uint64 {
+	var h uint64
+	for x := v; x != 0; x >>= uint(bits) {
+		h ^= x
+	}
+	return h & (1<<uint(bits) - 1)
+}
+
+func TestFoldHashZeroBits(t *testing.T) {
+	// A single bank or channel selects with a zero-width hash; it must
+	// return 0, not loop forever on a zero shift.
+	for _, v := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
+		if h := FoldHash(v, 0); h != 0 {
+			t.Fatalf("FoldHash(%#x, 0) = %d, want 0", v, h)
+		}
+	}
+}
+
+// FuzzFoldHash checks the doubling fold against the per-group loop for
+// every width from 1 to 63. The seeds carry the widths the designs use:
+// 1 (TLCopt350's 2 groups, a 2-channel DRAM), 2 (TLCopt500's 4 groups),
+// 3 (TLCopt1000's 8 groups, 8 DRAM banks per channel), 4 (DNUCA's 16
+// bank sets) and 5 (SNUCA2's 32 banks, TLC's 32 groups), plus 6.
+func FuzzFoldHash(f *testing.F) {
+	for bits := 1; bits <= 6; bits++ {
+		f.Add(uint64(0x3_c5a5_9a6e_1f3b), bits)
+		f.Add(^uint64(0), bits)
+	}
+	f.Add(uint64(1)<<63, 63)
+	f.Fuzz(func(t *testing.T, v uint64, bits int) {
+		if bits < 1 || bits > 63 {
+			bits = 1 + (bits%63+63)%63
+		}
+		if got, want := FoldHash(v, bits), foldHashLoop(v, bits); got != want {
+			t.Fatalf("FoldHash(%#x, %d) = %#x, want %#x", v, bits, got, want)
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package nuca
 
 import (
+	"math/bits"
+
 	"tlc/internal/cache"
 	"tlc/internal/config"
 	"tlc/internal/l2"
@@ -58,10 +60,11 @@ type DNUCA struct {
 	// ptags[col] shadows the 16 row-banks of one bank set.
 	ptags []*cache.PartialTags
 	sets  int
+	// setBits is log2 of the bank-set count: the width of the bank-set
+	// hash and of the field local strips.
+	setBits int
 	// lineScratch is the reused buffer for partial-tag resyncs.
 	lineScratch []cache.Line
-	// candScratch is the reused candidate-bank buffer for far searches.
-	candScratch []int
 
 	// Design-specific counters (Table 6).
 	CloseHits  stats64
@@ -95,12 +98,13 @@ const (
 func NewDNUCA(memLat sim.Time) *DNUCA {
 	p := config.NUCAFor(config.DNUCA)
 	d := &DNUCA{
-		Stats:  l2.NewStats(),
-		p:      p,
-		mesh:   noc.New(p.Mesh),
-		memory: l2.FlatMemory{Latency: memLat},
-		sets:   p.BankBytes / mem.BlockBytes / p.BankAssoc,
-		reg:    metrics.New(),
+		Stats:   l2.NewStats(),
+		p:       p,
+		mesh:    noc.New(p.Mesh),
+		memory:  l2.FlatMemory{Latency: memLat},
+		sets:    p.BankBytes / mem.BlockBytes / p.BankAssoc,
+		setBits: mem.Log2(p.BankSets),
+		reg:     metrics.New(),
 	}
 	for c := 0; c < p.Mesh.Cols; c++ {
 		col := make([]*cache.Bank, p.Mesh.Rows)
@@ -145,31 +149,60 @@ func (d *DNUCA) Params() config.NUCAParams { return d.p }
 // XOR-folds higher address bits into the low bits (bank hashing), matching
 // the other designs.
 func (d *DNUCA) colOf(b mem.Block) int {
-	return int(mem.FoldHash(uint64(b), mem.Log2(d.p.BankSets)))
+	return int(mem.FoldHash(uint64(b), d.setBits))
 }
 
 // local strips the bank-set bits for per-column set indexing.
 func (d *DNUCA) local(b mem.Block) mem.Block {
-	return b >> uint(mem.Log2(d.p.BankSets))
+	return b >> uint(d.setBits)
 }
 
 // unlocal reconstructs the global block from a column-local id by
 // inverting the bank-set hash.
 func (d *DNUCA) unlocal(local mem.Block, col int) mem.Block {
-	bits := mem.Log2(d.p.BankSets)
-	low := uint64(col) ^ mem.FoldHash(uint64(local), bits)
-	return local<<uint(bits) | mem.Block(low)
+	low := uint64(col) ^ mem.FoldHash(uint64(local), d.setBits)
+	return local<<uint(d.setBits) | mem.Block(low)
 }
 
 // findRow reports which row-bank of the column currently holds the block,
-// or -1.
-func (d *DNUCA) findRow(col int, local mem.Block) int {
-	for r := 0; r < d.p.Mesh.Rows; r++ {
+// or -1, together with the bank set's partial-tag masks (one bit per row):
+// match names the rows with a way whose partial tag matches, free the rows
+// with a free way in the block's set.
+//
+// The functional lookup uses the shadow as an exact prefilter. The shadow
+// is kept consistent with the arrays, so the row holding the block always
+// matches, and the lowest matching row whose array holds the block is the
+// lowest row holding it — what a probe of every row would find. This is
+// simulator bookkeeping with no timing of its own; the modeled search is
+// timed in Access.
+func (d *DNUCA) findRow(col int, local mem.Block) (row int, match, free uint64) {
+	match, free = d.ptags[col].Masks(local)
+	for m := match; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
 		if d.banks[col][r].Array.Lookup(local) {
-			return r
+			return r, match, free
 		}
 	}
-	return -1
+	return -1, match, free
+}
+
+// farCandidates reports, one bit per row, the banks beyond the close rows
+// a far search probes: those whose partial tags match, or every one when
+// the structure is ablated away.
+func (d *DNUCA) farCandidates(match uint64) uint64 {
+	if d.Abl.DisablePartialTags {
+		match = 1<<uint(d.p.Mesh.Rows) - 1
+	}
+	return match &^ (1<<closeRows - 1)
+}
+
+// freeRow is the warm-up insertion row for a block in no row: the farthest
+// row with a free way in the block's set, else the farthest row.
+func (d *DNUCA) freeRow(free uint64) int {
+	if free == 0 {
+		return d.farRow()
+	}
+	return 63 - bits.LeadingZeros64(free)
 }
 
 // farRow is the insertion row: the farthest bank from the controller.
@@ -248,12 +281,15 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 			arrive[r] -= d.p.Mesh.VertReqLat[i]
 		}
 	}
+	// A block lives in at most one row, so a close bank returns data
+	// exactly when it is the block's row.
+	actualRow, match, _ := d.findRow(col, local)
 	// Responses issue in arrival order (row 0 responds first); link
 	// reservations must be made in time order.
 	for r := 0; r < closeRows; r++ {
 		done := d.banks[col][r].Reserve(arrive[r])
 		bytes := reqBytes
-		if d.banks[col][r].Array.Lookup(local) {
+		if r == actualRow {
 			bytes = dataBytes
 		}
 		respArrive[r] = d.mesh.Route(done, col, r, bytes, noc.ToController)
@@ -265,7 +301,6 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	// keeps exact.
 	ptagDone := at + sim.Time(ptagLookupBusy) + d.p.PTagLatency
 
-	actualRow := d.findRow(col, local)
 	if actualRow >= 0 && actualRow < closeRows {
 		// Close hit.
 		resolve := respArrive[actualRow]
@@ -281,27 +316,9 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	}
 
 	// Partial tags name the remaining candidates; without them, every
-	// remaining bank of the bank set must be searched. The scratch buffer
-	// lives on the struct so steady-state searches allocate nothing; it is
-	// dead once Access returns.
-	cands := d.candScratch[:0]
-	if d.Abl.DisablePartialTags {
-		for r := closeRows; r < d.p.Mesh.Rows; r++ {
-			cands = append(cands, r)
-		}
-	} else {
-		// Filter in place: cands re-uses all's backing array, and the write
-		// index never passes the read index.
-		all := d.ptags[col].AppendCandidates(cands, local)
-		for _, bank := range all {
-			if bank >= closeRows {
-				cands = append(cands, bank)
-			}
-		}
-	}
-	d.candScratch = cands[:0]
-
-	if len(cands) == 0 {
+	// remaining bank of the bank set must be searched.
+	cands := d.farCandidates(match)
+	if cands == 0 {
 		// Fast miss: nothing beyond the close banks can match; declared
 		// when the slower close probe and the tag check have both
 		// resolved.
@@ -323,7 +340,7 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	// Multicast search of the candidate banks, launched once the partial
 	// tags have been read.
 	d.Searches.Inc()
-	banksTouched := closeRows + len(cands)
+	banksTouched := closeRows + bits.OnesCount64(cands)
 	var resolve sim.Time
 	hit := false
 	var worst sim.Time
@@ -332,7 +349,8 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 			worst = t
 		}
 	}
-	for _, r := range cands {
+	for m := cands; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
 		arrive := d.mesh.Route(ptagDone, col, r, reqBytes, noc.ToBank)
 		done := d.banks[col][r].Reserve(arrive)
 		bytes := reqBytes
@@ -371,7 +389,7 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 // store writes a block: into its resident bank if present, else allocated
 // at the insertion bank. Fire-and-forget for the processor.
 func (d *DNUCA) store(at sim.Time, col int, local mem.Block) l2.Outcome {
-	row := d.findRow(col, local)
+	row, _, _ := d.findRow(col, local)
 	if row < 0 {
 		d.fill(at, col, local)
 		d.RecordStore(false, 1)
@@ -447,7 +465,7 @@ func (d *DNUCA) WarmBulk(blocks []mem.Block) {
 func (d *DNUCA) Warm(b mem.Block) {
 	col := d.colOf(b)
 	local := d.local(b)
-	row := d.findRow(col, local)
+	row, _, free := d.findRow(col, local)
 	if row < 0 {
 		// Functional insert: the farthest row with a free way, so a
 		// full-footprint pre-warm fills each column from the tail inward
@@ -455,13 +473,7 @@ func (d *DNUCA) Warm(b mem.Block) {
 		// once the column's set is full this degenerates to the paper's
 		// insert-far-with-eviction.
 		set := local.SetIndex(d.sets)
-		target := d.farRow()
-		for r := d.farRow(); r >= 0; r-- {
-			if _, wouldEvict := d.banks[col][r].Array.VictimOf(local); !wouldEvict {
-				target = r
-				break
-			}
-		}
+		target := d.freeRow(free)
 		d.banks[col][target].Array.Insert(local)
 		d.syncPTag(col, target, set)
 		return
@@ -487,7 +499,8 @@ func (d *DNUCA) Warm(b mem.Block) {
 
 // Contains implements l2.Cache.
 func (d *DNUCA) Contains(b mem.Block) bool {
-	return d.findRow(d.colOf(b), d.local(b)) >= 0
+	row, _, _ := d.findRow(d.colOf(b), d.local(b))
+	return row >= 0
 }
 
 // PromotesPerInsert reports the Table 6 promotes/inserts ratio. With no

@@ -124,6 +124,12 @@ func TestSNUCAWritebackOnEviction(t *testing.T) {
 	}
 }
 
+// rowOf reports the row holding the column-local block, or -1.
+func rowOf(d *DNUCA, col int, local mem.Block) int {
+	row, _, _ := d.findRow(col, local)
+	return row
+}
+
 func TestDNUCAInsertsAtFarBank(t *testing.T) {
 	d := NewDNUCA(testMemLat)
 	b := mem.Block(0x100)
@@ -132,7 +138,7 @@ func TestDNUCAInsertsAtFarBank(t *testing.T) {
 		t.Fatal("cold access hit")
 	}
 	col := d.colOf(b)
-	if got := d.findRow(col, d.local(b)); got != d.farRow() {
+	if got := rowOf(d, col, d.local(b)); got != d.farRow() {
 		t.Fatalf("fill landed in row %d, want far row %d", got, d.farRow())
 	}
 	if d.Insertions.Value() != 1 {
@@ -145,7 +151,7 @@ func TestDNUCAPromotionOnHit(t *testing.T) {
 	b := mem.Block(0x100)
 	d.Warm(b) // inserts at far row
 	col := d.colOf(b)
-	startRow := d.findRow(col, d.local(b))
+	startRow := rowOf(d, col, d.local(b))
 	if startRow != d.farRow() {
 		t.Fatalf("warm insert at row %d, want %d", startRow, d.farRow())
 	}
@@ -153,7 +159,7 @@ func TestDNUCAPromotionOnHit(t *testing.T) {
 	if !out.Hit {
 		t.Fatal("resident block missed")
 	}
-	if got := d.findRow(col, d.local(b)); got != startRow-1 {
+	if got := rowOf(d, col, d.local(b)); got != startRow-1 {
 		t.Fatalf("block at row %d after hit, want promoted to %d", got, startRow-1)
 	}
 	if d.Promotions.Value() != 1 {
@@ -171,7 +177,7 @@ func TestDNUCABlockMigratesToClosestBank(t *testing.T) {
 		at += 10000
 		d.Access(at, mem.Request{Block: b, Type: mem.Load})
 	}
-	if got := d.findRow(d.colOf(b), d.local(b)); got != 0 {
+	if got := rowOf(d, d.colOf(b), d.local(b)); got != 0 {
 		t.Fatalf("hot block at row %d after 20 hits, want 0", got)
 	}
 	// Hits at row 0 are close hits at minimal latency.
@@ -259,9 +265,9 @@ func TestDNUCAStoreWritesInPlace(t *testing.T) {
 	d := NewDNUCA(testMemLat)
 	b := mem.Block(0x42)
 	d.Warm(b)
-	row := d.findRow(d.colOf(b), d.local(b))
+	row := rowOf(d, d.colOf(b), d.local(b))
 	d.Access(0, mem.Request{Block: b, Type: mem.Store})
-	if got := d.findRow(d.colOf(b), d.local(b)); got != row {
+	if got := rowOf(d, d.colOf(b), d.local(b)); got != row {
 		t.Fatal("store should not migrate the block")
 	}
 	if d.Promotions.Value() != 0 {
@@ -332,7 +338,7 @@ func TestQuickDNUCAResidencyInvariant(t *testing.T) {
 			for r := 0; r < d.p.Mesh.Rows; r++ {
 				if d.banks[col][r].Array.Lookup(local) {
 					count++
-					if !d.ptags[col].MatchesIn(local, r) {
+					if match, _ := d.ptags[col].Masks(local); match&(1<<r) == 0 {
 						return false // partial tag false negative
 					}
 				}

@@ -32,6 +32,8 @@ type SNUCA struct {
 	mesh   *noc.Mesh
 	banks  []*cache.Bank
 	memory l2.Memory
+	// bankBits is log2 of the bank count: the width of the bank hash.
+	bankBits int
 
 	// Writebacks counts victim blocks sent back toward memory.
 	Writebacks uint64
@@ -44,11 +46,12 @@ type SNUCA struct {
 func NewSNUCA(memLat sim.Time) *SNUCA {
 	p := config.NUCAFor(config.SNUCA2)
 	s := &SNUCA{
-		Stats:  l2.NewStats(),
-		p:      p,
-		mesh:   noc.New(p.Mesh),
-		memory: l2.FlatMemory{Latency: memLat},
-		reg:    metrics.New(),
+		Stats:    l2.NewStats(),
+		p:        p,
+		mesh:     noc.New(p.Mesh),
+		memory:   l2.FlatMemory{Latency: memLat},
+		bankBits: mem.Log2(p.Banks),
+		reg:      metrics.New(),
 	}
 	sets := p.BankBytes / mem.BlockBytes / p.BankAssoc
 	for i := 0; i < p.Banks; i++ {
@@ -83,7 +86,7 @@ func (s *SNUCA) Params() config.NUCAParams { return s.p }
 // hashing), decorrelating strided streams and their L1-victim writebacks
 // from bank conflicts.
 func (s *SNUCA) bankOf(b mem.Block) (idx, col, row int) {
-	idx = int(mem.FoldHash(uint64(b), mem.Log2(s.p.Banks)))
+	idx = int(mem.FoldHash(uint64(b), s.bankBits))
 	col = idx % s.p.Mesh.Cols
 	row = idx / s.p.Mesh.Cols
 	return idx, col, row
@@ -91,15 +94,14 @@ func (s *SNUCA) bankOf(b mem.Block) (idx, col, row int) {
 
 // local strips the bank-select bits so bank arrays index sets correctly.
 func (s *SNUCA) local(b mem.Block) mem.Block {
-	return b >> uint(mem.Log2(s.p.Banks))
+	return b >> uint(s.bankBits)
 }
 
 // unlocal reconstructs the global block from a bank-local id: invert the
 // XOR fold given the bank index.
 func (s *SNUCA) unlocal(local mem.Block, bankIdx int) mem.Block {
-	bits := mem.Log2(s.p.Banks)
-	low := uint64(bankIdx) ^ mem.FoldHash(uint64(local), bits)
-	return local<<uint(bits) | mem.Block(low)
+	low := uint64(bankIdx) ^ mem.FoldHash(uint64(local), s.bankBits)
+	return local<<uint(s.bankBits) | mem.Block(low)
 }
 
 // Nominal reports the uncontended lookup latency of the bank holding b —
@@ -197,11 +199,11 @@ func (s *SNUCA) Warm(b mem.Block) {
 }
 
 // WarmBulk implements l2.Warmer: the fused warm kernel. One dispatch
-// installs the whole batch, with the bank-select arithmetic (the Log2 loop
-// bankOf repays per block) hoisted out of the loop. State evolution is
-// identical to per-block Warm calls in slice order.
+// installs the whole batch, skipping the grid position bankOf also
+// computes. State evolution is identical to per-block Warm calls in slice
+// order.
 func (s *SNUCA) WarmBulk(blocks []mem.Block) {
-	bits := mem.Log2(s.p.Banks)
+	bits := s.bankBits
 	for _, b := range blocks {
 		idx := int(mem.FoldHash(uint64(b), bits))
 		// TouchOrInsertAt leaves the array exactly as Insert would, in one

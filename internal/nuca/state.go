@@ -88,9 +88,17 @@ func (d *DNUCA) RestoreState(state l2.State) error {
 			}
 		}
 	}
-	for i, p := range d.ptags {
-		if err := p.Restore(st.PTags[i]); err != nil {
-			return fmt.Errorf("nuca: ptag %d: %w", i, err)
+	for c, p := range d.ptags {
+		if err := p.Restore(st.PTags[c]); err != nil {
+			return fmt.Errorf("nuca: ptag %d: %w", c, err)
+		}
+		// The shadow decides which rows a lookup probes: one that
+		// disagrees with its arrays would skew both search timing and
+		// functional lookups, so a checkpoint carrying one is rejected.
+		for r, b := range d.banks[c] {
+			if err := p.Verify(r, b.Array); err != nil {
+				return fmt.Errorf("nuca: ptag %d: %w", c, err)
+			}
 		}
 	}
 	return nil

@@ -2,8 +2,10 @@ package nuca
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tlc/internal/cache"
 	"tlc/internal/l2"
 	"tlc/internal/mem"
 	"tlc/internal/sim"
@@ -104,5 +106,44 @@ func TestDNUCASnapshotRoundTrip(t *testing.T) {
 func TestDNUCARestoreRejectsWrongType(t *testing.T) {
 	if err := NewDNUCA(300).RestoreState(SNUCAState{}); err == nil {
 		t.Fatal("DNUCA accepted a SNUCA state")
+	}
+}
+
+// damagedShadows returns copies of a partial-tag state, each with one
+// entry disagreeing with the arrays it shadows: a valid entry's tag
+// flipped, a valid entry cleared, and an invalid entry set.
+func damagedShadows(t *testing.T, st cache.PartialTagsState) []cache.PartialTagsState {
+	t.Helper()
+	valid, invalid := slices.Index(st.Valid, true), slices.Index(st.Valid, false)
+	if valid < 0 || invalid < 0 {
+		t.Fatal("shadow needs both valid and invalid entries")
+	}
+	damage := func(f func(*cache.PartialTagsState)) cache.PartialTagsState {
+		d := st
+		d.Tags, d.Valid = slices.Clone(st.Tags), slices.Clone(st.Valid)
+		f(&d)
+		return d
+	}
+	return []cache.PartialTagsState{
+		damage(func(d *cache.PartialTagsState) { d.Tags[valid] ^= 1 }),
+		damage(func(d *cache.PartialTagsState) { d.Valid[valid] = false }),
+		damage(func(d *cache.PartialTagsState) { d.Valid[invalid] = true }),
+	}
+}
+
+func TestDNUCARestoreRejectsInconsistentPartialTags(t *testing.T) {
+	orig := NewDNUCA(300)
+	warmBlocks(orig, 5, 50_000)
+	st := orig.SnapshotState().(DNUCAState)
+	if err := NewDNUCA(300).RestoreState(st); err != nil {
+		t.Fatalf("consistent state rejected: %v", err)
+	}
+	const col = 3
+	for i, bad := range damagedShadows(t, st.PTags[col]) {
+		damaged := DNUCAState{Banks: st.Banks, PTags: slices.Clone(st.PTags)}
+		damaged.PTags[col] = bad
+		if err := NewDNUCA(300).RestoreState(damaged); err == nil {
+			t.Errorf("damage %d: restore accepted a shadow that disagrees with its banks", i)
+		}
 	}
 }

@@ -50,6 +50,14 @@ func (c *Cache) RestoreState(state l2.State) error {
 		if err := p.Restore(st.PTags[i]); err != nil {
 			return fmt.Errorf("tlcache: ptag %d: %w", i, err)
 		}
+		// The optimized designs' shadows decide multi-match round trips,
+		// so one that disagrees with its group array is rejected. The base
+		// design never reads (or fills) its shadows.
+		if c.p.PartialTagInBank {
+			if err := p.Verify(0, c.groups[i]); err != nil {
+				return fmt.Errorf("tlcache: ptag %d: %w", i, err)
+			}
+		}
 	}
 	return nil
 }

@@ -2,8 +2,10 @@ package tlcache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tlc/internal/cache"
 	"tlc/internal/config"
 	"tlc/internal/mem"
 	"tlc/internal/sim"
@@ -53,5 +55,41 @@ func TestRestoreRejectsWrongGeometry(t *testing.T) {
 	}
 	if err := New(config.TLC, 300).RestoreState(struct{}{}); err == nil {
 		t.Fatal("cache accepted a foreign state type")
+	}
+}
+
+func TestRestoreRejectsInconsistentPartialTags(t *testing.T) {
+	for _, d := range config.TLCFamily() {
+		orig := New(d, 300)
+		if !orig.p.PartialTagInBank {
+			continue
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 20_000; i++ {
+			orig.Warm(mem.Block(rng.Int63n(1 << 20)))
+		}
+		st := orig.SnapshotState().(State)
+		if err := New(d, 300).RestoreState(st); err != nil {
+			t.Fatalf("%v: consistent state rejected: %v", d, err)
+		}
+		pt := st.PTags[1]
+		valid, invalid := slices.Index(pt.Valid, true), slices.Index(pt.Valid, false)
+		if valid < 0 || invalid < 0 {
+			t.Fatalf("%v: shadow needs both valid and invalid entries", d)
+		}
+		for _, damage := range []func(*cache.PartialTagsState){
+			func(p *cache.PartialTagsState) { p.Tags[valid] ^= 1 },
+			func(p *cache.PartialTagsState) { p.Valid[valid] = false },
+			func(p *cache.PartialTagsState) { p.Valid[invalid] = true },
+		} {
+			bad := pt
+			bad.Tags, bad.Valid = slices.Clone(pt.Tags), slices.Clone(pt.Valid)
+			damage(&bad)
+			damaged := State{Groups: st.Groups, PTags: slices.Clone(st.PTags)}
+			damaged.PTags[1] = bad
+			if err := New(d, 300).RestoreState(damaged); err == nil {
+				t.Errorf("%v: restore accepted a shadow that disagrees with its group", d)
+			}
+		}
 	}
 }

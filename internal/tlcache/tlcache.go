@@ -64,6 +64,8 @@ type Cache struct {
 	bankPorts []*cache.Bank
 	pairs     []*pairLinks
 	sets      int
+	// groupBits is log2 of the group count: the width of the group hash.
+	groupBits int
 
 	// bankScratch is the reused buffer banksOf writes into; lineScratch is
 	// the reused buffer for partial-tag resyncs. Both keep the per-access
@@ -109,6 +111,7 @@ func New(d config.Design, memLat sim.Time) *Cache {
 		p:           p,
 		memory:      l2.FlatMemory{Latency: memLat},
 		sets:        sets,
+		groupBits:   mem.Log2(groups),
 		bankScratch: make([]int, 0, p.BanksPerBlock),
 		lineScratch: make([]cache.Line, 0, 4),
 	}
@@ -199,8 +202,7 @@ func (c *Cache) AddLinkMargin(extra sim.Time) { c.p.TLCycles += extra }
 // instead of resonating on one. The mapping stays injective: for a given
 // local id, distinct low bits give distinct groups.
 func (c *Cache) groupOf(b mem.Block) (g int, local mem.Block) {
-	bits := mem.Log2(c.p.Groups())
-	return int(mem.FoldHash(uint64(b), bits)), b >> uint(bits)
+	return int(mem.FoldHash(uint64(b), c.groupBits)), b >> uint(c.groupBits)
 }
 
 // banksOf reports the physical banks storing group g's blocks. For the
@@ -437,17 +439,14 @@ func (c *Cache) Warm(b mem.Block) {
 	c.syncPTag(g, local)
 }
 
-// WarmBulk implements l2.Warmer: the fused warm kernel. The group-select
-// arithmetic (the Log2 loop groupOf repays per block) is hoisted out of the
-// loop; each block's install and partial-tag resync match Warm exactly, so
-// state evolution is identical to per-block Warm calls in slice order.
+// WarmBulk implements l2.Warmer: the fused warm kernel. Each block's
+// install and partial-tag resync match Warm exactly, so state evolution is
+// identical to per-block Warm calls in slice order.
 func (c *Cache) WarmBulk(blocks []mem.Block) {
-	bits := mem.Log2(c.p.Groups())
 	sync := c.p.PartialTagInBank
 	assoc := c.groups[0].Assoc()
 	for _, b := range blocks {
-		g := int(mem.FoldHash(uint64(b), bits))
-		local := b >> uint(bits)
+		g, local := c.groupOf(b)
 		// TouchOrInsertAt leaves the group array exactly as Insert would,
 		// in one set scan instead of Insert's find-then-place pair.
 		idx, hit, _, _ := c.groups[g].TouchOrInsertAt(local)
