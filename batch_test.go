@@ -4,21 +4,34 @@ import (
 	"reflect"
 	"testing"
 
+	"tlc/internal/cache"
 	"tlc/internal/config"
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
 	"tlc/internal/machine"
+	"tlc/internal/mem"
 	"tlc/internal/sample"
 	"tlc/internal/workload"
 )
 
-// scalarStream hides a stream's BatchStream/MemStream implementations, so
-// the core is forced down the scalar Next-per-instruction reference paths.
-type scalarStream struct {
-	s cpu.Stream
+// oneAtATime delivers a generator's instructions through the Stream
+// protocol one Next call per NextBatch or NextMems call, so nothing
+// downstream of it ever sees a batch of more than one instruction.
+type oneAtATime struct{ g *workload.Generator }
+
+func (s oneAtATime) NextBatch(buf []cpu.Instr) int {
+	buf[0] = s.g.Next()
+	return 1
 }
 
-func (s scalarStream) Next() cpu.Instr { return s.s.Next() }
+func (s oneAtATime) NextMems(buf []cpu.MemRef, _ uint64) (int, uint64) {
+	in := s.g.Next()
+	if !in.IsMem {
+		return 0, 1
+	}
+	buf[0] = cpu.MemRef{Block: in.Block, Store: in.IsStore}
+	return 1, 1
+}
 
 // scalarCache hides a design's l2.Warmer implementation (embedding the
 // interface does not promote the concrete type's WarmBulk), forcing
@@ -27,9 +40,56 @@ type scalarCache struct {
 	l2.Instrumented
 }
 
+// refWarmer is the per-instruction reference warm loop Core.Warm must
+// reproduce, written over the exported cache and l2 APIs: every
+// instruction comes from Next, a memory op touches the L1 in two set
+// scans (TouchAt, then InsertAt on a miss), and every L2 install is its
+// own Warm call. Its state seeds a core through Core.Restore.
+type refWarmer struct {
+	l1    *cache.SetAssoc
+	dirty []bool
+	l2    l2.Cache
+}
+
+func newRefWarmer(l2c l2.Cache) *refWarmer {
+	sys := config.DefaultSystem()
+	l1 := cache.NewSetAssoc(sys.L1Bytes/mem.BlockBytes/sys.L1Assoc, sys.L1Assoc)
+	return &refWarmer{l1: l1, dirty: make([]bool, l1.Blocks()), l2: l2c}
+}
+
+func (w *refWarmer) warm(gen *workload.Generator, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		in := gen.Next()
+		if !in.IsMem {
+			continue
+		}
+		if idx, hit := w.l1.TouchAt(in.Block); hit {
+			w.dirty[idx] = w.dirty[idx] || in.IsStore
+			continue
+		}
+		// The incoming block takes the victim's line, so the victim's
+		// dirty bit is read before the new line's state overwrites it.
+		idx, victim, evicted := w.l1.InsertAt(in.Block)
+		if evicted && w.dirty[idx] {
+			w.l2.Warm(victim)
+		}
+		w.dirty[idx] = in.IsStore
+		if !in.IsStore {
+			w.l2.Warm(in.Block)
+		}
+	}
+}
+
+// state is the core state the loop has built, in checkpoint form.
+func (w *refWarmer) state() cpu.State {
+	return cpu.State{L1: w.l1.Snapshot(), Dirty: append([]bool(nil), w.dirty...)}
+}
+
 // equivalencePoint runs one (design, benchmark) pair through PreWarm + Warm
-// + a detailed run, with either scalar-forced or batched delivery, and
-// returns the run Result plus the post-run core and L2 snapshots.
+// + a detailed run and returns the run Result plus the post-run core and
+// L2 snapshots. The scalar arm warms through refWarmer, restores the core
+// from its state, and runs on one-instruction deliveries with per-block L2
+// installs; the batched arm takes Core.Warm and native batches.
 func equivalencePoint(t *testing.T, d Design, spec workload.Spec, scalar bool) (cpu.Result, cpu.State, l2.State) {
 	t.Helper()
 	const (
@@ -38,16 +98,24 @@ func equivalencePoint(t *testing.T, d Design, spec workload.Spec, scalar bool) (
 	)
 	inst := build(d, Options{})
 	gen := workload.New(spec, 1)
-	var cacheArm l2.Cache = inst
-	var streamArm cpu.Stream = gen
+	var core *cpu.Core
+	var r cpu.Result
 	if scalar {
-		cacheArm = scalarCache{inst}
-		streamArm = scalarStream{gen}
+		l2c := scalarCache{inst}
+		gen.PreWarm(l2c)
+		ref := newRefWarmer(l2c)
+		ref.warm(gen, warmInstrs)
+		core = cpu.New(config.DefaultSystem(), l2c)
+		if err := core.Restore(ref.state()); err != nil {
+			t.Fatal(err)
+		}
+		r = core.Run(oneAtATime{gen}, runInstrs)
+	} else {
+		gen.PreWarm(inst)
+		core = cpu.New(config.DefaultSystem(), inst)
+		core.Warm(gen, warmInstrs)
+		r = core.Run(gen, runInstrs)
 	}
-	core := cpu.New(config.DefaultSystem(), cacheArm)
-	gen.PreWarm(cacheArm)
-	core.Warm(streamArm, warmInstrs)
-	r := core.Run(streamArm, runInstrs)
 	snap, ok := inst.(l2.Snapshotter)
 	if !ok {
 		t.Fatalf("%v does not snapshot", d)
@@ -57,9 +125,9 @@ func equivalencePoint(t *testing.T, d Design, spec workload.Spec, scalar bool) (
 
 // TestBatchedScalarEquivalence is the tentpole's correctness gate: for all
 // twelve benchmarks × all six designs, batched delivery (native NextBatch,
-// the MemStream warm fast path, fused TouchOrInsertAt, bulk WarmBulk
-// installs) produces the identical Result and bit-identical post-run L1 and
-// L2 state as scalar per-instruction delivery through the reference paths.
+// the NextMems warm sweep, fused TouchOrInsertAt, bulk WarmBulk installs)
+// produces the identical Result and bit-identical post-run L1 and L2 state
+// as per-instruction delivery through the reference warm loop.
 func TestBatchedScalarEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid; skipped in -short")
@@ -86,8 +154,9 @@ func TestBatchedScalarEquivalence(t *testing.T) {
 }
 
 // TestSampledBatchedEquivalence extends the gate to sampled mode: warm
-// stretches (the MemStream fast path) interleaved with detailed intervals
-// must leave estimates and machine state identical to scalar delivery.
+// stretches interleaved with detailed intervals must leave estimates and
+// machine state identical to one-instruction delivery with per-block L2
+// installs.
 func TestSampledBatchedEquivalence(t *testing.T) {
 	benches := []string{"gcc", "equake", "oltp"}
 	opt := sample.Options{Intervals: 8, Length: 2000}
@@ -108,7 +177,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 					var streamArm cpu.Stream = gen
 					if scalar {
 						cacheArm = scalarCache{inst}
-						streamArm = scalarStream{gen}
+						streamArm = oneAtATime{gen}
 					}
 					core := cpu.New(config.DefaultSystem(), cacheArm)
 					gen.PreWarm(cacheArm)

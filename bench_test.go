@@ -243,35 +243,38 @@ func BenchmarkFullScaleSampledSpeedup(b *testing.B) {
 }
 
 func BenchmarkWarmThroughput(b *testing.B) {
-	// The batched-delivery acceptance gate: the warm fast path (MemStream
-	// run-length skipping + fused L1 scan + bulk L2 installs) against the
-	// scalar reference loop, on identically prepared machines. Two workload
-	// profiles bound the gain: bzip's references stay in the L1-resident
-	// region (delivery-dominated, where fusion pays most), gcc spreads work
-	// across the skewed hot set and the TLC warm kernel. The benchmark
-	// doubles as a determinism smoke check: after the timed sections, the
-	// two cores and caches must hold bit-identical state, so CI's short
-	// -benchtime run fails loudly on any batched/scalar divergence.
+	// The batched-delivery acceptance gate: Core.Warm (NextMems run-length
+	// skipping + fused L1 sweep + bulk L2 installs) against the
+	// per-instruction reference loop (refWarmer), on identically prepared
+	// machines. Two workload profiles bound the gain: bzip's references stay
+	// in the L1-resident region (delivery-dominated, where fusion pays
+	// most), gcc spreads work across the skewed hot set and the TLC warm
+	// kernel. The benchmark doubles as a determinism smoke check: after the
+	// timed sections, both arms' L1 and L2 state must be bit-identical, so
+	// CI's short -benchtime run fails loudly on any batched/scalar
+	// divergence.
 	for _, name := range []string{"bzip", "gcc"} {
 		b.Run(name, func(b *testing.B) {
 			sys := config.DefaultSystem()
 			spec, _ := workload.SpecByName(name)
 			const warmN = 2_000_000
-			mk := func() (*cpu.Core, *workload.Generator, *tlcache.Cache) {
+			mk := func() (*workload.Generator, *tlcache.Cache) {
 				gen := workload.New(spec, 1)
 				c := tlcache.New(config.TLC, sys.MemoryLatency)
 				gen.PreWarm(c)
-				core := cpu.New(sys, c)
-				core.Warm(gen, warmN) // steady-state caches and buffers before timing
-				return core, gen, c
+				return gen, c
 			}
-			scalarCore, scalarGen, scalarL2 := mk()
-			fastCore, fastGen, fastL2 := mk()
+			scalarGen, scalarL2 := mk()
+			ref := newRefWarmer(scalarL2)
+			ref.warm(scalarGen, warmN) // steady-state caches before timing
+			fastGen, fastL2 := mk()
+			fastCore := cpu.New(sys, fastL2)
+			fastCore.Warm(fastGen, warmN) // steady-state caches and buffers
 
 			var scalarNS, fastNS time.Duration
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				scalarCore.Warm(scalarStream{scalarGen}, warmN)
+				ref.warm(scalarGen, warmN)
 				t1 := time.Now()
 				fastCore.Warm(fastGen, warmN)
 				scalarNS += t1.Sub(t0)
@@ -286,7 +289,7 @@ func BenchmarkWarmThroughput(b *testing.B) {
 			if scalarGen.State() != fastGen.State() {
 				b.Fatal("batched and scalar warm diverged: generator state mismatch")
 			}
-			if !reflect.DeepEqual(scalarCore.Snapshot(), fastCore.Snapshot()) {
+			if !reflect.DeepEqual(ref.state(), fastCore.Snapshot()) {
 				b.Fatal("batched and scalar warm diverged: L1 state mismatch")
 			}
 			if !reflect.DeepEqual(scalarL2.SnapshotState(), fastL2.SnapshotState()) {
@@ -297,14 +300,16 @@ func BenchmarkWarmThroughput(b *testing.B) {
 }
 
 // BenchmarkLaneSweep is the lane-parallel acceptance gate: warming every
-// design of the grid off one shared stream (the SoA lane engine) against
-// warming each design off its own stream (the batched fast path, the best
-// per-point execution). The scalar arm pays stream generation and batching
-// once per design; the lane arm pays it once for the whole group, and its
-// 2-way kernel updates all lanes per reference. Like BenchmarkWarmThroughput
-// it doubles as a determinism smoke check: after the timed sections, every
-// lane's core, L2, and generator position must match its scalar twin bit for
-// bit, so CI's short -benchtime run fails loudly on any divergence.
+// design of the grid off one shared stream (one core whose L2 fans each
+// sweep's spill out to every design, as WarmLanes does) against warming
+// each design off its own stream (Core.Warm per design, the best per-point
+// execution). The scalar arm pays stream generation, batching and the L1
+// sweep once per design; the lane arm pays them once for the whole group,
+// leaving only the per-design L2 installs as per-lane work. Like
+// BenchmarkWarmThroughput it doubles as a determinism smoke check: after
+// the timed sections, every lane's core, L2, and generator position must
+// match its scalar twin bit for bit, so CI's short -benchtime run fails
+// loudly on any divergence.
 func BenchmarkLaneSweep(b *testing.B) {
 	for _, name := range []string{"bzip", "gcc"} {
 		b.Run(name, func(b *testing.B) {
@@ -313,47 +318,39 @@ func BenchmarkLaneSweep(b *testing.B) {
 			designs := Designs()
 			const warmN = 2_000_000
 
-			type arm struct {
-				core *cpu.Core
-				l2   l2.Snapshotter
-			}
-			mk := func(d Design, gen *workload.Generator) arm {
-				inst := build(d, Options{})
-				gen.PreWarm(inst)
-				return arm{cpu.New(sys, inst), inst.(l2.Snapshotter)}
-			}
-
-			// Scalar arm: one private stream per design, batched delivery.
+			// Scalar arm: one private stream and core per design.
 			scalarGens := make([]*workload.Generator, len(designs))
-			scalarArms := make([]arm, len(designs))
+			scalarCores := make([]*cpu.Core, len(designs))
+			scalarL2s := make([]l2.Snapshotter, len(designs))
 			for i, d := range designs {
+				inst := build(d, Options{})
 				scalarGens[i] = workload.New(spec, 1)
-				scalarArms[i] = mk(d, scalarGens[i])
-				scalarArms[i].core.Warm(scalarGens[i], warmN) // steady state before timing
+				scalarGens[i].PreWarm(inst)
+				scalarCores[i] = cpu.New(sys, inst)
+				scalarL2s[i] = inst.(l2.Snapshotter)
+				scalarCores[i].Warm(scalarGens[i], warmN) // steady state before timing
 			}
-			// Lane arm: one shared stream drives every design.
+			// Lane arm: one shared stream and core drive every design.
 			laneGen := workload.New(spec, 1)
-			laneArms := make([]arm, len(designs))
-			laneCores := make([]*cpu.Core, len(designs))
+			fan := make(laneFanout, len(designs))
+			laneL2s := make([]l2.Snapshotter, len(designs))
 			for i, d := range designs {
-				laneArms[i] = mk(d, laneGen)
-				laneCores[i] = laneArms[i].core
+				inst := build(d, Options{})
+				fan[i] = inst
+				laneL2s[i] = inst.(l2.Snapshotter)
 			}
-			lw := cpu.NewLaneWarmer(laneCores)
-			if err := lw.Warm(laneGen, warmN, nil); err != nil {
-				b.Fatal(err)
-			}
+			laneGen.PreWarm(fan)
+			laneCore := cpu.New(sys, fan)
+			laneCore.Warm(laneGen, warmN)
 
 			var scalarNS, laneNS time.Duration
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				for j := range scalarArms {
-					scalarArms[j].core.Warm(scalarGens[j], warmN)
+				for j, c := range scalarCores {
+					c.Warm(scalarGens[j], warmN)
 				}
 				t1 := time.Now()
-				if err := lw.Warm(laneGen, warmN, nil); err != nil {
-					b.Fatal(err)
-				}
+				laneCore.Warm(laneGen, warmN)
 				scalarNS += t1.Sub(t0)
 				laneNS += time.Since(t1)
 			}
@@ -367,10 +364,10 @@ func BenchmarkLaneSweep(b *testing.B) {
 				if scalarGens[i].State() != laneGen.State() {
 					b.Fatalf("%v: lane and scalar warm diverged: generator state mismatch", d)
 				}
-				if !reflect.DeepEqual(scalarArms[i].core.Snapshot(), laneArms[i].core.Snapshot()) {
+				if !reflect.DeepEqual(scalarCores[i].Snapshot(), laneCore.Snapshot()) {
 					b.Fatalf("%v: lane and scalar warm diverged: L1 state mismatch", d)
 				}
-				if !reflect.DeepEqual(scalarArms[i].l2.SnapshotState(), laneArms[i].l2.SnapshotState()) {
+				if !reflect.DeepEqual(scalarL2s[i].SnapshotState(), laneL2s[i].SnapshotState()) {
 					b.Fatalf("%v: lane and scalar warm diverged: L2 state mismatch", d)
 				}
 			}

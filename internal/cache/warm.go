@@ -5,7 +5,7 @@ import "tlc/internal/mem"
 // WarmRef is one memory reference of a functional-warm stream: the block
 // and whether the access is a store. Functional warming needs nothing else.
 // The cpu package re-exports it as MemRef, the element type of the
-// MemStream batch protocol; it lives here so the array can consume whole
+// Stream's NextMems batches; it lives here so the array can consume whole
 // batches without a package cycle.
 type WarmRef struct {
 	Block mem.Block

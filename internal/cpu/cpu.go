@@ -42,62 +42,30 @@ type Instr struct {
 	Mispredict bool
 }
 
-// Stream produces a deterministic instruction sequence.
-type Stream interface {
-	Next() Instr
-}
-
-// BatchStream is the batched delivery protocol: NextBatch fills a
-// caller-owned buffer with the next len(buf) instructions of the stream and
-// returns how many it wrote (always at least 1 for a non-empty buffer). The
-// instruction sequence must be identical to repeated Next calls — batching
-// changes delivery, never content. Native implementations (workload
-// generator, trace reader) amortize their per-instruction costs over the
-// batch; AsBatch adapts any legacy Stream.
-type BatchStream interface {
-	Stream
-	NextBatch(buf []Instr) int
-}
-
 // MemRef is one memory operation of a warm stream: the block and whether
 // the access is a store. Functional warming needs nothing else. It aliases
 // cache.WarmRef so the L1 array can consume whole batches directly
 // (SetAssoc.WarmSweep) without a package cycle.
 type MemRef = cache.WarmRef
 
-// MemStream is the warm-mode fast path: NextMems advances the stream by up
-// to maxInstr instructions, materializing only the memory operations into
-// buf and skipping non-memory instructions as run-length counts. It returns
-// the number of MemRefs written and the total instructions consumed
-// (consumed >= n; the difference is the skipped non-memory run). The
-// stream's state after NextMems must be bit-identical to having delivered
-// the same instructions through Next — so a detailed interval can resume on
-// the same stream right after a warm stretch.
-type MemStream interface {
-	Stream
+// Stream produces a deterministic instruction sequence, delivered in
+// batches. The two methods are two views of one sequence: interleaving
+// them in any order yields the same instructions, and the stream's state
+// after either is bit-identical to having delivered the same instructions
+// one at a time — so a detailed interval can resume on the same stream
+// right after a warm stretch.
+type Stream interface {
+	// NextBatch fills a caller-owned buffer with the next len(buf)
+	// instructions and returns how many it wrote (always at least 1 for a
+	// non-empty buffer). Detailed runs consume the stream through it.
+	NextBatch(buf []Instr) int
+	// NextMems is the warm-mode view: it advances the stream by up to
+	// maxInstr instructions, materializing only the memory operations into
+	// buf and skipping non-memory instructions as run-length counts. It
+	// returns the number of MemRefs written and the total instructions
+	// consumed (consumed >= n; the difference is the skipped non-memory
+	// run), which is nonzero whenever maxInstr and len(buf) are.
 	NextMems(buf []MemRef, maxInstr uint64) (n int, consumed uint64)
-}
-
-// AsBatch adapts any Stream to BatchStream: native batchers pass through,
-// everything else is wrapped in a shim that loops Next. The shim allocates;
-// Core.run keeps a reusable one instead.
-func AsBatch(s Stream) BatchStream {
-	if bs, ok := s.(BatchStream); ok {
-		return bs
-	}
-	return &batchShim{s}
-}
-
-// batchShim adapts a scalar Stream to the batched protocol one Next call at
-// a time — the compatibility floor every Stream gets for free.
-type batchShim struct{ Stream }
-
-// NextBatch implements BatchStream.
-func (b *batchShim) NextBatch(buf []Instr) int {
-	for i := range buf {
-		buf[i] = b.Stream.Next()
-	}
-	return len(buf)
 }
 
 // Result summarizes one timed run.
@@ -180,14 +148,11 @@ type Core struct {
 	// Batched-delivery buffers, allocated lazily on first use and reused
 	// for the core's lifetime so the hot loops stay allocation-free.
 	// batch receives detailed-mode instructions (Core.run), memBuf receives
-	// warm-mode memory references (warmFast), and l2Warm collects warm-path
+	// warm-mode memory references (Core.Warm), and l2Warm collects warm-path
 	// L2 installs for bulk delivery to an l2.Warmer.
 	batch  []Instr
 	memBuf []MemRef
 	l2Warm []mem.Block
-	// shim is the reusable legacy-Stream adapter, so running a scalar
-	// stream costs no per-call allocation.
-	shim batchShim
 
 	// cancel, when set, is polled at batch boundaries during Warm and run;
 	// a non-nil return aborts the loop and is retained in cancelErr. Polling
@@ -369,16 +334,6 @@ const (
 	l2WarmCap   = 2 * memBatch
 )
 
-// Warm advances the stream n instructions functionally: L1 state and L2
-// contents update with no timing, so the measured interval starts from a
-// steady-state cache.
-//
-// Streams implementing MemStream take the fast path: non-memory
-// instructions are skipped as run-length counts inside the stream, the L1
-// touch/insert is fused into one set scan, and L2 installs are delivered in
-// bulk when the design implements l2.Warmer. Other streams take the scalar
-// reference loop. Both leave the core and L2 in bit-identical state — the
-// batched/scalar equivalence tests pin this.
 // SetWarmMissCounting gates functional L2-miss counting during Warm; see
 // the countWarmMisses field. The count is read with WarmL2Misses.
 func (c *Core) SetWarmMissCounting(on bool) { c.countWarmMisses = on }
@@ -387,71 +342,24 @@ func (c *Core) SetWarmMissCounting(on bool) { c.countWarmMisses = on }
 // core was built (only stretches with SetWarmMissCounting(true) count).
 func (c *Core) WarmL2Misses() uint64 { return c.warmL2Misses }
 
+// Warm advances the stream n instructions functionally: L1 state and L2
+// contents update with no timing, so the measured interval starts from a
+// steady-state cache.
+//
+// Each NextMems fill is driven through the L1 in one WarmSweep call, which
+// appends — in reference order — every block the L2 must observe
+// (dirty-victim writeback before the missing block's fill) to the reusable
+// spill buffer. The L2 installs a warm loop emits never feed back into L1
+// decisions, so delivering each sweep's spill in bulk (l2.WarmAll) leaves
+// the L2 exactly as per-reference Warm calls would — the batched/scalar
+// equivalence tests pin this against a per-instruction reference loop.
 func (c *Core) Warm(s Stream, n uint64) {
-	if ms, ok := s.(MemStream); ok {
-		c.warmFast(ms, n)
-		return
-	}
-	c.warmScalar(s, n)
-}
-
-// warmScalar is the per-instruction reference warm loop: every instruction
-// crosses the Stream interface, memory ops touch the L1 in two set scans,
-// and L2 installs dispatch one at a time. It defines the state evolution
-// the fast path must reproduce exactly, and remains the baseline arm of
-// BenchmarkWarmThroughput.
-func (c *Core) warmScalar(s Stream, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		if i%streamBatch == 0 && c.cancelled() {
-			return
-		}
-		in := s.Next()
-		if !in.IsMem {
-			continue
-		}
-		if idx, hit := c.l1.TouchAt(in.Block); hit {
-			if in.IsStore {
-				c.dirty[idx] = 1
-			}
-			continue
-		}
-		// L1 miss reaches the L2 functionally. The incoming block takes
-		// the victim's line, so its dirty bit is read before being
-		// overwritten with the new line's state.
-		idx, victim, evicted := c.l1.InsertAt(in.Block)
-		if evicted && c.dirty[idx] != 0 {
-			if c.countWarmMisses && !c.l2.Contains(victim) {
-				c.warmL2Misses++
-			}
-			c.l2.Warm(victim)
-		}
-		if in.IsStore {
-			c.dirty[idx] = 1
-		} else {
-			c.dirty[idx] = 0
-			if c.countWarmMisses && !c.l2.Contains(in.Block) {
-				c.warmL2Misses++
-			}
-			c.l2.Warm(in.Block)
-		}
-	}
-}
-
-// warmFast is the batched warm kernel. Each NextMems fill is driven through
-// the L1 in one WarmSweep call, which appends — in reference order — every
-// block the L2 must observe (dirty-victim writeback before the missing
-// block's fill) to the reusable spill buffer. The L2 installs a warm loop
-// emits never feed back into L1 decisions, so delivering each sweep's spill
-// through l2.Warmer.WarmBulk preserves the exact Warm-call sequence of the
-// scalar loop.
-func (c *Core) warmFast(s MemStream, n uint64) {
 	if c.memBuf == nil {
 		c.memBuf = make([]MemRef, memBatch)
 	}
 	if c.l2Warm == nil {
 		c.l2Warm = make([]mem.Block, 0, l2WarmCap)
 	}
-	warmer, bulk := c.l2.(l2.Warmer)
 	for remaining := n; remaining > 0; {
 		if c.cancelled() {
 			return
@@ -474,15 +382,7 @@ func (c *Core) warmFast(s MemStream, n uint64) {
 				}
 			}
 		}
-		if bulk {
-			if len(spill) > 0 {
-				warmer.WarmBulk(spill)
-			}
-		} else {
-			for _, b := range spill {
-				c.l2.Warm(b)
-			}
-		}
+		l2.WarmAll(c.l2, spill)
 	}
 }
 
@@ -517,9 +417,8 @@ func (c *Core) RunFrom(s Stream, n uint64, base sim.Time) Result {
 func (c *Core) Resume(s Stream, n uint64) Result { return c.run(s, n) }
 
 // run times n instructions within the current timing epoch. Instructions
-// arrive through the batched protocol: native BatchStreams fill the core's
-// reusable buffer directly; legacy Streams go through the core's resident
-// shim, so neither path allocates per call.
+// arrive in NextBatch fills of the core's reusable buffer, so the loop
+// allocates nothing per call.
 func (c *Core) run(s Stream, n uint64) Result {
 	c.res = Result{Instructions: n}
 	rob := uint64(c.sys.ROBEntries)
@@ -537,11 +436,6 @@ func (c *Core) run(s Stream, n uint64) Result {
 	backAt := (start + rob - width%rob) % rob
 	schedAt := start % sched
 	fetchCycle, fetchSlot := sim.Time(start/width), start%width
-	bs, native := s.(BatchStream)
-	if !native {
-		c.shim.Stream = s
-		bs = &c.shim
-	}
 	if c.batch == nil {
 		c.batch = make([]Instr, streamBatch)
 	}
@@ -553,7 +447,7 @@ func (c *Core) run(s Stream, n uint64) Result {
 		if want > streamBatch {
 			want = streamBatch
 		}
-		got := bs.NextBatch(c.batch[:want])
+		got := s.NextBatch(c.batch[:want])
 		if got <= 0 {
 			panic("cpu: batch stream made no progress")
 		}
@@ -616,7 +510,6 @@ func (c *Core) run(s Stream, n uint64) Result {
 			j++
 		}
 	}
-	c.shim.Stream = nil
 	c.epochInstrs = start + n
 	c.lastRetire = last
 	c.res.Cycles = last

@@ -42,6 +42,32 @@ func (s *listStream) Next() Instr {
 	return in
 }
 
+func (s *listStream) NextBatch(buf []Instr) int { return batchOf(s.Next, buf) }
+func (s *listStream) NextMems(buf []MemRef, max uint64) (int, uint64) {
+	return memsOf(s.Next, buf, max)
+}
+
+// batchOf and memsOf deliver a test stream's Next sequence through the
+// batched Stream protocol, one instruction at a time.
+func batchOf(next func() Instr, buf []Instr) int {
+	for i := range buf {
+		buf[i] = next()
+	}
+	return len(buf)
+}
+
+func memsOf(next func() Instr, buf []MemRef, max uint64) (n int, consumed uint64) {
+	for consumed < max && n < len(buf) {
+		in := next()
+		consumed++
+		if in.IsMem {
+			buf[n] = MemRef{Block: in.Block, Store: in.IsStore}
+			n++
+		}
+	}
+	return n, consumed
+}
+
 // pattern builds a loop of `period` instructions with one L2-missing load
 // (unique addresses so the L1 always misses) followed by a chain of
 // dependent ALU ops.
@@ -70,6 +96,11 @@ type uniqueLoads struct {
 func (u *uniqueLoads) Next() Instr {
 	u.addr += 997
 	return Instr{IsMem: true, Block: u.addr, Dep: u.dep}
+}
+
+func (u *uniqueLoads) NextBatch(buf []Instr) int { return batchOf(u.Next, buf) }
+func (u *uniqueLoads) NextMems(buf []MemRef, max uint64) (int, uint64) {
+	return memsOf(u.Next, buf, max)
 }
 
 func run(t *testing.T, s Stream, l2c l2.Cache, n uint64) Result {

@@ -109,26 +109,15 @@ func NewPhaseProfiler(sys config.System) *PhaseProfiler {
 	}
 }
 
-// Window consumes exactly n instructions from s and reports the window's
-// feature counts. Memory-stream sources take the fused NextMems path;
-// anything else falls back to scalar Next delivery with identical stream
-// evolution.
+// Window consumes exactly n instructions from s through NextMems and
+// reports the window's feature counts.
 func (p *PhaseProfiler) Window(s Stream, n uint64) PhaseFeatures {
 	var f PhaseFeatures
-	if ms, ok := s.(MemStream); ok {
-		for f.Instr < n {
-			cnt, consumed := ms.NextMems(p.buf, n-f.Instr)
-			f.Instr += consumed
-			for i := 0; i < cnt; i++ {
-				p.observe(&f, p.buf[i].Block, p.buf[i].Store)
-			}
-		}
-		return f
-	}
-	for ; f.Instr < n; f.Instr++ {
-		in := s.Next()
-		if in.IsMem {
-			p.observe(&f, in.Block, in.IsStore)
+	for f.Instr < n {
+		cnt, consumed := s.NextMems(p.buf, n-f.Instr)
+		f.Instr += consumed
+		for i := 0; i < cnt; i++ {
+			p.observe(&f, p.buf[i].Block, p.buf[i].Store)
 		}
 	}
 	return f

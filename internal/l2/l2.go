@@ -64,12 +64,12 @@ type Warmer interface {
 	WarmBulk(blocks []mem.Block)
 }
 
-// WarmAll is the lane-bulk warm entry point: it functionally installs
-// blocks in slice order through the design's bulk path when it implements
-// Warmer, else through per-block Warm calls. It is the one call the
-// lane-parallel warm loop makes per lane per batch, so a design's bulk
-// kernel is reached with a single dispatch however the lanes are mixed.
-// Empty batches (a batch where a lane spilled nothing) cost nothing.
+// WarmAll is the bulk warm entry point: it functionally installs blocks in
+// slice order through the design's bulk path when it implements Warmer,
+// else through per-block Warm calls. Core.Warm makes this one call per
+// sweep, and a lane-parallel warm pass makes it once per lane per sweep,
+// so a design's bulk kernel is reached with a single dispatch. Empty
+// batches (a sweep that spilled nothing) cost nothing.
 func WarmAll(c Cache, blocks []mem.Block) {
 	if len(blocks) == 0 {
 		return

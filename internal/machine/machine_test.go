@@ -25,6 +25,25 @@ func (s *sliceStream) Next() cpu.Instr {
 	return in
 }
 
+func (s *sliceStream) NextBatch(buf []cpu.Instr) int {
+	for i := range buf {
+		buf[i] = s.Next()
+	}
+	return len(buf)
+}
+
+func (s *sliceStream) NextMems(buf []cpu.MemRef, max uint64) (n int, consumed uint64) {
+	for consumed < max && n < len(buf) {
+		in := s.Next()
+		consumed++
+		if in.IsMem {
+			buf[n] = cpu.MemRef{Block: in.Block, Store: in.IsStore}
+			n++
+		}
+	}
+	return n, consumed
+}
+
 func load(b mem.Block) cpu.Instr  { return cpu.Instr{IsMem: true, Block: b} }
 func store(b mem.Block) cpu.Instr { return cpu.Instr{IsMem: true, IsStore: true, Block: b} }
 

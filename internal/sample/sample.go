@@ -181,12 +181,10 @@ type Target interface {
 // clock over the full run. observe, if non-nil, is called after each
 // detailed interval. Options must have been validated.
 //
-// Both phases ride the batched delivery protocol: the fast-forward
-// stretches take cpu.Core.Warm's MemStream fast path (non-memory
-// instructions skipped as run-length counts, bulk L2 installs), and the
-// detailed intervals consume cpu.BatchStream batches. Streams that
-// implement neither fall back to scalar Next delivery with identical
-// results.
+// Both phases ride the batched cpu.Stream protocol: the fast-forward
+// stretches take cpu.Core.Warm's NextMems path (non-memory instructions
+// skipped as run-length counts, bulk L2 installs), and the detailed
+// intervals consume NextBatch batches.
 func RunTarget(t Target, total uint64, opt Options, observe func(Interval)) Estimate {
 	n := uint64(opt.Intervals)
 	detailed := n * opt.Length

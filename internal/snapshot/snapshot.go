@@ -9,10 +9,10 @@
 // designs' Warm methods touch arrays and shadow tags only — no timing
 // resources, no statistics), so a checkpoint captures the machine exactly
 // and a restored run is bit-identical to one that re-executed the warm-up.
-// The warm-prefix capture is batch-driven (cpu.MemStream run-length
-// skipping plus l2.Warmer bulk installs), which the contract survives
-// because batching is pinned bit-identical to scalar delivery: checkpoints
-// written by scalar warm-up and batched warm-up are interchangeable.
+// The warm-prefix capture is batch-driven (NextMems run-length skipping
+// plus l2.Warmer bulk installs), which the contract survives because
+// batching is pinned bit-identical to a per-instruction reference loop:
+// the checkpoint is the one per-instruction warm-up would have written.
 //
 // One Checkpoint envelope covers machines of every width: per-core cache
 // states and stream positions, the shared L2, and (for N >= 2) the

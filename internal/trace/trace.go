@@ -127,8 +127,13 @@ func Capture(w io.WriteSeeker, s cpu.Stream, n uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < n; i++ {
-		tw.Add(s.Next())
+	buf := make([]cpu.Instr, min(n, 4096))
+	for left := n; left > 0; {
+		got := s.NextBatch(buf[:min(left, uint64(len(buf)))])
+		for _, in := range buf[:got] {
+			tw.Add(in)
+		}
+		left -= uint64(got)
 	}
 	if err := tw.Close(); err != nil {
 		return 0, err
@@ -144,6 +149,9 @@ type Reader struct {
 	pos     int
 }
 
+// maxPrealloc caps the records NewReader reserves before decoding.
+const maxPrealloc = 1 << 16
+
 // ErrBadTrace reports a malformed trace file.
 var ErrBadTrace = errors.New("trace: malformed trace")
 
@@ -158,7 +166,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
 	}
 	count := binary.LittleEndian.Uint64(hdr[4:])
-	records := make([]cpu.Instr, 0, count)
+	// The header count is untrusted: preallocating from it lets a 12-byte
+	// file demand terabytes. Records grow as they decode instead, so memory
+	// stays proportional to the bytes actually present.
+	records := make([]cpu.Instr, 0, min(count, maxPrealloc))
 	var prev uint64
 	for i := uint64(0); i < count; i++ {
 		flags, err := br.ReadByte()
@@ -193,7 +204,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Len reports the number of records in the trace.
 func (r *Reader) Len() int { return len(r.records) }
 
-// Next implements cpu.Stream, wrapping at the end of the trace.
+// Next returns the next record, wrapping at the end of the trace.
 func (r *Reader) Next() cpu.Instr {
 	in := r.records[r.pos]
 	r.pos++
@@ -203,7 +214,7 @@ func (r *Reader) Next() cpu.Instr {
 	return in
 }
 
-// NextBatch implements cpu.BatchStream: copy runs of records into buf,
+// NextBatch implements cpu.Stream: copy runs of records into buf,
 // wrapping at the trace end, so batched delivery is a memcpy instead of one
 // interface call per instruction.
 func (r *Reader) NextBatch(buf []cpu.Instr) int {
@@ -218,7 +229,7 @@ func (r *Reader) NextBatch(buf []cpu.Instr) int {
 	return len(buf)
 }
 
-// NextMems implements cpu.MemStream: scan up to maxInstr records, skipping
+// NextMems implements cpu.Stream: scan up to maxInstr records, skipping
 // non-memory instructions and materializing memory operations into buf. The
 // replay position after the call is exactly where the same instructions
 // delivered through Next would have left it.

@@ -136,10 +136,10 @@ func parsePattern(name string) pattern {
 // CMPStream is one core's instruction stream in an N-core CMP run: the
 // benchmark Generator striped into the core's private address space, with
 // an optional fraction of references redirected into a region shared by
-// every core. It implements the full delivery protocol (cpu.Stream,
-// cpu.BatchStream, cpu.MemStream); the redirect decisions draw from a
-// dedicated RNG, one draw per memory operation in stream order, so the
-// scalar, batched, and warm-mode paths stay bit-identical.
+// every core. It implements cpu.Stream and a scalar Next; the redirect
+// decisions draw from a dedicated RNG, one draw per memory operation in
+// stream order, so the scalar, batched, and warm-mode paths stay
+// bit-identical.
 type CMPStream struct {
 	g    *Generator
 	rng  *prng
@@ -252,7 +252,7 @@ func (cs *CMPStream) Next() cpu.Instr {
 	return in
 }
 
-// NextBatch implements cpu.BatchStream: the inner generator fills the
+// NextBatch implements cpu.Stream: the inner generator fills the
 // batch, then each memory operation is mapped in order — the identical
 // draw sequence Next produces.
 func (cs *CMPStream) NextBatch(buf []cpu.Instr) int {
@@ -265,7 +265,7 @@ func (cs *CMPStream) NextBatch(buf []cpu.Instr) int {
 	return n
 }
 
-// NextMems implements cpu.MemStream, keeping the warm fast path for CMP
+// NextMems implements cpu.Stream, keeping the warm fast path for CMP
 // streams: the inner fused kernel materializes the memory operations, then
 // each is mapped in order (one redirect draw per ref, as in Next).
 func (cs *CMPStream) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {

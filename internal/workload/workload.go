@@ -267,7 +267,7 @@ func (g *Generator) Next() cpu.Instr {
 	return cpu.Instr{IsMem: true, IsStore: isStore, Block: blk, Dep: dep}
 }
 
-// NextBatch implements cpu.BatchStream: it fills buf with the identical
+// NextBatch implements cpu.Stream: it fills buf with the identical
 // instruction sequence len(buf) Next calls would produce, in one pass with
 // the per-spec constants hoisted out of the loop. The batched and scalar
 // paths draw from the RNG in exactly the same order, so they are
@@ -309,7 +309,7 @@ func (g *Generator) NextBatch(buf []cpu.Instr) int {
 	return len(buf)
 }
 
-// NextMems implements cpu.MemStream, the functional-warm fast path: it
+// NextMems implements cpu.Stream, the functional-warm fast path: it
 // consumes up to maxInstr instructions, materializing only the memory
 // operations into buf and skipping the non-memory runs in between. It is a
 // fully fused kernel — the RNG words, phase variables, and credit ride in

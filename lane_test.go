@@ -1,6 +1,7 @@
 package tlc
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -16,7 +17,7 @@ func laneTestOptions() Options {
 	return Options{WarmInstructions: 150_000, RunInstructions: 40_000, Seed: 1}
 }
 
-// TestLaneScalarEquivalence is the lane engine's correctness gate: for all
+// TestLaneScalarEquivalence is the lane pass's correctness gate: for all
 // twelve benchmarks × all six designs, a run restored from a lane-parallel
 // warm pass (one shared stream warming every design at once) produces the
 // identical Result as an independent scalar run that warmed itself.
@@ -208,28 +209,33 @@ func TestWarmLanesNoOps(t *testing.T) {
 	}
 }
 
-// TestLaneWarmDoesNotAllocate pins the lane warm loop — shared stream fast
-// path, SoA sweep, per-lane bulk L2 installs — at zero allocations per call
-// once the warmer's buffers exist.
+// TestWarmLanesCancelled pins the cancellation contract: a pass whose
+// opt.Cancel fires returns an error wrapping the cause and stores no
+// checkpoint, since its lanes stopped mid-warm.
+func TestWarmLanesCancelled(t *testing.T) {
+	stop := errors.New("stop")
+	opt := laneTestOptions()
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	opt.Cancel = func() error { return stop }
+	if _, err := WarmLanes(Designs(), "mcf", opt); !errors.Is(err, stop) {
+		t.Fatalf("cancelled pass: err %v, want one wrapping %v", err, stop)
+	}
+	if st := opt.Checkpoints.Stats(); st.Puts != 0 {
+		t.Errorf("cancelled pass stored checkpoints: %+v", st)
+	}
+}
+
+// TestLaneWarmDoesNotAllocate pins the lane warm loop — shared stream with
+// its batch counter, one L1 sweep, per-lane bulk L2 installs through the
+// fan-out — at zero allocations per call once the core's buffers exist.
 func TestLaneWarmDoesNotAllocate(t *testing.T) {
 	spec, _ := workload.SpecByName("oltp")
-	designs := []Design{DesignSNUCA2, DesignTLC, DesignTLCOpt500}
-	gen := workload.New(spec, 1)
-	cores := make([]*cpu.Core, len(designs))
-	for i, d := range designs {
-		inst := build(d, Options{})
-		gen.PreWarm(inst)
-		cores[i] = cpu.New(config.DefaultSystem(), inst)
-	}
-	lw := cpu.NewLaneWarmer(cores)
-	if err := lw.Warm(gen, 200_000, nil); err != nil { // allocate the batch buffers
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := lw.Warm(gen, 50_000, nil); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
+	gen := &countingStream{Generator: workload.New(spec, 1)}
+	fan := laneFanout{build(DesignSNUCA2, Options{}), build(DesignTLC, Options{}), build(DesignTLCOpt500, Options{})}
+	gen.PreWarm(fan)
+	core := cpu.New(config.DefaultSystem(), fan)
+	core.Warm(gen, 200_000) // allocate the batch buffers
+	if allocs := testing.AllocsPerRun(10, func() { core.Warm(gen, 50_000) }); allocs != 0 {
 		t.Errorf("lane warm allocates %.2f per call, want 0", allocs)
 	}
 }
