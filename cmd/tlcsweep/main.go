@@ -11,7 +11,7 @@
 //	tlcsweep -quick         # shorter runs (tlctables -quick lengths)
 //	tlcsweep -ckptdir DIR   # persist warm-state checkpoints across runs
 //	tlcsweep -metrics FILE  # full registry dump for every simulated run
-//	tlcsweep -remote ADDR   # run the sweeps against a tlcd server or fleet
+//	tlcsweep -remote ADDR   # run the sweeps against a tlcd server
 //
 // All simulation sweeps share one warm-state checkpoint store: the memory
 // sweep's flat and banked-DRAM runs warm identically (warm-up is functional),
@@ -23,10 +23,9 @@
 // grid position and rendering stays serial. The same holds across -remote:
 // each sweep's grid goes up as one POST /v1/sweeps and streams back as
 // NDJSON, points landing in result slots by index as they complete — the
-// server (or a fleet coordinator fanning the grid across workers) executes
-// the identical deterministic simulations, and rendering is the same serial
-// code, so local, single-server, and fleet output match byte for byte (the
-// CI service-e2e and fleet-e2e jobs assert exactly this).
+// server executes the identical deterministic simulations, and rendering
+// is the same serial code, so local and served output match byte for byte
+// (the CI service-e2e job asserts exactly this).
 package main
 
 import (
@@ -153,7 +152,7 @@ func main() {
 	geometryF := flag.Bool("geometry", false, "transmission-line geometry acceptance")
 	contentionF := flag.Bool("contention", false, "CMP contention sweep: cycles and coherence traffic vs core count")
 	quick := flag.Bool("quick", false, "shorter runs: 2M warm / 200K timed instructions")
-	remote := flag.String("remote", "", "run simulations on a tlcd server or fleet coordinator at this base URL")
+	remote := flag.String("remote", "", "run simulations on a tlcd server at this base URL")
 	accel := cliopt.Register()
 	flag.Parse()
 
@@ -279,11 +278,11 @@ func localGrid() func([]runSpec) ([]tlc.Result, []tlc.MetricsSnapshot, []float64
 	}
 }
 
-// remoteGrid executes grids on a tlcd server or fleet coordinator: one
-// streaming sweep request per grid, NDJSON points filling result slots by
-// index as they complete. Identical configurations coalesce and cache
-// server-side; records embed the complete tlc.Result, so the sweeps render
-// exactly what a local run produces.
+// remoteGrid executes grids on a tlcd server: one streaming sweep request
+// per grid, NDJSON points filling result slots by index as they complete.
+// Identical configurations coalesce and cache server-side; records embed
+// the complete tlc.Result, so the sweeps render exactly what a local run
+// produces.
 func remoteGrid(base string) func([]runSpec) ([]tlc.Result, []tlc.MetricsSnapshot, []float64, error) {
 	c := client.New(base, &http.Client{})
 	if err := c.Health(context.Background()); err != nil {
@@ -429,7 +428,7 @@ func seedSweep(bench string) {
 // grid: all six designs at 1, 2, and 4 cores on one benchmark, with the
 // sharing pattern taken from the -sharing flags. The grid goes through
 // runGrid, so the figure computes identically in process and against a
-// tlcd server or fleet (-remote); coherence traffic comes from the
+// tlcd server (-remote); coherence traffic comes from the
 // per-point metric snapshots, which the service embeds in its records.
 func contentionSweep(bench string) {
 	points := experiments.ContentionGrid(tlc.Designs(), experiments.ContentionCoreCounts())

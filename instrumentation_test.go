@@ -2,67 +2,8 @@ package tlc
 
 import (
 	"sort"
-	"sync/atomic"
 	"testing"
-
-	"tlc/internal/probe"
 )
-
-// TestProbeHooksObserveTimedAccesses installs both probe callbacks and
-// checks they see exactly the timed interval's traffic: warm-up is
-// functional (Warm, not Access), so the access-event count must equal the
-// Result's L2 load + store counts, and a mesh design must route at least
-// one message per L2 access.
-func TestProbeHooksObserveTimedAccesses(t *testing.T) {
-	var accesses, hits, messages atomic.Uint64
-	opt := DefaultOptions()
-	opt.RunInstructions = 200_000
-	opt.Probe = &ProbeHooks{
-		OnAccess: func(ev probe.AccessEvent) {
-			accesses.Add(1)
-			if ev.Hit {
-				hits.Add(1)
-			}
-		},
-		OnMessage: func(ev probe.MessageEvent) { messages.Add(1) },
-	}
-	res, err := Run(DesignSNUCA2, "gcc", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := accesses.Load(), res.L2Loads+res.L2Stores; got != want {
-		t.Errorf("OnAccess fired %d times, want L2Loads+L2Stores = %d", got, want)
-	}
-	if hits.Load() == 0 {
-		t.Error("no access event reported Hit after warm-up")
-	}
-	if messages.Load() == 0 {
-		t.Error("OnMessage never fired on a mesh design")
-	}
-}
-
-// TestProbeHooksDoNotPerturbResults runs the same configuration with and
-// without probes installed; the hooks are observers only, so every Result
-// field must be identical.
-func TestProbeHooksDoNotPerturbResults(t *testing.T) {
-	opt := DefaultOptions()
-	opt.RunInstructions = 200_000
-	base, err := Run(DesignTLC, "gcc", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Probe = &ProbeHooks{
-		OnAccess:  func(probe.AccessEvent) {},
-		OnMessage: func(probe.MessageEvent) {},
-	}
-	probed, err := Run(DesignTLC, "gcc", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != probed {
-		t.Errorf("probe hooks changed the result:\nwithout: %+v\nwith:    %+v", base, probed)
-	}
-}
 
 // TestOnMetricsSnapshotMatchesResult checks the registry snapshot delivered
 // to OnMetrics agrees with the Result assembled from the same registry: the

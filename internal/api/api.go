@@ -35,7 +35,7 @@ func Decode(r io.Reader, v any) error {
 // Zero-valued WarmInstructions, RunInstructions, and Seed take the
 // tlc.DefaultOptions values (automatic warm-up, 2 M timed instructions,
 // seed 1); every other zero field means exactly zero. The non-serializable
-// Options fields (Checkpoints, OnMetrics, Probe, Cancel) are the server's
+// Options fields (Checkpoints, OnMetrics, Cancel) are the server's
 // business: they change how a run executes, never what it computes.
 type RunOptions struct {
 	WarmInstructions uint64  `json:"warm_instructions,omitempty"`
@@ -197,12 +197,9 @@ type RunRecord struct {
 	Result *tlc.Result `json:"result,omitempty"`
 
 	// Cached marks a response served from the result cache (no simulation
-	// work); Coalesced marks one that joined an identical in-flight run;
-	// PeerFilled marks one a fleet worker pulled from a peer's result cache
-	// instead of simulating.
-	Cached     bool `json:"cached,omitempty"`
-	Coalesced  bool `json:"coalesced,omitempty"`
-	PeerFilled bool `json:"peer_filled,omitempty"`
+	// work); Coalesced marks one that joined an identical in-flight run.
+	Cached    bool `json:"cached,omitempty"`
+	Coalesced bool `json:"coalesced,omitempty"`
 }
 
 // RecordFrom builds a run record from an in-process result. sres may be nil
@@ -255,10 +252,9 @@ func (r RunRecord) ToResult() (tlc.Result, error) {
 }
 
 // SweepRequest is the POST /v1/sweeps body: an explicit list of grid
-// points. A sweep is one request however large the grid — the server (or
-// the fleet coordinator) owns scheduling and backpressure internally and
-// streams points back as they land, so the client never runs a retry loop
-// per point.
+// points. A sweep is one request however large the grid — the server owns
+// scheduling and backpressure internally and streams points back as they
+// land, so the client never runs a retry loop per point.
 type SweepRequest struct {
 	Points []RunRequest `json:"points"`
 }
@@ -284,30 +280,6 @@ type SweepPoint struct {
 	Index  int        `json:"index"`
 	Record *RunRecord `json:"record,omitempty"`
 	Error  string     `json:"error,omitempty"`
-}
-
-// RegisterRequest is the POST /v1/workers body a worker sends the fleet
-// coordinator: the base URL peers and the coordinator reach it at.
-// Registration is an idempotent upsert and doubles as a heartbeat.
-type RegisterRequest struct {
-	BaseURL string `json:"base_url"`
-}
-
-// WorkerState is one worker as the coordinator sees it. Liveness and
-// readiness are distinct: a draining worker is alive (it still answers
-// cache lookups, and its in-flight runs will complete) but not ready (it
-// must stop receiving new keys).
-type WorkerState struct {
-	BaseURL string `json:"base_url"`
-	Alive   bool   `json:"alive"`
-	Ready   bool   `json:"ready"`
-}
-
-// FleetState is the coordinator's membership view: the GET /v1/workers
-// response and the reply to a registration, so one heartbeat round-trip
-// also refreshes the member's ring.
-type FleetState struct {
-	Workers []WorkerState `json:"workers"`
 }
 
 // Error is the JSON error body every non-2xx service response carries.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -39,11 +40,6 @@ type Client struct {
 	// guaranteed 429s. Bound total waiting with the request context instead.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// RetryStatus, when non-nil, overrides the default retryable-status
-	// predicate. The fleet coordinator uses it to fail over immediately on
-	// 503 (a draining worker stays 503 until it exits — retrying it is
-	// wasted time) while still honoring 429 backpressure from a busy one.
-	RetryStatus func(status int) bool
 }
 
 // New builds a client for the server at base (e.g. "http://127.0.0.1:8080").
@@ -84,16 +80,21 @@ func retryable(status int) bool {
 	return false
 }
 
+// maxRetryAfterSecs is the longest delay-seconds value a time.Duration
+// can hold (about 292 years).
+const maxRetryAfterSecs = int64(math.MaxInt64 / time.Second)
+
 // parseRetryAfter resolves a Retry-After header in either RFC 9110 form:
 // delay-seconds ("120") or an HTTP-date ("Fri, 31 Dec 1999 23:59:59 GMT").
-// Non-positive delays — a date already past, or "0" — report false, so the
-// caller falls back to exponential backoff rather than spinning.
+// Non-positive delays — a date already past, or "0" — and delay-seconds
+// too large for a time.Duration report false, so the caller falls back to
+// exponential backoff rather than spinning.
 func parseRetryAfter(ra string) (time.Duration, bool) {
 	if ra == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(ra); err == nil {
-		if secs <= 0 {
+	if secs, err := strconv.ParseInt(ra, 10, 64); err == nil {
+		if secs <= 0 || secs > maxRetryAfterSecs {
 			return 0, false
 		}
 		return time.Duration(secs) * time.Second, true
@@ -154,11 +155,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 					apiErr.Error = strings.TrimSpace(string(data))
 				}
 				serr := &StatusError{Status: resp.StatusCode, Msg: apiErr.Error}
-				retry := c.RetryStatus
-				if retry == nil {
-					retry = retryable
-				}
-				if !retry(resp.StatusCode) {
+				if !retryable(resp.StatusCode) {
 					return serr
 				}
 				lastErr = serr
@@ -206,32 +203,14 @@ func (c *Client) Run(ctx context.Context, req api.RunRequest) (api.RunRecord, er
 	return rec, nil
 }
 
-// RunBlocking is Run with server-side blocking admission (?block=1): a
-// full queue parks the run behind the backlog instead of answering 429.
-// The fleet coordinator uses it for sweep grid fills, where backpressure
-// should queue — mirroring how a single server's own figure and sweep
-// handlers enqueue internally.
-func (c *Client) RunBlocking(ctx context.Context, req api.RunRequest) (api.RunRecord, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return api.RunRecord{}, err
-	}
-	var rec api.RunRecord
-	if err := c.do(ctx, http.MethodPost, "/v1/runs?block=1", body, &rec); err != nil {
-		return api.RunRecord{}, err
-	}
-	return rec, nil
-}
-
 // Sweep streams a grid through POST /v1/sweeps: one request, NDJSON back,
 // fn called once per completed point in completion order (Index joins a
 // point to the request). A non-nil fn error abandons the stream.
 //
 // The stream is not retried: a sweep is not an idempotent replayable body
-// once points have been consumed, and against a fleet coordinator the
-// failover happens server-side per point. A torn connection surfaces as an
-// error; the caller re-issues the sweep, and the fleet's result caches
-// make the replay cheap.
+// once points have been consumed. A torn connection surfaces as an error;
+// the caller re-issues the sweep, and the server's result cache makes the
+// replay cheap.
 func (c *Client) Sweep(ctx context.Context, sreq api.SweepRequest, fn func(api.SweepPoint) error) error {
 	body, err := json.Marshal(sreq)
 	if err != nil {
@@ -271,30 +250,6 @@ func (c *Client) Sweep(ctx context.Context, sreq api.SweepRequest, fn func(api.S
 	}
 }
 
-// RegisterWorker announces a worker to a fleet coordinator (idempotent
-// upsert, doubling as a heartbeat) and returns the coordinator's current
-// membership view, so one round-trip also refreshes the caller's ring.
-func (c *Client) RegisterWorker(ctx context.Context, baseURL string) (api.FleetState, error) {
-	body, err := json.Marshal(api.RegisterRequest{BaseURL: baseURL})
-	if err != nil {
-		return api.FleetState{}, err
-	}
-	var state api.FleetState
-	if err := c.do(ctx, http.MethodPost, "/v1/workers", body, &state); err != nil {
-		return api.FleetState{}, err
-	}
-	return state, nil
-}
-
-// Workers fetches a fleet coordinator's membership view.
-func (c *Client) Workers(ctx context.Context) (api.FleetState, error) {
-	var state api.FleetState
-	if err := c.do(ctx, http.MethodGet, "/v1/workers", nil, &state); err != nil {
-		return api.FleetState{}, err
-	}
-	return state, nil
-}
-
 // Result is Run reduced to the tlc.Result an in-process run would return.
 func (c *Client) Result(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (tlc.Result, error) {
 	rec, err := c.Run(ctx, api.RunRequest{
@@ -321,22 +276,6 @@ func (c *Client) GetRun(ctx context.Context, id string) (api.RunRecord, bool, er
 		return api.RunRecord{}, false, err
 	}
 	return rec, true, nil
-}
-
-// GetProfile looks up a cached phase profile by its content key. A 404 —
-// the peer has not profiled that workload (or evicted it) — maps to
-// ok=false rather than an error.
-func (c *Client) GetProfile(ctx context.Context, key string) (tlc.PhaseProfile, bool, error) {
-	var prof tlc.PhaseProfile
-	err := c.do(ctx, http.MethodGet, "/v1/profiles/"+key, nil, &prof)
-	if err != nil {
-		var serr *StatusError
-		if errors.As(err, &serr) && serr.Status == http.StatusNotFound {
-			return tlc.PhaseProfile{}, false, nil
-		}
-		return tlc.PhaseProfile{}, false, err
-	}
-	return prof, true, nil
 }
 
 // Figure fetches a rendered table/figure as text.

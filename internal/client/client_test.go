@@ -130,28 +130,10 @@ func TestRetryAfterDateInPast(t *testing.T) {
 	if _, ok := parseRetryAfter("garbage"); ok {
 		t.Fatal("unparseable Retry-After treated as a wait")
 	}
-}
-
-// TestRetryStatusOverride: a custom predicate can exclude 503 from retry
-// (the coordinator's fail-fast failover path) without touching 429.
-func TestRetryStatusOverride(t *testing.T) {
-	var calls atomic.Int64
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(api.Error{Error: "server is draining"})
-	}))
-	defer hs.Close()
-
-	c := fastClient(hs.URL)
-	c.RetryStatus = func(status int) bool { return status == http.StatusTooManyRequests }
-	_, err := c.Run(context.Background(), api.RunRequest{Design: "TLC", Benchmark: "gcc"})
-	var serr *StatusError
-	if !errors.As(err, &serr) || serr.Status != http.StatusServiceUnavailable {
-		t.Fatalf("err = %v, want immediate 503 StatusError", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("%d requests, want 1 (503 excluded from retry)", got)
+	// 10^10 s overflows time.Duration: multiplied out it wraps negative,
+	// and a negative wait would burn every retry with no backoff at all.
+	if d, ok := parseRetryAfter("10000000000"); ok {
+		t.Fatalf("overflowing delay-seconds parsed as a %v wait, want fallback to backoff", d)
 	}
 }
 

@@ -6,8 +6,8 @@ package experiments
 // invalidations, downgrades, writebacks) plus the cycles requests spent
 // delayed in shared-L2 arbitration. cmd/tlctables renders it via -only
 // contention and cmd/tlcsweep -contention sweeps the same grid (locally or
-// through a tlcd fleet); both go through ContentionTable, so their output
-// is byte-identical per cell.
+// through tlcd); both go through ContentionTable, so their output is
+// byte-identical per cell.
 
 import (
 	"sync"

@@ -15,7 +15,6 @@ package l2
 import (
 	"tlc/internal/mem"
 	"tlc/internal/metrics"
-	"tlc/internal/probe"
 	"tlc/internal/sim"
 )
 
@@ -94,9 +93,6 @@ type Instrumented interface {
 	L2Stats() *Stats
 	// Metrics exposes the run's metric registry.
 	Metrics() *metrics.Registry
-	// SetProbe installs (or clears, with nil) event hooks. Designs emit
-	// per-access and per-message events only while hooks are set.
-	SetProbe(*probe.Hooks)
 }
 
 // State is an opaque, design-specific snapshot of a cache's functional

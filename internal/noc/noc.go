@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"tlc/internal/metrics"
-	"tlc/internal/probe"
 	"tlc/internal/sim"
 )
 
@@ -79,8 +78,6 @@ type Mesh struct {
 	SpineFlitSegs, VertFlitSegs uint64
 	// HeaderFlits counts routed messages (one header each).
 	Messages uint64
-
-	hooks *probe.Hooks
 }
 
 // New builds a mesh for the given floorplan.
@@ -115,9 +112,6 @@ func (m *Mesh) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("noc.vert.flits", func() uint64 { return m.VertFlitSegs })
 	r.CounterFunc("noc.link_busy_cycles", func() uint64 { return uint64(m.TotalLinkBusyCycles()) })
 }
-
-// SetProbe installs (or clears, with nil) event hooks for routed messages.
-func (m *Mesh) SetProbe(h *probe.Hooks) { m.hooks = h }
 
 // side reports which spine side column c hangs off.
 func (m *Mesh) side(c int) int {
@@ -165,13 +159,6 @@ func (m *Mesh) Route(at sim.Time, col, row int, payloadBytes int, dir Dir) sim.T
 	}
 	fl := m.flits(payloadBytes)
 	m.Messages++
-	if h := m.hooks; h != nil && h.OnMessage != nil {
-		kind := probe.Request
-		if dir == ToController {
-			kind = probe.Response
-		}
-		h.OnMessage(probe.MessageEvent{At: at, Kind: kind, Bytes: payloadBytes})
-	}
 	side := m.side(col)
 	t := at
 	if dir == ToBank {
@@ -213,9 +200,6 @@ func (m *Mesh) RouteBetween(at sim.Time, col, fromRow, toRow, payloadBytes int) 
 	}
 	fl := m.flits(payloadBytes)
 	m.Messages++
-	if h := m.hooks; h != nil && h.OnMessage != nil {
-		h.OnMessage(probe.MessageEvent{At: at, Kind: probe.Migration, Bytes: payloadBytes})
-	}
 	t := at
 	if toRow > fromRow {
 		for r := fromRow + 1; r <= toRow; r++ {

@@ -9,7 +9,6 @@ import (
 	"tlc/internal/mem"
 	"tlc/internal/metrics"
 	"tlc/internal/noc"
-	"tlc/internal/probe"
 	"tlc/internal/sim"
 )
 
@@ -74,8 +73,7 @@ type DNUCA struct {
 	Searches   stats64
 	Writebacks stats64
 
-	reg   *metrics.Registry
-	hooks *probe.Hooks
+	reg *metrics.Registry
 }
 
 // stats64 is a plain counter; a named type keeps the field list readable.
@@ -132,12 +130,6 @@ func NewDNUCA(memLat sim.Time) *DNUCA {
 
 // Metrics implements l2.Instrumented.
 func (d *DNUCA) Metrics() *metrics.Registry { return d.reg }
-
-// SetProbe implements l2.Instrumented: hooks propagate to the mesh.
-func (d *DNUCA) SetProbe(h *probe.Hooks) {
-	d.hooks = h
-	d.mesh.SetProbe(h)
-}
 
 // Mesh exposes the interconnect for power/utilization accounting.
 func (d *DNUCA) Mesh() *noc.Mesh { return d.mesh }
@@ -250,22 +242,13 @@ func (d *DNUCA) NominalRange() (min, max sim.Time) {
 	return min, max
 }
 
-// emitAccess publishes one access outcome to the probe hooks, if set.
-func (d *DNUCA) emitAccess(at sim.Time, b mem.Block, store, hit bool, latency uint64, banks int) {
-	if h := d.hooks; h != nil && h.OnAccess != nil {
-		h.OnAccess(probe.AccessEvent{At: at, Block: b, Store: store, Hit: hit, Latency: latency, Banks: banks})
-	}
-}
-
 // Access implements l2.Cache.
 func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	col := d.colOf(req.Block)
 	local := d.local(req.Block)
 
 	if req.Type == mem.Store {
-		out := d.store(at, col, local)
-		d.emitAccess(at, req.Block, true, out.Hit, 0, out.BanksAccessed)
-		return out
+		return d.store(at, col, local)
 	}
 
 	// Probe the two closest banks and the partial tags in parallel. The
@@ -311,7 +294,6 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 			d.promote(resolve, col, actualRow, local)
 		}
 		d.RecordLoad(uint64(resolve-at), true, predictable, closeRows)
-		d.emitAccess(at, req.Block, false, true, uint64(resolve-at), closeRows)
 		return l2.Outcome{Hit: true, ResolveAt: resolve, CompleteAt: resolve, Predictable: predictable, BanksAccessed: closeRows}
 	}
 
@@ -333,7 +315,6 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 		complete := d.memory.Fetch(resolve, req.Block)
 		d.fill(complete, col, local)
 		d.RecordLoad(uint64(resolve-at), false, predictable, closeRows)
-		d.emitAccess(at, req.Block, false, false, uint64(resolve-at), closeRows)
 		return l2.Outcome{Hit: false, ResolveAt: resolve, CompleteAt: complete, Predictable: predictable, BanksAccessed: closeRows}
 	}
 
@@ -376,13 +357,11 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 			d.promote(resolve, col, actualRow, local)
 		}
 		d.RecordLoad(uint64(resolve-at), true, false, banksTouched)
-		d.emitAccess(at, req.Block, false, true, uint64(resolve-at), banksTouched)
 		return l2.Outcome{Hit: true, ResolveAt: resolve, CompleteAt: resolve, BanksAccessed: banksTouched}
 	}
 	complete := d.memory.Fetch(resolve, req.Block)
 	d.fill(complete, col, local)
 	d.RecordLoad(uint64(resolve-at), false, false, banksTouched)
-	d.emitAccess(at, req.Block, false, false, uint64(resolve-at), banksTouched)
 	return l2.Outcome{Hit: false, ResolveAt: resolve, CompleteAt: complete, BanksAccessed: banksTouched}
 }
 

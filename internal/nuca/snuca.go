@@ -12,7 +12,6 @@ import (
 	"tlc/internal/mem"
 	"tlc/internal/metrics"
 	"tlc/internal/noc"
-	"tlc/internal/probe"
 	"tlc/internal/sim"
 )
 
@@ -38,8 +37,7 @@ type SNUCA struct {
 	// Writebacks counts victim blocks sent back toward memory.
 	Writebacks uint64
 
-	reg   *metrics.Registry
-	hooks *probe.Hooks
+	reg *metrics.Registry
 }
 
 // NewSNUCA builds the SNUCA2 design with the given memory latency.
@@ -66,12 +64,6 @@ func NewSNUCA(memLat sim.Time) *SNUCA {
 
 // Metrics implements l2.Instrumented.
 func (s *SNUCA) Metrics() *metrics.Registry { return s.reg }
-
-// SetProbe implements l2.Instrumented: hooks propagate to the mesh.
-func (s *SNUCA) SetProbe(h *probe.Hooks) {
-	s.hooks = h
-	s.mesh.SetProbe(h)
-}
 
 // Mesh exposes the interconnect for power/utilization accounting.
 func (s *SNUCA) Mesh() *noc.Mesh { return s.mesh }
@@ -143,9 +135,6 @@ func (s *SNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 			s.writeback(done, col, row, victim, idx)
 		}
 		s.RecordStore(present, 1)
-		if h := s.hooks; h != nil && h.OnAccess != nil {
-			h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Store: true, Hit: present, Banks: 1})
-		}
 		return l2.Outcome{Hit: present, ResolveAt: at, CompleteAt: at, Predictable: true, BanksAccessed: 1}
 	}
 
@@ -165,9 +154,6 @@ func (s *SNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 		s.fill(out.CompleteAt, req.Block)
 	}
 	s.RecordLoad(uint64(resolve-at), hit, predictable, 1)
-	if h := s.hooks; h != nil && h.OnAccess != nil {
-		h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Hit: hit, Latency: uint64(resolve - at), Banks: 1})
-	}
 	return out
 }
 

@@ -11,8 +11,7 @@ package sample
 // System"). Everything here is bit-deterministic for a fixed profile key:
 // the k-means seeding derives from the key via splitmix64, iteration
 // bounds are fixed, and every tie breaks toward the lowest index — so a
-// profile recomputed anywhere in a fleet selects the same intervals as one
-// fetched from a peer.
+// recomputed profile selects the same intervals as a cached one.
 
 import (
 	"fmt"
@@ -32,7 +31,7 @@ const ProfileFormat = 1
 // vectors, their cluster assignment, and the selected representative
 // window per cluster. It is design-independent (features come from shadow
 // caches of the fixed system geometry), so one profile serves every design
-// of a benchmark — and, cached by content key, the whole fleet. All fields
+// of a benchmark — and, cached by content key, every later run. All fields
 // are exported for gob/JSON round-tripping; interval selection rides only
 // on the integer fields, so a profile survives any wire encoding intact.
 type Profile struct {

@@ -18,21 +18,18 @@ import (
 
 // Handler returns the service's HTTP interface:
 //
-//	POST /v1/runs            run (or fetch) one configuration (?block=1
-//	                         queues behind a full pool instead of 429)
-//	GET  /v1/runs/{id}       look up a completed run by content address
-//	POST /v1/sweeps          run a grid, streamed back as NDJSON
-//	GET  /v1/profiles/{key}  look up a cached phase profile by content key
-//	GET  /v1/figures/{fig}   render a paper table/figure (text/plain)
-//	GET  /healthz            liveness (200 for the process lifetime)
-//	GET  /readyz             readiness (503 while draining)
-//	GET  /metricz            the server's own counters, as JSON
+//	POST /v1/runs           run (or fetch) one configuration
+//	GET  /v1/runs/{id}      look up a completed run by content address
+//	POST /v1/sweeps         run a grid, streamed back as NDJSON
+//	GET  /v1/figures/{fig}  render a paper table/figure (text/plain)
+//	GET  /healthz           liveness (200 for the process lifetime)
+//	GET  /readyz            readiness (503 while draining)
+//	GET  /metricz           the server's own counters, as JSON
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleRun)
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleGetRun)
 	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
-	mux.HandleFunc("GET /v1/profiles/{key}", s.handleGetProfile)
 	mux.HandleFunc("GET /v1/figures/{fig}", s.handleFigure)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /readyz", s.handleReady)
@@ -78,10 +75,8 @@ func writeError(w http.ResponseWriter, e *httpError) {
 }
 
 // handleRun is POST /v1/runs: decode, bound by the request deadline, and
-// submit through cache → coalesce → queue. ?block=1 turns a full queue
-// into a ctx-bounded blocking enqueue instead of a 429 — the fleet
-// coordinator uses it when dispatching sweep grid points, mirroring how a
-// single server's own figure/sweep handlers enqueue internally.
+// submit through cache → coalesce → queue. A full queue answers 429 with
+// a Retry-After estimate.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
 	if err := api.Decode(r.Body, &req); err != nil {
@@ -96,7 +91,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	rec, herr := s.submit(ctx, req, r.URL.Query().Get("block") == "1")
+	rec, herr := s.submit(ctx, req, false)
 	if herr != nil {
 		writeError(w, herr)
 		return
@@ -186,21 +181,6 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.Cached = true
 	writeJSON(w, http.StatusOK, rec)
-}
-
-// handleGetProfile is GET /v1/profiles/{key}: a pure phase-profile lookup
-// (memory or disk — Peek, never the fill hook), so a fleet peer asking
-// this node can only ever read what a local phase run already computed;
-// profile fetches never cascade. Absent means "not profiled yet (or
-// evicted)".
-func (s *Server) handleGetProfile(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	prof, ok := s.cfg.Profiles.Peek(key)
-	if !ok {
-		writeError(w, &httpError{status: 404, msg: "no cached phase profile with key " + key})
-		return
-	}
-	writeJSON(w, http.StatusOK, prof)
 }
 
 // figureGrid lists the (designs × benchmarks) a simulated figure needs.
@@ -342,11 +322,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth is GET /healthz: pure liveness — 200 for as long as the
-// process serves HTTP, including while draining. A draining worker is not
+// process serves HTTP, including while draining. A draining server is not
 // dead: its in-flight runs complete and its result cache still answers
-// peer-fill lookups. Routing eligibility is /readyz's job, so a fleet
-// coordinator can stop sending a draining worker new keys without
-// declaring it dead and reassigning its whole arc early.
+// GET /v1/runs/{id}. Accepting new runs is /readyz's job.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	if s.Draining() {

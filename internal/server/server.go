@@ -58,24 +58,13 @@ type Config struct {
 	CheckpointDir string
 	// Profiles is the shared phase-profile store every phase-sampled run
 	// uses (an in-memory store is built when nil; CheckpointDir adds its
-	// disk tier too). GET /v1/profiles/{key} serves from it — Peek only, so
-	// a fleet's peer profile fetch can never recurse into computation.
+	// disk tier too).
 	Profiles *tlc.PhaseProfileStore
 	// BaseOptions are the options figure endpoints run with, and the
 	// defaults RunOptions expand against conceptually (clients always send
 	// explicit options; BaseOptions only drive /v1/figures). Zero means
 	// tlc.DefaultOptions.
 	BaseOptions tlc.Options
-
-	// PeerFill, when set, is consulted once per admitted flight after the
-	// local cache missed and coalescing collapsed the waiters — immediately
-	// before simulating. In a fleet, internal/fleet.Member wires it to a
-	// pure cache lookup (GET /v1/runs/{key}) on the node that owned the key
-	// before this worker joined the ring, so a rebalanced ring pulls
-	// results sideways instead of re-running the world. Returning false
-	// (peer missing, down, or also cold) falls through to local execution —
-	// peer fill is an optimization, never a dependency.
-	PeerFill func(ctx context.Context, key string) (api.RunRecord, bool)
 
 	// execute overrides run execution, for tests. The default executes
 	// through a per-options experiments.Suite.
@@ -108,24 +97,22 @@ type Server struct {
 	settled chan struct{}
 	sending sync.WaitGroup
 
-	// nInFlight counts flights a worker is currently running (peer fill or
-	// execution). It feeds the Retry-After estimate: only busy workers
-	// contribute backlog, so the first 429 after a quiet period does not
-	// charge the client for a full pool of idle workers.
+	// nInFlight counts flights a worker is currently executing. It feeds
+	// the Retry-After estimate: only busy workers contribute backlog, so
+	// the first 429 after a quiet period does not charge the client for a
+	// full pool of idle workers.
 	nInFlight atomic.Int64
 
 	// Counters behind /metricz; atomics so the HTTP paths never contend
 	// with the worker pool on mu for bookkeeping.
-	nRequested  atomic.Uint64
-	nExecuted   atomic.Uint64
-	nCacheHits  atomic.Uint64
-	nCoalesced  atomic.Uint64
-	nRejected   atomic.Uint64
-	nDeadline   atomic.Uint64
-	nFailed     atomic.Uint64
-	nHTTP       atomic.Uint64
-	nPeerFills  atomic.Uint64
-	nPeerMisses atomic.Uint64
+	nRequested atomic.Uint64
+	nExecuted  atomic.Uint64
+	nCacheHits atomic.Uint64
+	nCoalesced atomic.Uint64
+	nRejected  atomic.Uint64
+	nDeadline  atomic.Uint64
+	nFailed    atomic.Uint64
+	nHTTP      atomic.Uint64
 
 	// Lane-parallel warm phase: sweep and figure grids are planned into
 	// shared-stream groups and warmed once per group before their points
@@ -245,8 +232,6 @@ func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("server.runs.rejected", s.nRejected.Load)
 	s.reg.CounterFunc("server.runs.deadline_exceeded", s.nDeadline.Load)
 	s.reg.CounterFunc("server.runs.failed", s.nFailed.Load)
-	s.reg.CounterFunc("server.runs.peer_fills", s.nPeerFills.Load)
-	s.reg.CounterFunc("server.runs.peer_fill_misses", s.nPeerMisses.Load)
 	s.reg.CounterFunc("server.http.requests", s.nHTTP.Load)
 	s.reg.Gauge("server.runs.inflight", func(sim.Time) float64 { return float64(s.nInFlight.Load()) })
 	s.reg.Gauge("server.queue.depth", func(sim.Time) float64 { return float64(len(s.queue)) })
@@ -259,7 +244,6 @@ func (s *Server) registerMetrics() {
 	pr := s.cfg.Profiles
 	s.reg.CounterFunc("server.profiles.hits", func() uint64 { return pr.Stats().Hits })
 	s.reg.CounterFunc("server.profiles.misses", func() uint64 { return pr.Stats().Misses })
-	s.reg.CounterFunc("server.profiles.fill_hits", func() uint64 { return pr.Stats().FillHits })
 	// The sim.lanes.* spine: how much grid warm-up the lane-parallel
 	// passes absorbed (/metricz exposes these next to the run counters).
 	s.reg.CounterFunc("sim.lanes.groups", s.nLaneGroups.Load)
@@ -477,34 +461,10 @@ func (s *Server) worker() {
 	}
 }
 
-// runOne executes one flight and publishes its outcome. With a PeerFill
-// hook configured (fleet worker mode), the flight first tries to pull the
-// result from the key's previous owner — a pure peer-cache lookup — and
-// only simulates when no peer has it. The hook runs here, after the local
-// cache and coalescing layers, so N concurrent requests for a remapped key
-// cost one peer round-trip, not N.
+// runOne executes one flight and publishes its outcome.
 func (s *Server) runOne(f *runFlight) {
 	s.nInFlight.Add(1)
 	defer s.nInFlight.Add(-1)
-
-	if s.cfg.PeerFill != nil && f.ctx.Err() == nil {
-		if rec, ok := s.cfg.PeerFill(f.ctx, f.key); ok {
-			s.nPeerFills.Add(1)
-			rec.ID = f.key
-			rec.Cached = false
-			rec.PeerFilled = true
-			f.rec = rec
-			s.mu.Lock()
-			s.cache.add(f.key, f.rec)
-			if s.flights[f.key] == f {
-				delete(s.flights, f.key)
-			}
-			s.mu.Unlock()
-			close(f.done)
-			return
-		}
-		s.nPeerMisses.Add(1)
-	}
 
 	start := time.Now()
 	rec, err := s.cfg.execute(f.ctx, f.design, f.bench, f.opt)

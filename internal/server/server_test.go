@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +16,6 @@ import (
 
 	"tlc"
 	"tlc/internal/api"
-	"tlc/internal/client"
 )
 
 // tinyOptions keeps real simulations fast where a test needs one.
@@ -471,8 +469,8 @@ func TestDrain(t *testing.T) {
 	}
 
 	// Liveness and readiness split: a draining server is alive (healthz
-	// 200 — its cache still answers peer fills) but not ready (readyz 503 —
-	// a coordinator must stop routing new keys to it).
+	// 200 — its cache still answers lookups) but not ready (readyz 503 —
+	// it takes no new runs).
 	if resp, err := http.Get(hs.URL + "/healthz"); err == nil {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
@@ -819,79 +817,6 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	}
 }
 
-// TestPeerFillServesWithoutExecuting: with a PeerFill hook that has the
-// record, an admitted run is answered from the peer — zero local
-// executions, the record cached locally for the next hit — and when the
-// hook misses, the run falls through to local simulation.
-func TestPeerFillServesWithoutExecuting(t *testing.T) {
-	var executions, fills atomic.Uint64
-	peerRec := api.RunRecord{Design: "TLC", Benchmark: "gcc", Cycles: 77, Cached: true}
-	s, hs := newTestServer(t, Config{
-		Workers: 1,
-		PeerFill: func(ctx context.Context, key string) (api.RunRecord, bool) {
-			fills.Add(1)
-			if key == mustKey(t, api.RunRequest{Design: "TLC", Benchmark: "gcc"}) {
-				return peerRec, true
-			}
-			return api.RunRecord{}, false
-		},
-		execute: func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
-			executions.Add(1)
-			return stubRecord(d, bench), nil
-		},
-	})
-
-	// Peer has gcc: served via peer fill, not executed.
-	resp, data := postRun(t, hs.URL, api.RunRequest{Design: "TLC", Benchmark: "gcc"}, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-filled run: status %d (%s)", resp.StatusCode, data)
-	}
-	rec := decodeRecord(t, data)
-	if !rec.PeerFilled || rec.Cached || rec.Cycles != 77 {
-		t.Fatalf("peer-filled record = %+v, want PeerFilled=true Cached=false Cycles=77", rec)
-	}
-	if executions.Load() != 0 {
-		t.Fatal("peer fill still executed locally")
-	}
-	if got := counter(t, s, "server.runs.peer_fills"); got != 1 {
-		t.Errorf("peer_fills counter = %d, want 1", got)
-	}
-
-	// Second request: the peer-filled record now lives in the local cache.
-	resp, data = postRun(t, hs.URL, api.RunRequest{Design: "TLC", Benchmark: "gcc"}, "")
-	if resp.StatusCode != http.StatusOK || !decodeRecord(t, data).Cached {
-		t.Fatalf("peer-filled record not cached locally: status %d (%s)", resp.StatusCode, data)
-	}
-	if fills.Load() != 1 {
-		t.Fatalf("local cache hit consulted the peer again (%d fills)", fills.Load())
-	}
-
-	// Peer misses mcf: simulate locally.
-	resp, data = postRun(t, hs.URL, api.RunRequest{Design: "TLC", Benchmark: "mcf"}, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-miss run: status %d (%s)", resp.StatusCode, data)
-	}
-	if rec := decodeRecord(t, data); rec.PeerFilled || rec.Cycles != 42 {
-		t.Fatalf("peer-miss record = %+v, want locally executed stub", rec)
-	}
-	if executions.Load() != 1 {
-		t.Fatalf("%d local executions after peer miss, want 1", executions.Load())
-	}
-	if got := counter(t, s, "server.runs.peer_fill_misses"); got != 1 {
-		t.Errorf("peer_fill_misses counter = %d, want 1", got)
-	}
-}
-
-// mustKey resolves a request's content address.
-func mustKey(t *testing.T, req api.RunRequest) string {
-	t.Helper()
-	key, err := req.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
-}
-
 // TestMetricz: the server's own counters are served as a sorted snapshot.
 func TestMetricz(t *testing.T) {
 	_, hs := newTestServer(t, Config{
@@ -922,45 +847,5 @@ func TestMetricz(t *testing.T) {
 	}
 	if vals["server.http.requests"] < 1 {
 		t.Error("metricz http.requests not counted")
-	}
-}
-
-// TestProfileEndpoint: GET /v1/profiles/{key} serves a locally cached
-// phase profile and answers 404 for an unknown key — a pure Peek, so a
-// fleet peer's profile fetch can never trigger work on this node.
-func TestProfileEndpoint(t *testing.T) {
-	profiles := tlc.NewPhaseProfileStore(0, "")
-	_, hs := newTestServer(t, Config{
-		Workers:  1,
-		Profiles: profiles,
-		execute: func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
-			return stubRecord(d, bench), nil
-		},
-	})
-	cl := client.New(hs.URL, nil)
-
-	if _, ok, err := cl.GetProfile(context.Background(), "nope"); err != nil || ok {
-		t.Fatalf("unknown key: ok=%v err=%v, want a clean 404 miss", ok, err)
-	}
-
-	want := tlc.PhaseProfile{
-		Version:  1,
-		Key:      "k1",
-		Total:    200_000,
-		Windows:  2,
-		Clusters: 1,
-		Features: [][]float64{{1, 2}, {3, 4}},
-		Instr:    []uint64{100_000, 100_000},
-		Assign:   []int{0, 0},
-		Reps:     []int{0},
-		Weights:  []uint64{200_000},
-	}
-	profiles.Put("k1", want)
-	got, ok, err := cl.GetProfile(context.Background(), "k1")
-	if err != nil || !ok {
-		t.Fatalf("cached key: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("profile round-trip mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
 }

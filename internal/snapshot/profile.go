@@ -4,9 +4,7 @@ package snapshot
 // phase-sampled run needs, keyed by the workload content key the caller
 // computes. Same tiering as the checkpoint Store — bounded in-process LRU
 // plus an optional gob disk tier with atomic temp-file + rename writes and
-// corrupt-degrades-to-miss — plus an optional fill hook consulted on a
-// local miss (the fleet wires peer fetch here, so a fleet pays each
-// profiling pass once total).
+// corrupt-degrades-to-miss.
 
 import (
 	"container/list"
@@ -22,21 +20,18 @@ import (
 
 // ProfileStats counts profile-store traffic.
 type ProfileStats struct {
-	// Hits counts Get/Peek calls satisfied from memory or disk.
+	// Hits counts Get calls satisfied from memory or disk.
 	Hits uint64
 	// DiskHits counts the subset of Hits served by reading the disk tier.
 	DiskHits uint64
-	// FillHits counts Get misses satisfied by the fill hook (peer fetch).
-	FillHits uint64
-	// Misses counts Get/Peek calls that found nothing anywhere.
+	// Misses counts Get calls that found nothing anywhere.
 	Misses uint64
 	// Puts counts profiles stored.
 	Puts uint64
 }
 
 // ProfileStore is a bounded in-process LRU of phase profiles with an
-// optional disk tier and fill hook. All methods are safe for concurrent
-// use.
+// optional disk tier. All methods are safe for concurrent use.
 type ProfileStore struct {
 	mu      sync.Mutex
 	cap     int
@@ -45,7 +40,6 @@ type ProfileStore struct {
 	items   map[string]*list.Element
 	stats   ProfileStats
 	diskErr error
-	fill    func(key string) (sample.Profile, bool)
 }
 
 type profileEntry struct {
@@ -67,7 +61,7 @@ const DefaultProfileCapacity = 256
 
 // NewProfileStore builds a store holding up to capacity profiles in memory
 // (DefaultProfileCapacity if capacity <= 0). If dir is non-empty, profiles
-// are also written there and Get/Peek fall back to disk on a memory miss;
+// are also written there and Get falls back to disk on a memory miss;
 // the directory is created on first use.
 func NewProfileStore(capacity int, dir string) *ProfileStore {
 	if capacity <= 0 {
@@ -81,16 +75,6 @@ func NewProfileStore(capacity int, dir string) *ProfileStore {
 	}
 }
 
-// SetFill installs the miss hook Get consults after memory and disk: the
-// fleet's profile peer fetch. The hook must be a pure lookup — it must
-// never trigger profile computation on a peer, so there is no recursion.
-// Call before the store is shared across goroutines.
-func (s *ProfileStore) SetFill(fill func(key string) (sample.Profile, bool)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fill = fill
-}
-
 // profileFilename is the key's on-disk name, FNV-hashed like checkpoint
 // files; the "prof-" prefix keeps the two tiers distinct in a shared dir.
 func profileFilename(key string) string {
@@ -99,53 +83,11 @@ func profileFilename(key string) string {
 	return fmt.Sprintf("prof-%016x.gob", h.Sum64())
 }
 
-// Get returns the profile for key, consulting memory, then disk, then the
-// fill hook. A fill hit is stored in both tiers so later runs (and peers
-// asking this node) find it locally.
+// Get returns the profile for key, consulting memory, then disk. A disk
+// hit is promoted into the memory tier.
 func (s *ProfileStore) Get(key string) (sample.Profile, bool) {
 	s.mu.Lock()
-	if prof, ok := s.lookupLocked(key); ok {
-		s.mu.Unlock()
-		return prof, true
-	}
-	fill := s.fill
-	s.mu.Unlock()
-	if fill != nil {
-		// A fill hit is taken as-is: consumers validate a profile against
-		// their run (sample.Profile.Check) and fall back to recomputing on
-		// any mismatch, so a bad peer can cost a recompute but never a
-		// wrong interval selection.
-		if prof, ok := fill(key); ok {
-			s.mu.Lock()
-			s.stats.FillHits++
-			s.insertLocked(key, prof)
-			if s.dir != "" {
-				s.save(key, prof)
-			}
-			s.mu.Unlock()
-			return prof, true
-		}
-	}
-	s.mu.Lock()
-	s.stats.Misses++
-	s.mu.Unlock()
-	return sample.Profile{}, false
-}
-
-// Peek is Get without the fill hook: a pure local lookup. The HTTP profile
-// endpoint serves from it, which is what makes peer fills recursion-free.
-func (s *ProfileStore) Peek(key string) (sample.Profile, bool) {
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prof, ok := s.lookupLocked(key); ok {
-		return prof, true
-	}
-	s.stats.Misses++
-	return sample.Profile{}, false
-}
-
-// lookupLocked checks memory then disk, counting a hit. Caller holds mu.
-func (s *ProfileStore) lookupLocked(key string) (sample.Profile, bool) {
 	if el, ok := s.items[key]; ok {
 		s.order.MoveToFront(el)
 		s.stats.Hits++
@@ -159,6 +101,7 @@ func (s *ProfileStore) lookupLocked(key string) (sample.Profile, bool) {
 			return prof, true
 		}
 	}
+	s.stats.Misses++
 	return sample.Profile{}, false
 }
 

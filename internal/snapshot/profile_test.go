@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,11 +51,11 @@ func TestProfileStoreLRUEviction(t *testing.T) {
 	s.Put("b", testProfile("b", 1))
 	s.Get("a") // refresh a: b is now the LRU entry
 	s.Put("c", testProfile("c", 2))
-	if _, ok := s.Peek("b"); ok {
+	if _, ok := s.Get("b"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := s.Peek(k); !ok {
+		if _, ok := s.Get(k); !ok {
 			t.Errorf("recently-used entry %s evicted", k)
 		}
 	}
@@ -120,41 +122,55 @@ func TestProfileStoreTruncatedFileIsAMiss(t *testing.T) {
 	}
 }
 
-func TestProfileStoreFillHook(t *testing.T) {
-	dir := t.TempDir()
-	s := NewProfileStore(4, dir)
-	want := testProfile("a", 3)
-	fills := 0
-	s.SetFill(func(key string) (sample.Profile, bool) {
-		fills++
-		if key == "a" {
-			return want, true
-		}
-		return sample.Profile{}, false
-	})
+// FuzzProfileStoreLoad writes arbitrary bytes where the disk tier keeps
+// key's profile and reads it back through a fresh store. Get must never
+// panic. It must either miss, with DiskErr set whenever the bytes do not
+// decode, or return exactly the profile of an envelope stored under key.
+// The seeds are one real saved profile, the same bytes truncated, and the
+// real profile read back under another key.
+func FuzzProfileStoreLoad(f *testing.F) {
+	dir := f.TempDir()
+	NewProfileStore(4, dir).Put("a", testProfile("a", 0))
+	saved, err := os.ReadFile(filepath.Join(dir, profileFilename("a")))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("a", saved)
+	f.Add("a", saved[:len(saved)/2])
+	f.Add("b", saved)
 
-	// Peek never consults the hook: that is what makes peer fills
-	// recursion-free.
-	if _, ok := s.Peek("a"); ok || fills != 0 {
-		t.Fatalf("Peek consulted the fill hook (%d fills)", fills)
+	f.Fuzz(func(t *testing.T, key string, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, profileFilename(key)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := NewProfileStore(4, dir)
+		got, ok := s.Get(key)
+
+		var env profileEnvelope
+		decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&env)
+		if !ok {
+			if decErr != nil && s.DiskErr() == nil {
+				t.Fatalf("undecodable profile (%v) missed without a DiskErr", decErr)
+			}
+			return
+		}
+		if decErr != nil || env.Key != key {
+			t.Fatalf("hit on bytes that decode to key %q (err %v), want key %q", env.Key, decErr, key)
+		}
+		// Compare encodings, not values: fuzzed features can hold NaNs,
+		// which reflect.DeepEqual never equates.
+		if !bytes.Equal(gobBytes(t, got), gobBytes(t, env.Profile)) {
+			t.Fatal("hit returned a profile other than the one stored under key")
+		}
+	})
+}
+
+func gobBytes(t *testing.T, prof sample.Profile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(prof); err != nil {
+		t.Fatal(err)
 	}
-	got, ok := s.Get("a")
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("fill hit: ok=%v", ok)
-	}
-	if st := s.Stats(); st.FillHits != 1 {
-		t.Errorf("stats %+v, want 1 fill hit", st)
-	}
-	// The fill hit landed in both tiers: a repeat Get is local, and a fresh
-	// store finds it on disk.
-	if _, ok := s.Get("a"); !ok || fills != 1 {
-		t.Errorf("second Get went back to the hook (%d fills)", fills)
-	}
-	if _, ok := NewProfileStore(4, dir).Get("a"); !ok {
-		t.Error("fill hit not persisted to the disk tier")
-	}
-	// A hook miss is a plain miss.
-	if _, ok := s.Get("b"); ok {
-		t.Error("hook miss reported as a hit")
-	}
+	return buf.Bytes()
 }

@@ -26,7 +26,6 @@ import (
 	"tlc/internal/l2"
 	"tlc/internal/mem"
 	"tlc/internal/metrics"
-	"tlc/internal/probe"
 	"tlc/internal/sim"
 	"tlc/internal/tline"
 )
@@ -89,8 +88,7 @@ type Cache struct {
 	// FillsApplied counts memory fills installed.
 	FillsApplied uint64
 
-	reg   *metrics.Registry
-	hooks *probe.Hooks
+	reg *metrics.Registry
 }
 
 // eccUncorrectable aliases the codec's verdict for the retry loop.
@@ -164,9 +162,6 @@ func New(d config.Design, memLat sim.Time) *Cache {
 
 // Metrics implements l2.Instrumented.
 func (c *Cache) Metrics() *metrics.Registry { return c.reg }
-
-// SetProbe implements l2.Instrumented.
-func (c *Cache) SetProbe(h *probe.Hooks) { c.hooks = h }
 
 // ctrlReq spreads the controller-internal request-path wire delay across
 // pairs by landing position: the base design's wide controller costs up to
@@ -285,9 +280,6 @@ func (c *Cache) Access(at sim.Time, req mem.Request) l2.Outcome {
 		present := c.groups[g].Lookup(local)
 		c.write(at, g, local)
 		c.RecordStore(present, c.p.BanksPerBlock)
-		if h := c.hooks; h != nil && h.OnAccess != nil {
-			h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Store: true, Hit: present, Banks: c.p.BanksPerBlock})
-		}
 		return l2.Outcome{Hit: present, ResolveAt: at, CompleteAt: at, Predictable: true, BanksAccessed: c.p.BanksPerBlock}
 	}
 
@@ -337,9 +329,6 @@ func (c *Cache) Access(at sim.Time, req mem.Request) l2.Outcome {
 		c.fill(out.CompleteAt, g, local)
 	}
 	c.RecordLoad(uint64(resolve-at), hit, predictable, c.p.BanksPerBlock)
-	if h := c.hooks; h != nil && h.OnAccess != nil {
-		h.OnAccess(probe.AccessEvent{At: at, Block: req.Block, Hit: hit, Latency: uint64(resolve - at), Banks: c.p.BanksPerBlock})
-	}
 	return out
 }
 

@@ -92,11 +92,7 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 		if opt.Checkpoints.Has(key) {
 			continue
 		}
-		// The lane machines exist only to be checkpointed: probes observe
-		// runs, not warm-up, so they are stripped before building.
-		bopt := opt
-		bopt.Probe = nil
-		inst := build(d, bopt)
+		inst := build(d, opt)
 		s, ok := inst.(l2.Snapshotter)
 		if !ok {
 			continue

@@ -9,7 +9,7 @@ package tlc
 // fewer detailed intervals than uniform sampling at the same accuracy.
 // Profiles are design-independent and content-addressed, so a
 // PhaseProfileStore pays the profiling pass once per benchmark across all
-// six designs — and, with the fleet's peer-fill hook, once per fleet.
+// six designs — and, with a disk tier, once per -ckptdir.
 
 import (
 	"tlc/internal/config"
@@ -45,7 +45,7 @@ func phaseProfileKey(spec workload.Spec, opt Options) string {
 
 // phaseProfileFor resolves the run's phase profile: a cached entry that
 // passes sample.Profile.Check (and carries the right key) wins; anything
-// else — miss, stale format, foreign shape, corrupt peer fill — falls back
+// else — miss, stale format, foreign shape, corrupt file — falls back
 // to compute, whose result is stored for the next run. cached reports
 // whether the store supplied the profile; because clustering is
 // bit-deterministic in the key, a cached profile selects exactly the

@@ -153,8 +153,7 @@ func TestPhaseProfileCacheEquivalence(t *testing.T) {
 
 // TestPhaseProfileDiskTier: a fresh store over the same directory reads
 // the profile back from disk (DiskHits) and the run stays bit-identical,
-// so fleets and repeat invocations share profiling passes through
-// -ckptdir.
+// so repeat invocations share profiling passes through -ckptdir.
 func TestPhaseProfileDiskTier(t *testing.T) {
 	dir := t.TempDir()
 	opt := phaseOptions()

@@ -29,7 +29,6 @@ import (
 	"tlc/internal/noc"
 	"tlc/internal/nuca"
 	"tlc/internal/power"
-	"tlc/internal/probe"
 	"tlc/internal/sample"
 	"tlc/internal/sim"
 	"tlc/internal/snapshot"
@@ -156,19 +155,11 @@ type Options struct {
 	// carries. It fires once per executed run (a Suite's cached duplicate
 	// runs reuse the original's snapshot without re-firing).
 	OnMetrics func(MetricsEvent)
-
-	// Probe, when non-nil, installs per-event callbacks on the design
-	// under test: one per L2 access and one per interconnect message. Unset
-	// hooks cost nil-checks only; see internal/probe.
-	Probe *probe.Hooks
 }
 
 // MetricsSnapshot is a point-in-time reading of a run's full metric
 // registry, sorted by name.
 type MetricsSnapshot = metrics.Snapshot
-
-// ProbeHooks is the per-event callback set Options.Probe installs.
-type ProbeHooks = probe.Hooks
 
 // MetricsEvent delivers one finished run's metrics to Options.OnMetrics.
 type MetricsEvent struct {
@@ -278,16 +269,10 @@ func NewCheckpointStore(capacity int, dir string) *CheckpointStore {
 	return snapshot.NewStore(capacity, dir)
 }
 
-// PhaseProfile is one workload's phase-clustering result: per-window
-// feature vectors, the cluster assignment, and the representative window
-// per cluster a phase-sampled run simulates in detail. Profiles are keyed
-// by workload content (not design), so one profile serves every L2 design
-// and every node in a fleet.
-type PhaseProfile = sample.Profile
-
-// PhaseProfileStore caches phase profiles: an in-process LRU with an
-// optional on-disk tier (atomic writes, corrupt-degrades-to-recompute) and
-// a fill hook the fleet layer uses for peer fetch.
+// PhaseProfileStore caches phase profiles — one workload's phase
+// clustering, keyed by workload content (not design), so one profile
+// serves every L2 design — in an in-process LRU with an optional on-disk
+// tier (atomic writes, corrupt-degrades-to-recompute).
 type PhaseProfileStore = snapshot.ProfileStore
 
 // NewPhaseProfileStore builds a profile store holding up to capacity
@@ -383,9 +368,6 @@ func build(d Design, opt Options) l2.Instrumented {
 	}
 	if memory != nil {
 		memory.RegisterMetrics(inst.Metrics())
-	}
-	if opt.Probe != nil {
-		inst.SetProbe(opt.Probe)
 	}
 	return inst
 }
@@ -601,7 +583,7 @@ func configHashOf(d Design, sys config.System, spec workload.Spec, np config.NUC
 // outcome — warm/timed lengths, seeds, the memory model, noise injection,
 // and the sampling plan — with the same typed field-by-field encoding the
 // checkpoint key uses. Fields that change how a run executes but not what
-// it computes (Checkpoints, OnMetrics, Probe, Cancel) are deliberately
+// it computes (Checkpoints, OnMetrics, Cancel) are deliberately
 // excluded: a checkpointed, sampled-observer, or cancellable run with equal
 // content fields is bit-identical to a plain one.
 func (o Options) ContentKey() string {
