@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tlc"
+	"tlc/internal/workload"
 )
 
 // GridPoint is one point of an explicit sweep grid: the full configuration
@@ -126,13 +129,36 @@ func containsDesign(ds []tlc.Design, d tlc.Design) bool {
 	return false
 }
 
+// laneOrder lists the indices of the shareable groups (two or more
+// designs) in dispatch order: longest effective warm-up first, ties in plan
+// order. A pass's time grows with its warm length, so a long pass started
+// last would trail the rest of the lane phase.
+func laneOrder(groups []LaneGroup) []int {
+	order := make([]int, 0, len(groups))
+	warm := make([]uint64, len(groups))
+	for i := range groups {
+		g := &groups[i]
+		if len(g.Designs) < 2 {
+			continue
+		}
+		order = append(order, i)
+		warm[i] = g.Opt.WarmInstructions
+		if warm[i] == 0 {
+			spec, _ := workload.SpecByName(g.Bench)
+			warm[i] = spec.AutoWarmInstructions()
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return warm[order[a]] > warm[order[b]] })
+	return order
+}
+
 // warmLanes is the lane phase of grid execution: plan the grid, then run
-// one lane-parallel warm pass per shareable group, bounded by par. It only
-// pre-pays warm-ups into the checkpoint store — the points themselves still
-// execute exactly as before, restoring what the pass stored. Pass errors
-// (cancellation) are dropped deliberately: the pass is an accelerator, and
-// whatever it could not warm is warmed scalar by the runs, which surface
-// their own errors.
+// one lane-parallel warm pass per shareable group from a pool of par
+// workers taking the groups in laneOrder. It only pre-pays warm-ups into
+// the checkpoint store — the points themselves still execute exactly as
+// before, restoring what the pass stored. Pass errors (cancellation) are
+// dropped deliberately: the pass is an accelerator, and whatever it could
+// not warm is warmed scalar by the runs, which surface their own errors.
 func (s *Suite) warmLanes(points []GridPoint, par int) {
 	if s.NoLanes {
 		return
@@ -148,29 +174,31 @@ func (s *Suite) warmLanes(points []GridPoint, par int) {
 	scalar := s.planner.ScalarPoints()
 	s.planMu.Unlock()
 
+	order := laneOrder(groups)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for i := range groups {
-		g := &groups[i]
-		if len(g.Designs) < 2 {
-			continue
-		}
+	for w := 0; w < par && w < len(order); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
-			if err != nil || st.Lanes == 0 {
-				return
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(order) {
+					return
+				}
+				g := &groups[order[i]]
+				start := time.Now()
+				st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
+				if err != nil || st.Lanes == 0 {
+					continue
+				}
+				s.mu.Lock()
+				s.m.LaneGroups++
+				s.m.LanesWarmed += uint64(st.Lanes)
+				s.m.LaneBatches += st.Batches
+				s.m.LaneWall += time.Since(start)
+				s.mu.Unlock()
 			}
-			s.mu.Lock()
-			s.m.LaneGroups++
-			s.m.LanesWarmed += uint64(st.Lanes)
-			s.m.LaneBatches += st.Batches
-			s.m.LaneWall += time.Since(start)
-			s.mu.Unlock()
 		}()
 	}
 	wg.Wait()

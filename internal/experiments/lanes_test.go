@@ -141,3 +141,56 @@ func TestLanePlannerDoesNotAllocate(t *testing.T) {
 		t.Errorf("Plan allocates %.2f per call, want 0", allocs)
 	}
 }
+
+// TestLaneOrderLongestWarmFirst pins the lane phase's dispatch order:
+// shareable groups by effective warm length, longest first, ties in plan
+// order, singleton groups left out. Automatic warm lengths resolve per
+// benchmark (swim and equake clamp at 24 M, oltp ≈20.6 M, gcc and mcf at
+// the 4 M floor); an explicit length overrides them.
+func TestLaneOrderLongestWarmFirst(t *testing.T) {
+	store := tlc.NewCheckpointStore(0, "")
+	opt := tlc.DefaultOptions()
+	opt.Checkpoints = store
+	fixed := opt
+	fixed.WarmInstructions = 22_000_000
+	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignTLC}
+	pts := planPoints(designs, []string{"gcc", "swim", "oltp", "mcf", "equake"}, opt)
+	pts = append(pts, planPoints(designs, []string{"bzip"}, fixed)...)
+	pts = append(pts, GridPoint{Design: tlc.DesignTLC, Bench: "applu", Opt: opt})
+
+	groups := NewLanePlanner().Plan(pts)
+	var got []string
+	for _, i := range laneOrder(groups) {
+		got = append(got, groups[i].Bench)
+	}
+	want := []string{"swim", "equake", "bzip", "oltp", "gcc", "mcf"}
+	if len(got) != len(want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch order %v, want %v", got, want)
+		}
+	}
+}
+
+// TestWarmGridPoolWarmsEveryGroup runs the lane phase from a two-worker
+// pool over more groups than workers: every shareable group is warmed
+// exactly once, and the singleton group is left to scalar warm-up.
+func TestWarmGridPoolWarmsEveryGroup(t *testing.T) {
+	s := NewSuite(tlc.Options{
+		WarmInstructions: 20_000,
+		RunInstructions:  5_000,
+		Seed:             1,
+		Checkpoints:      tlc.NewCheckpointStore(0, ""),
+	})
+	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignDNUCA, tlc.DesignTLC}
+	pts := planPoints(designs, []string{"gcc", "swim", "oltp", "mcf", "perl"}, s.Opt)
+	pts = append(pts, GridPoint{Design: tlc.DesignTLC, Bench: "applu", Opt: s.Opt})
+	s.WarmGrid(pts, 2)
+	m := s.Metrics()
+	if m.LaneGroups != 5 || m.LanesWarmed != 15 || m.LaneScalarPoints != 1 {
+		t.Fatalf("lane phase warmed %d groups / %d lanes with %d scalar points, want 5 / 15 / 1",
+			m.LaneGroups, m.LanesWarmed, m.LaneScalarPoints)
+	}
+}

@@ -6,29 +6,12 @@ import (
 	"tlc/internal/cpu"
 )
 
-// batchSpecs picks three structurally different benchmarks: a small-footprint
-// SPECint (hit-dominated), a streaming SPECfp (stream/recent paths), and a
-// commercial workload (sliding cold window) — together they cover every
-// branch of nextBlock.
-func batchSpecs(t *testing.T) []Spec {
-	t.Helper()
-	var out []Spec
-	for _, name := range []string{"gcc", "swim", "oltp"} {
-		s, ok := SpecByName(name)
-		if !ok {
-			t.Fatalf("unknown benchmark %q", name)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // TestNextBatchMatchesNext pins the batched delivery path bit-identical to
 // scalar Next: same instructions, same post-call stream state, same
 // observation counters — including when batch sizes vary and when scalar and
 // batched delivery interleave mid-stream.
 func TestNextBatchMatchesNext(t *testing.T) {
-	for _, spec := range batchSpecs(t) {
+	for _, spec := range Specs() {
 		t.Run(spec.Name, func(t *testing.T) {
 			scalar := New(spec, 7)
 			batched := New(spec, 7)
@@ -73,7 +56,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 // identically (post-call State equality proves it), and the observation
 // counters agree.
 func TestNextMemsMatchesNext(t *testing.T) {
-	for _, spec := range batchSpecs(t) {
+	for _, spec := range Specs() {
 		t.Run(spec.Name, func(t *testing.T) {
 			scalar := New(spec, 11)
 			fast := New(spec, 11)
@@ -141,4 +124,131 @@ func TestNextBatchDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { g.NextMems(mems, 1<<20) }); allocs != 0 {
 		t.Errorf("NextMems allocates %.2f per call, want 0", allocs)
 	}
+}
+
+// BenchmarkStreamViews reports the cost per instruction of each stream
+// view on every spec: NextBatch filling a 4096-instruction buffer (the
+// detailed runs' delivery) and NextMems consuming 4096 instructions into a
+// 512-reference buffer (the functional warm-up's delivery).
+func BenchmarkStreamViews(b *testing.B) {
+	const instrs = 4096
+	for _, spec := range Specs() {
+		b.Run("NextBatch/"+spec.Name, func(b *testing.B) {
+			g := New(spec, 1)
+			buf := make([]cpu.Instr, instrs)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.NextBatch(buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns/instr")
+		})
+		b.Run("NextMems/"+spec.Name, func(b *testing.B) {
+			g := New(spec, 1)
+			buf := make([]cpu.MemRef, 512)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for left := uint64(instrs); left > 0; {
+					_, consumed := g.NextMems(buf, left)
+					left -= consumed
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns/instr")
+		})
+	}
+}
+
+// FuzzGeneratorViews drives one generator through a fuzzed sequence of
+// Next, NextBatch and NextMems calls of fuzzed sizes and checks every call
+// against a scalar reference advanced over the same instructions: the
+// detailed views must deliver the same instructions, the warm view the
+// same memory operations, and after every call both generators must agree
+// on State and the observation counters. The spec comes from the fuzzed
+// parameters, reaching the branches no shipped spec takes: cold-region
+// skew, regions of at most five blocks (where the 80/20 narrowing stops
+// early), odd and power-of-two mispredict periods, and the sliding cold
+// window on and off.
+func FuzzGeneratorViews(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(1), uint16(40), uint16(300), uint16(900), uint16(0), uint16(1), []byte{0, 9, 1, 200, 2, 50, 1, 7})
+	f.Add(int64(2), uint8(2), uint8(3), uint16(3), uint16(5), uint16(4), uint16(3), uint16(64), []byte{2, 255, 0, 3, 1, 1, 2, 0})
+	f.Add(int64(3), uint8(0), uint8(2), uint16(1), uint16(2), uint16(5), uint16(0), uint16(7), []byte{1, 128, 2, 10, 0, 30})
+	f.Add(int64(4), uint8(3), uint8(1), uint16(100), uint16(4000), uint16(20000), uint16(64), uint16(0), []byte{2, 90, 1, 255, 2, 255, 0, 200})
+	f.Add(int64(5), uint8(1), uint8(1), uint16(5), uint16(5), uint16(2), uint16(0), uint16(251), []byte{1, 40, 2, 40, 1, 40})
+	f.Fuzz(func(t *testing.T, seed int64, hotSkew, coldSkew uint8, l1, hot, cold, window, every uint16, ops []byte) {
+		// Fractions come from the seed so the fuzzer's numeric mutations
+		// stay on the region sizes and periods.
+		// The fractions come from the seed; the fuzzed integers set the
+		// region sizes, skew levels and mispredict period.
+		r := newPRNG(seed)
+		mb := func(blocks uint16) float64 { return float64(blocks) / blocksPerMB }
+		spec := Spec{
+			Name:            "fuzz",
+			L1MB:            mb(l1 % 4096),
+			L1Frac:          r.Float64() / 2,
+			HotMB:           mb(hot % 8192),
+			HotFrac:         r.Float64() / 4,
+			HotSkew:         int(hotSkew % 4),
+			StreamFrac:      r.Float64() / 4,
+			StreamRepeat:    r.Intn(10),
+			RecentFrac:      r.Float64() / 8,
+			ColdSkew:        int(coldSkew % 4),
+			ColdTurnover:    r.Float64(),
+			StoreFrac:       r.Float64(),
+			MemFrac:         r.Float64(),
+			DepFrac:         r.Float64(),
+			SerialFrac:      r.Float64(),
+			MispredictEvery: int(every % 1025),
+		}
+		spec.FootprintMB = spec.L1MB + spec.HotMB + mb(cold%20000+1)
+		if window%3 != 0 {
+			spec.ColdWindowMB = mb(window)
+		}
+		ref, g := New(spec, seed), New(spec, seed)
+		instrs := make([]cpu.Instr, 256)
+		mems := make([]cpu.MemRef, 64)
+		for i := 0; i+1 < len(ops) && i < 128; i += 2 {
+			size := int(ops[i+1]) + 1
+			switch ops[i] % 3 {
+			case 0:
+				if got, want := g.Next(), ref.Next(); got != want {
+					t.Fatalf("op %d Next: %+v, want %+v", i/2, got, want)
+				}
+			case 1:
+				n := size % len(instrs)
+				if got := g.NextBatch(instrs[:n]); got != n {
+					t.Fatalf("op %d: NextBatch(%d) = %d", i/2, n, got)
+				}
+				for j, in := range instrs[:n] {
+					if want := ref.Next(); in != want {
+						t.Fatalf("op %d NextBatch instr %d: %+v, want %+v", i/2, j, in, want)
+					}
+				}
+			case 2:
+				buf := mems[:size%len(mems)+1]
+				n, consumed := g.NextMems(buf, uint64(size)*4)
+				if consumed == 0 || consumed > uint64(size)*4 || (n < len(buf) && consumed != uint64(size)*4) {
+					t.Fatalf("op %d: NextMems(%d refs, %d instrs) = %d refs, %d instrs", i/2, len(buf), size*4, n, consumed)
+				}
+				got := 0
+				for j := uint64(0); j < consumed; j++ {
+					in := ref.Next()
+					if !in.IsMem {
+						continue
+					}
+					if got >= n || buf[got] != (cpu.MemRef{Block: in.Block, Store: in.IsStore}) {
+						t.Fatalf("op %d NextMems ref %d of %d: differs from scalar %+v", i/2, got, n, in)
+					}
+					got++
+				}
+				if got != n {
+					t.Fatalf("op %d: NextMems wrote %d refs, scalar span has %d", i/2, n, got)
+				}
+			}
+			if g.State() != ref.State() {
+				t.Fatalf("op %d: state %+v, want %+v", i/2, g.State(), ref.State())
+			}
+			if g.counters != ref.counters {
+				t.Fatalf("op %d: counters %+v, want %+v", i/2, g.counters, ref.counters)
+			}
+		}
+	})
 }

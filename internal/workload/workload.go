@@ -267,62 +267,38 @@ func (g *Generator) Next() cpu.Instr {
 	return cpu.Instr{IsMem: true, IsStore: isStore, Block: blk, Dep: dep}
 }
 
-// NextBatch implements cpu.Stream: it fills buf with the identical
-// instruction sequence len(buf) Next calls would produce, in one pass with
-// the per-spec constants hoisted out of the loop. The batched and scalar
-// paths draw from the RNG in exactly the same order, so they are
-// interchangeable mid-stream (TestNextBatchMatchesNext pins this).
+// NextBatch implements cpu.Stream, the detailed view of the fused stream
+// kernel: it fills buf with the identical instruction sequence len(buf)
+// Next calls would produce.
 func (g *Generator) NextBatch(buf []cpu.Instr) int {
-	serial := g.spec.SerialFrac
-	if serial == 0 {
-		serial = 0.35
-	}
-	every := g.spec.MispredictEvery
-	if every == 0 {
-		every = 250
-	}
-	frac := g.spec.MemFrac
-	for i := range buf {
-		g.memCredit += frac
-		if g.memCredit < 1 {
-			in := cpu.Instr{}
-			if g.rng.Float64() < serial {
-				in.Dep = true
-			}
-			if g.rng.Intn(every) == 0 {
-				in.Mispredict = true
-				g.counters.mispredicts++
-			}
-			buf[i] = in
-			continue
-		}
-		g.memCredit--
-		blk := g.nextBlock()
-		isStore := g.rng.Float64() < g.spec.StoreFrac
-		dep := !isStore && g.rng.Float64() < g.spec.DepFrac
-		g.counters.memOps++
-		if isStore {
-			g.counters.stores++
-		}
-		buf[i] = cpu.Instr{IsMem: true, IsStore: isStore, Block: blk, Dep: dep}
-	}
-	return len(buf)
+	_, consumed := g.stream(buf, nil, uint64(len(buf)))
+	return int(consumed)
 }
 
-// NextMems implements cpu.Stream, the functional-warm fast path: it
-// consumes up to maxInstr instructions, materializing only the memory
-// operations into buf and skipping the non-memory runs in between. It is a
-// fully fused kernel — the RNG words, phase variables, and credit ride in
-// locals for the whole loop, probability compares run in the integer draw
-// domain (f64Threshold), and the region draws use the precomputed
-// reciprocals — but every draw and branch replays Next's sequence exactly,
-// so the generator's stream position, every instruction any later Next or
-// NextBatch call produces, and the observation counters stay bit-identical
-// to the scalar path (TestNextMemsMatchesNext pins this).
+// NextMems implements cpu.Stream, the functional-warm view of the fused
+// stream kernel: it consumes up to maxInstr instructions, materializing only
+// the memory operations into buf and skipping the non-memory runs in
+// between.
 func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {
 	if len(buf) == 0 {
 		return 0, 0
 	}
+	return g.stream(nil, buf, maxInstr)
+}
+
+// stream is the fused kernel behind both batch views. The RNG words, phase
+// variables, and credit ride in locals for the whole loop, probability
+// compares run in the integer draw domain (f64Threshold), and the region
+// draws use the precomputed reciprocals — but every draw and branch replays
+// Next's sequence exactly, so the generator's stream position, every
+// instruction any later call produces, and the observation counters stay
+// bit-identical to the scalar path (TestNextBatchMatchesNext,
+// TestNextMemsMatchesNext and FuzzGeneratorViews pin this). With mems nil
+// (the detailed view) it writes every instruction to instrs[:maxInstr];
+// otherwise (the warm view) it advances past the dependence draws and
+// writes only the memory operations to mems, stopping when mems is full.
+func (g *Generator) stream(instrs []cpu.Instr, mems []cpu.MemRef, maxInstr uint64) (n int, consumed uint64) {
+	detailed := mems == nil
 	every := uint64(g.spec.MispredictEvery)
 	if every == 0 {
 		every = 250
@@ -354,7 +330,12 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 	t3f := t2f + g.spec.StreamFrac
 	t4f := t3f + g.spec.RecentFrac
 	t1, t2, t3, t4 := f64Threshold(t1f), f64Threshold(t2f), f64Threshold(t3f), f64Threshold(t4f)
-	storeT := f64Threshold(g.spec.StoreFrac)
+	storeT, depT := f64Threshold(g.spec.StoreFrac), f64Threshold(g.spec.DepFrac)
+	serial := g.spec.SerialFrac
+	if serial == 0 {
+		serial = 0.35
+	}
+	serialT := f64Threshold(serial)
 	turnoverT := f64Threshold(g.spec.ColdTurnover)
 	skewT := f64Threshold(0.8)
 
@@ -402,12 +383,20 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 		consumed++
 		var v uint64
 		if credit < 1 {
-			// Non-memory instruction: the serial-dep draw is unobserved
-			// (state advance only); the mispredict draw feeds the counter.
-			s0, s1, s2, s3 = xoAdvance(s0, s1, s2, s3)
+			// Non-memory instruction: the serial-dep draw (a state advance
+			// only in the warm view), then the mispredict draw.
+			if detailed {
+				v, s0, s1, s2, s3 = xoDraw(s0, s1, s2, s3)
+				instrs[consumed-1] = cpu.Instr{Dep: v>>11 < serialT}
+			} else {
+				s0, s1, s2, s3 = xoAdvance(s0, s1, s2, s3)
+			}
 			v, s0, s1, s2, s3 = xoDraw(s0, s1, s2, s3)
 			if bits.RotateLeft64(v*minv, -k) <= divThresh {
 				mispredicts++
+				if detailed {
+					instrs[consumed-1].Mispredict = true
+				}
 			}
 			continue
 		}
@@ -540,10 +529,11 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 
 		v, s0, s1, s2, s3 = xoDraw(s0, s1, s2, s3)
 		isStore := v>>11 < storeT
-		// The dep draw Next takes for loads; its value is unobserved. The
-		// advanced state is computed unconditionally and selected, keeping
-		// the randomly-taken store/load split off the branch predictor.
-		a0, a1, a2, a3 := xoAdvance(s0, s1, s2, s3)
+		// The dep draw Next takes for loads (unobserved in the warm view).
+		// The advanced state is computed unconditionally and selected,
+		// keeping the randomly-taken store/load split off the branch
+		// predictor.
+		dv, a0, a1, a2, a3 := xoDraw(s0, s1, s2, s3)
 		if !isStore {
 			s0, s1, s2, s3 = a0, a1, a2, a3
 		}
@@ -553,9 +543,17 @@ func (g *Generator) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed
 			s64 = 1
 		}
 		stores += s64
-		buf[n] = cpu.MemRef{Block: layout(id), Store: isStore}
+		if detailed {
+			dep := dv>>11 < depT
+			if isStore {
+				dep = false
+			}
+			instrs[consumed-1] = cpu.Instr{IsMem: true, IsStore: isStore, Block: layout(id), Dep: dep}
+			continue
+		}
+		mems[n] = cpu.MemRef{Block: layout(id), Store: isStore}
 		n++
-		if n == len(buf) {
+		if n == len(mems) {
 			break
 		}
 	}
@@ -593,7 +591,7 @@ func layout(id uint64) mem.Block {
 
 // nextBlock picks the next referenced block by region. It is the scalar
 // reference implementation, kept in its straightforward per-draw form (and
-// as the honest baseline arm of BenchmarkWarmThroughput); NextMems is the
+// as the honest baseline arm of BenchmarkWarmThroughput); stream is the
 // optimized kernel that must reproduce its draw sequence bit-exactly.
 func (g *Generator) nextBlock() mem.Block {
 	r := g.rng.Float64()
