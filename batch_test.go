@@ -159,8 +159,10 @@ func TestBatchedScalarEquivalence(t *testing.T) {
 // installs.
 func TestSampledBatchedEquivalence(t *testing.T) {
 	benches := []string{"gcc", "equake", "oltp"}
-	opt := sample.Options{Intervals: 8, Length: 2000}
-	const total = 200_000
+	plan, err := sample.UniformPlan(200_000, 8, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range Designs() {
 		d := d
 		t.Run(d.String(), func(t *testing.T) {
@@ -183,7 +185,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 					gen.PreWarm(cacheArm)
 					core.Warm(streamArm, 100_000)
 					m := machine.New([]*cpu.Core{core}, []cpu.Stream{streamArm}, nil)
-					est := sample.RunTarget(m, total, opt, nil)
+					est := sample.Run(m, plan, nil)
 					return est, core.Snapshot(), inst.(l2.Snapshotter).SnapshotState()
 				}
 				sEst, sCore, sL2 := run(true)

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -111,13 +112,17 @@ func TestRecordRoundTrip(t *testing.T) {
 // path: Decode, then RunRequest.Validate. Nothing may panic, and a body
 // both accept must name a runnable configuration — it keys, and its
 // expanded options pass tlc.Options.Validate, so the worker never sees a
-// request admission should have refused. The seeds are the request
-// bodies scripts/service_e2e.sh posts.
+// request admission should have refused; a uniform plan it admits times
+// no more instructions than the run holds. The seeds are the request
+// bodies scripts/service_e2e.sh posts and two plans whose detailed
+// instruction count overflows 64 bits.
 func FuzzRunRequest(f *testing.F) {
 	for _, body := range []string{
 		`{"design":"TLC","benchmark":"perl","options":{"warm_instructions":2000000,"run_instructions":200000}}`,
 		`{"design":"DNUCA","benchmark":"oltp","options":{"run_instructions":2000000}}`,
 		`{"design":"TLC","benchmark":"perl","options":{"warm_instructions":2000000,"run_instructions":200000,"fidelity":"fast"}}`,
+		`{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":2,"sample_length":9223372036854775808}}`,
+		`{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":4294967296,"sample_length":4294967296}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -132,8 +137,16 @@ func FuzzRunRequest(f *testing.F) {
 		if _, err := req.Key(); err != nil {
 			t.Fatalf("validated request does not key: %v", err)
 		}
-		if err := req.Options.Options().Validate(); err != nil {
+		opt := req.Options.Options()
+		if err := opt.Validate(); err != nil {
 			t.Fatalf("validated request carries invalid options: %v", err)
+		}
+		if opt.SampleIntervals > 0 {
+			hi, detailed := bits.Mul64(uint64(opt.SampleIntervals), opt.SampleLength)
+			if hi != 0 || detailed > opt.RunInstructions {
+				t.Fatalf("admitted %d intervals × %d instructions against a %d-instruction run",
+					opt.SampleIntervals, opt.SampleLength, opt.RunInstructions)
+			}
 		}
 	})
 }

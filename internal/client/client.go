@@ -2,8 +2,9 @@
 // (internal/server). It speaks the internal/api wire types and absorbs the
 // service's backpressure: 429 responses are retried after the server's
 // Retry-After estimate, transient 5xx responses with exponential backoff.
-// A run fetched through the client reconstructs the exact tlc.Result an
-// in-process run returns — remote and local paths are byte-identical.
+// A run record fetched through the client reconstructs (RunRecord.ToResult)
+// the exact tlc.Result an in-process run returns — remote and local paths
+// are byte-identical.
 package client
 
 import (
@@ -19,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"tlc"
 	"tlc/internal/api"
 )
 
@@ -250,19 +250,6 @@ func (c *Client) Sweep(ctx context.Context, sreq api.SweepRequest, fn func(api.S
 	}
 }
 
-// Result is Run reduced to the tlc.Result an in-process run would return.
-func (c *Client) Result(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (tlc.Result, error) {
-	rec, err := c.Run(ctx, api.RunRequest{
-		Design:    d.String(),
-		Benchmark: bench,
-		Options:   api.FromOptions(opt),
-	})
-	if err != nil {
-		return tlc.Result{}, err
-	}
-	return rec.ToResult()
-}
-
 // GetRun looks up a completed run by its content address. A 404 maps to
 // ok=false rather than an error.
 func (c *Client) GetRun(ctx context.Context, id string) (api.RunRecord, bool, error) {
@@ -276,27 +263,6 @@ func (c *Client) GetRun(ctx context.Context, id string) (api.RunRecord, bool, er
 		return api.RunRecord{}, false, err
 	}
 	return rec, true, nil
-}
-
-// Figure fetches a rendered table/figure as text.
-func (c *Client) Figure(ctx context.Context, name string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/figures/"+name, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &StatusError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
-	}
-	return string(data), nil
 }
 
 // Health probes /healthz; nil means the server is up and not draining.

@@ -196,9 +196,7 @@ func (s *Suite) Run(d tlc.Design, bench string) tlc.Result {
 // Sampled reports whether the suite runs in sampled mode — uniform
 // intervals or phase-aware representatives (confidence intervals available
 // via SampledErr, error columns added to figures).
-func (s *Suite) Sampled() bool {
-	return s.Opt.SampleIntervals > 0 || s.Opt.PhaseWindows > 0 || s.Opt.PhaseClusters > 0
-}
+func (s *Suite) Sampled() bool { return s.Opt.Sampled() }
 
 // SampledErr returns the sampled result for (design, benchmark), including
 // its confidence intervals. The suite must be in sampled mode.

@@ -43,7 +43,7 @@ type Calibration struct {
 	Bounds [][2]float64
 }
 
-// Calibrate replaces est.PhaseCycles with the model-assisted estimate when
+// Calibrate replaces e.Cycles with the model-assisted estimate when
 // the fit is well-posed, and reports whether it did. On any degeneracy —
 // non-finite solution, or a prediction outside [¼, 4]x the stratified
 // estimate — the stratified value stands, so calibration can only ever be
@@ -114,10 +114,10 @@ func (e *Estimate) Calibrate(p Profile, c Calibration) bool {
 			return false
 		}
 	}
-	if base := e.PhaseCycles; !(pred > 0.25*base && pred < 4*base) {
+	if base := e.Cycles; !(pred > 0.25*base && pred < 4*base) {
 		return false
 	}
-	e.PhaseCycles = pred
+	e.Cycles = pred
 	return true
 }
 

@@ -29,12 +29,12 @@ func calFixture() (Profile, Calibration, float64) {
 
 func TestCalibrateRecoversExactLinearModel(t *testing.T) {
 	p, c, want := calFixture()
-	est := &Estimate{Phased: true, PhaseCycles: want * 1.1} // stratified baseline, off by 10%
+	est := &Estimate{Cycles: want * 1.1} // stratified baseline, off by 10%
 	if !est.Calibrate(p, c) {
 		t.Fatal("well-posed calibration refused")
 	}
-	if math.Abs(est.PhaseCycles-want) > 1e-6*want {
-		t.Errorf("calibrated cycles %.3f, want %.3f", est.PhaseCycles, want)
+	if math.Abs(est.Cycles-want) > 1e-6*want {
+		t.Errorf("calibrated cycles %.3f, want %.3f", est.Cycles, want)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestCalibrateClampsWildSlopes(t *testing.T) {
 	// the prediction finite and deliberate rather than extrapolating.
 	c.Bounds = [][2]float64{{0, 10}}
 	base := 65_000.0
-	est := &Estimate{Phased: true, PhaseCycles: base}
+	est := &Estimate{Cycles: base}
 	if !est.Calibrate(p, c) {
 		t.Fatal("clamped calibration refused")
 	}
@@ -57,8 +57,8 @@ func TestCalibrateClampsWildSlopes(t *testing.T) {
 		den += wt
 	}
 	want := (num/den)*float64(p.Total) + theta1*c.Totals[0]
-	if math.Abs(est.PhaseCycles-want) > 1e-6*want {
-		t.Errorf("clamped calibration %.3f, want %.3f", est.PhaseCycles, want)
+	if math.Abs(est.Cycles-want) > 1e-6*want {
+		t.Errorf("clamped calibration %.3f, want %.3f", est.Cycles, want)
 	}
 }
 
@@ -74,18 +74,18 @@ func TestCalibrateGuards(t *testing.T) {
 		{"cluster out of range", func(e *Estimate, c *Calibration) { c.Obs[0].Cluster = len(p.Weights) }},
 		// A stratified baseline wildly far from the prediction means the
 		// model left its trust region: keep the baseline.
-		{"prediction outside trust region", func(e *Estimate, c *Calibration) { e.PhaseCycles = want * 100 }},
+		{"prediction outside trust region", func(e *Estimate, c *Calibration) { e.Cycles = want * 100 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pp, cc, _ := calFixture()
-			est := &Estimate{Phased: true, PhaseCycles: want * 1.1}
+			est := &Estimate{Cycles: want * 1.1}
 			tc.mod(est, &cc)
-			before := est.PhaseCycles
+			before := est.Cycles
 			if est.Calibrate(pp, cc) {
 				t.Fatal("degenerate calibration accepted")
 			}
-			if est.PhaseCycles != before {
+			if est.Cycles != before {
 				t.Error("refused calibration still modified the estimate")
 			}
 		})

@@ -4,8 +4,8 @@ package sample
 // intervals, a cheap profiling pass slices the timed region into fixed
 // instruction windows, extracts one feature vector per window
 // (cpu.PhaseProfiler), k-means clusters the windows into program phases,
-// and the runner times one representative interval per cluster — scaling
-// each cluster's contribution by its instruction weight, in the spirit of
+// and Profile.Plan times one representative interval per cluster — each
+// cluster a stratum weighted by its instruction count, in the spirit of
 // SimPoint-style interval selection (PAPERS.md: "Improving the
 // Representativeness of Simulation Intervals for the Cache Memory
 // System"). Everything here is bit-deterministic for a fixed profile key:
@@ -18,7 +18,6 @@ import (
 	"hash/fnv"
 	"math"
 
-	"tlc/internal/sim"
 	"tlc/internal/stats"
 )
 
@@ -378,71 +377,23 @@ func meanOf(points [][]float64, idx []int) []float64 {
 	return m
 }
 
-// RunPhased executes a phase-sampled measurement of total instructions on
-// a warmed target: the windows run in order, each cluster representative
-// times its ENTIRE window in detail, every other window fast-forwards. The
-// stream advances exactly total instructions — identical stream evolution
-// to a uniform sampled run of the same total. Timing whole windows keeps
-// the measured span exactly congruent with the profiled window, so the
-// profile's per-window features and the calibration covariates describe
-// precisely what was measured. observe, if non-nil, fires per detailed
-// interval with Index = the cluster id. Options and profile must have been
-// validated (Check).
-func RunPhased(t Target, total uint64, opt Options, p Profile, observe func(Interval)) Estimate {
-	lens := WindowLengths(total, p.Windows)
-	est := Estimate{
-		Total:     total,
-		Intervals: len(p.Reps),
-		Phased:    true,
-	}
-	cpis := make([]float64, len(p.Reps))
-	var clock sim.Time
-	k := 0
-	for w := 0; w < p.Windows; w++ {
-		n := lens[w]
-		if k >= len(p.Reps) || p.Reps[k] != w {
-			t.Warm(n)
-			continue
-		}
-		r := t.Interval(k, n)
-		dur := r.Cycles - clock
-		clock = r.Cycles
-		cpi := float64(dur) / float64(n)
-		cpis[k] = cpi
-		est.Detailed += n
-		est.CPI.Observe(cpi)
-		est.WCPI.Observe(cpi, float64(p.Weights[k]))
-		est.L1DHits += r.L1DHits
-		est.L1DMisses += r.L1DMisses
-		est.L2Loads += r.L2Loads
-		est.L2Stores += r.L2Stores
-		if observe != nil {
-			observe(Interval{Index: k, Cycles: dur, Result: r})
-		}
-		k++
-	}
-	est.FinalClock = clock
-	// Plain stratified estimate: every window costs its cluster's observed
-	// CPI. Callers with per-interval covariates sharpen this with Calibrate.
-	var cycles float64
-	for k, cpi := range cpis {
-		cycles += cpi * float64(p.Weights[k])
-	}
-	est.PhaseCycles = cycles
-	est.PhaseCI = phaseCI(p, cpis)
-	return est
-}
-
-// phaseCI derives the 95% confidence half-width on the phased cycle
-// estimate from within-cluster spread: each cluster contributes its
-// instruction weight times the standard error of its windows' CPI-proxy
-// values, calibrated to observed-CPI scale by the representative's
-// observed/proxy ratio. One sample per stratum makes this an estimate, not
-// an exact interval; single-window clusters contribute zero, mirroring
-// stats.Sample's n<2 behavior.
-func phaseCI(p Profile, cpis []float64) float64 {
+// Plan schedules the profile's phase sampling: the windows run in order,
+// each cluster representative times its whole window in detail as its
+// cluster's stratum, and every other window fast-forwards, one Warm per
+// window. The stream advances exactly Total instructions, as a uniform run
+// of the same total does. Timing whole windows keeps the measured span
+// congruent with the profiled window, so the profile's per-window features
+// and the calibration covariates describe precisely what was measured.
+// Each stratum weighs its cluster's instructions, and its prior CPI spread
+// is the standard error of its windows' CPI-proxy values (zero for a
+// single-window cluster). The profile must have passed Check.
+func (p Profile) Plan() Plan {
 	col := len(p.Features[0]) - 1 // CPI proxy column
-	var sumsq float64
+	plan := Plan{
+		Weights:  p.Weights,
+		ProxySE:  make([]float64, len(p.Reps)),
+		ProxyRep: make([]float64, len(p.Reps)),
+	}
 	for k, rep := range p.Reps {
 		var s stats.Sample
 		for w, a := range p.Assign {
@@ -450,15 +401,19 @@ func phaseCI(p Profile, cpis []float64) float64 {
 				s.Observe(p.Features[w][col])
 			}
 		}
-		if s.N() < 2 {
-			continue
+		if s.N() >= 2 {
+			plan.ProxySE[k] = s.StdDev() / math.Sqrt(float64(s.N()))
 		}
-		ratio := 1.0
-		if repProxy := p.Features[rep][col]; repProxy > 0 && cpis[k] > 0 {
-			ratio = cpis[k] / repProxy
-		}
-		se := float64(p.Weights[k]) * s.StdDev() * ratio / math.Sqrt(float64(s.N()))
-		sumsq += se * se
+		plan.ProxyRep[k] = p.Features[rep][col]
 	}
-	return 1.96 * math.Sqrt(sumsq)
+	k := 0
+	for w, n := range WindowLengths(p.Total, p.Windows) {
+		step := Step{Warm: n, Repeat: 1}
+		if k < len(p.Reps) && p.Reps[k] == w {
+			step = Step{Detail: n, Stratum: k, Repeat: 1}
+			k++
+		}
+		plan.Steps = append(plan.Steps, step)
+	}
+	return plan
 }

@@ -163,10 +163,10 @@ func TestProfileCheckRejects(t *testing.T) {
 	}
 }
 
-// scriptedTarget scripts per-window cycle costs so RunPhased's bookkeeping
-// can be checked exactly: window w costs cpis[w] cycles per instruction
-// when timed. Warm consumes a window without advancing the simulated clock,
-// matching the real fast-forward contract.
+// scriptedTarget scripts per-window cycle costs so the phase plan's
+// bookkeeping can be checked exactly: window w costs cpis[w] cycles per
+// instruction when timed. Warm consumes a window without advancing the
+// simulated clock, matching the real fast-forward contract.
 type scriptedTarget struct {
 	cpis   []float64
 	clock  float64
@@ -182,7 +182,7 @@ func (f *scriptedTarget) Interval(i int, n uint64) cpu.Result {
 	return cpu.Result{Cycles: sim.Time(f.clock), Instructions: n}
 }
 
-func TestRunPhasedTimesRepresentativesOnly(t *testing.T) {
+func TestPhasePlanTimesRepresentativesOnly(t *testing.T) {
 	feats, instr, total := phaseFixture(12)
 	opt := Options{PhaseWindows: 12, PhaseClusters: 4}
 	p := BuildProfile("k", total, opt, feats, instr)
@@ -191,16 +191,22 @@ func TestRunPhasedTimesRepresentativesOnly(t *testing.T) {
 	for w := 0; w < 12; w++ {
 		ft.cpis = append(ft.cpis, 1+0.5*float64(w%3))
 	}
-	est := RunPhased(ft, total, opt, p, nil)
+	var strata []int
+	est := Run(ft, p.Plan(), func(iv Interval) {
+		if iv.Stratum != iv.Index {
+			t.Errorf("interval %d measures stratum %d; clusters run in representative order", iv.Index, iv.Stratum)
+		}
+		strata = append(strata, iv.Stratum)
+	})
 
-	if ft.warmed+est.Detailed != total {
-		t.Errorf("warmed %d + detailed %d ≠ total %d", ft.warmed, est.Detailed, total)
+	if ft.warmed+est.Detailed != total || est.Total != total {
+		t.Errorf("warmed %d + detailed %d ≠ total %d (estimate says %d)", ft.warmed, est.Detailed, total, est.Total)
 	}
-	if est.Intervals != len(p.Reps) {
+	if ft.w != 12 {
+		t.Errorf("%d target calls, want one per window", ft.w)
+	}
+	if est.Intervals != len(p.Reps) || len(strata) != len(p.Reps) {
 		t.Errorf("%d intervals, want one per representative (%d)", est.Intervals, len(p.Reps))
-	}
-	if !est.Phased {
-		t.Error("estimate not marked phased")
 	}
 	// Scripted CPI is constant within each phase, so the stratified
 	// estimate must be exact: every window billed at its phase's CPI.
@@ -208,10 +214,10 @@ func TestRunPhasedTimesRepresentativesOnly(t *testing.T) {
 	for w := 0; w < 12; w++ {
 		want += ft.cpis[w] * 5000
 	}
-	if math.Abs(est.Cycles()-want) > 1e-6 {
-		t.Errorf("stratified cycles %.1f, want exact %.1f", est.Cycles(), want)
+	if math.Abs(est.Cycles-want) > 1e-6 {
+		t.Errorf("stratified cycles %.1f, want exact %.1f", est.Cycles, want)
 	}
-	if est.CyclesCI() < 0 || math.IsNaN(est.CyclesCI()) {
-		t.Errorf("bad CI %v", est.CyclesCI())
+	if est.CyclesCI < 0 || math.IsNaN(est.CyclesCI) {
+		t.Errorf("bad CI %v", est.CyclesCI)
 	}
 }

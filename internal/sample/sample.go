@@ -1,11 +1,19 @@
-// Package sample implements SMARTS-style sampled simulation: instead of
-// timing every instruction of the measured interval, the runner alternates
-// functional fast-forward (cache state advances, no timing) with short
-// detailed intervals, and estimates whole-run metrics from the per-interval
-// observations. Bueno et al. and Zhang et al. (PAPERS.md) show such
-// interval sampling reproduces cache and CPI metrics within tight error
-// bounds at a fraction of the cost; the detailed fraction here is typically
-// a few percent.
+// Package sample implements sampled simulation: instead of timing every
+// instruction of the measured region, a run follows a Plan, an ordered
+// list of steps that fast-forward functionally (cache state advances, no
+// timing) and time detailed intervals, and estimates whole-run metrics from
+// the timed intervals. Every detailed interval belongs to a stratum, and a
+// stratum's instruction weight is how much of the run it stands for. Two
+// plans exist, and one executor (Run) drives both:
+//
+//   - UniformPlan: SMARTS-style sampling, equally spaced short intervals
+//     in one stratum that weighs the whole run;
+//   - Profile.Plan: phase sampling, one stratum per program phase whose
+//     representative window is timed whole.
+//
+// Bueno et al. and Zhang et al. (PAPERS.md) show such interval sampling
+// reproduces cache and CPI metrics within tight error bounds at a fraction
+// of the cost; the detailed fraction here is typically a few percent.
 //
 // Timing convention: detailed intervals are contiguous on the simulated
 // clock — interval i+1 resumes the pipeline at interval i's finish via
@@ -18,6 +26,7 @@ package sample
 
 import (
 	"fmt"
+	"math"
 
 	"tlc/internal/cpu"
 	"tlc/internal/sim"
@@ -44,9 +53,6 @@ type Options struct {
 	PhaseClusters int
 }
 
-// Enabled reports whether the options request sampling (either mode).
-func (o Options) Enabled() bool { return o.Intervals > 0 || o.Phase() }
-
 // Phase reports whether the options request phase-aware sampling. A
 // half-set pair still reports true so Validate can name the missing field.
 func (o Options) Phase() bool { return o.PhaseWindows > 0 || o.PhaseClusters > 0 }
@@ -57,18 +63,8 @@ func (o Options) Validate(total uint64) error {
 	if o.Phase() {
 		return o.validatePhase(total)
 	}
-	if o.Intervals <= 0 {
-		return fmt.Errorf("sample: Intervals=%d; need at least 1 detailed interval", o.Intervals)
-	}
-	if o.Length == 0 {
-		return fmt.Errorf("sample: Length=0; need a positive detailed-interval length")
-	}
-	detailed := uint64(o.Intervals) * o.Length
-	if detailed > total {
-		return fmt.Errorf("sample: Intervals=%d × Length=%d detailed instructions exceed the %d-instruction run; use a full run",
-			o.Intervals, o.Length, total)
-	}
-	return nil
+	_, err := UniformPlan(total, o.Intervals, o.Length)
+	return err
 }
 
 // validatePhase checks the phase-mode field combination.
@@ -98,12 +94,70 @@ func (o Options) validatePhase(total uint64) error {
 	return nil
 }
 
+// Step is one stretch of a plan, executed Repeat times: fast-forward Warm
+// instructions, then, when Detail > 0, time Detail instructions as one
+// detailed interval of stratum Stratum. A zero Warm makes no fast-forward
+// call, which is the same as making one: Machine.Warm(0) does nothing.
+// Repeat keeps a uniform plan two steps long at any interval count, so a
+// plan of 2^32 intervals costs no memory.
+type Step struct {
+	Warm, Detail uint64
+	Stratum      int
+	Repeat       uint64
+}
+
+// Plan is a sampled run's schedule: steps that together advance each
+// stream exactly the run's total instructions, and one instruction weight
+// per stratum, the weights also summing to that total.
+type Plan struct {
+	Steps []Step
+	// Weights[h] is the number of instructions stratum h stands for.
+	Weights []uint64
+	// ProxySE[h] and ProxyRep[h] give a stratum that times fewer than two
+	// intervals, and so cannot observe its own spread, a prior one: the
+	// standard error of the CPI proxy over the stratum's windows, and the
+	// proxy of the window it times. Nil in a uniform plan.
+	ProxySE, ProxyRep []float64
+}
+
+// UniformPlan schedules SMARTS-style sampling of total instructions:
+// intervals detailed intervals of length instructions, each after an equal
+// fast-forward stretch (the first (total-detailed) % intervals stretches
+// are one instruction longer), all in one stratum weighing total. It is
+// the one check of a uniform plan: the detailed instructions must fit the
+// run, a test made without forming their product, which can overflow.
+func UniformPlan(total uint64, intervals int, length uint64) (Plan, error) {
+	if intervals <= 0 {
+		return Plan{}, fmt.Errorf("sample: Intervals=%d; need at least 1 detailed interval", intervals)
+	}
+	if length == 0 {
+		return Plan{}, fmt.Errorf("sample: Length=0; need a positive detailed-interval length")
+	}
+	n := uint64(intervals)
+	if length > total/n {
+		return Plan{}, fmt.Errorf("sample: Intervals=%d × Length=%d detailed instructions exceed the %d-instruction run; use a full run",
+			intervals, length, total)
+	}
+	ff := total - n*length
+	ffPer, ffExtra := ff/n, ff%n
+	p := Plan{Weights: []uint64{total}}
+	if ffExtra > 0 {
+		p.Steps = append(p.Steps, Step{Warm: ffPer + 1, Detail: length, Repeat: ffExtra})
+	}
+	if n > ffExtra {
+		p.Steps = append(p.Steps, Step{Warm: ffPer, Detail: length, Repeat: n - ffExtra})
+	}
+	return p, nil
+}
+
 // Interval is one detailed measurement, passed to the observer so callers
 // can sample their own per-interval statistics (the harness reads L2 stat
 // deltas here).
 type Interval struct {
 	// Index is the interval number, 0-based.
 	Index int
+	// Stratum is the plan stratum the interval measures.
+	Stratum int
 	// Cycles is the detailed duration of this interval.
 	Cycles sim.Time
 	// Result is the core's timing result for the interval; Result.Cycles
@@ -122,40 +176,11 @@ type Estimate struct {
 	// FinalClock is the absolute simulated clock after the last detailed
 	// interval — the window over which timing resources accumulated.
 	FinalClock sim.Time
-	// CPI holds the per-interval cycles-per-instruction observations.
-	CPI stats.Sample
-	// Sums of the detailed per-core counters, for rate estimates.
-	L1DHits, L1DMisses, L2Loads, L2Stores uint64
-
-	// Phased marks a phase-mode estimate: WCPI holds the per-cluster CPI
-	// observations weighted by cluster instruction counts, PhaseCycles the
-	// stratified cycle estimate (sharpened in place by Calibrate when the
-	// caller has covariates), and PhaseCI the 95% confidence half-width on
-	// Cycles derived from within-cluster feature spread (RunPhased).
-	Phased      bool
-	WCPI        stats.Weighted
-	PhaseCycles float64
-	PhaseCI     float64
-}
-
-// Cycles estimates the full run's cycle count: Total × mean per-interval
-// CPI in uniform mode, the per-cluster stratified (or calibrated) sum in
-// phase mode.
-func (e *Estimate) Cycles() float64 {
-	if e.Phased {
-		return e.PhaseCycles
-	}
-	return e.CPI.Mean() * float64(e.Total)
-}
-
-// CyclesCI is the 95% confidence half-width on Cycles: interval-to-interval
-// CPI variation in uniform mode, the stratified within-cluster estimate in
-// phase mode.
-func (e *Estimate) CyclesCI() float64 {
-	if e.Phased {
-		return e.PhaseCI
-	}
-	return e.CPI.CI95() * float64(e.Total)
+	// Cycles estimates the full run's cycle count: Σ_h W_h × the mean CPI
+	// of stratum h's intervals. Calibrate may sharpen it.
+	Cycles float64
+	// CyclesCI is the 95% confidence half-width on Cycles.
+	CyclesCI float64
 }
 
 // Target is what a sampled measurement drives: anything that can advance
@@ -172,45 +197,69 @@ type Target interface {
 	Interval(i int, n uint64) cpu.Result
 }
 
-// RunTarget executes a sampled measurement of total instructions on a
-// warmed target: per interval, a functional fast-forward stretch followed
-// by opt.Length detailed instructions. Total and Length count instructions
-// per stream (per core, for a multi-core machine), and the stream advances
-// exactly total instructions. CPI observations are target cycles per
-// per-stream instruction, so the estimate's Cycles() projects the target's
-// clock over the full run. observe, if non-nil, is called after each
-// detailed interval. Options must have been validated.
+// Run executes a sampled measurement on a warmed target, step by step in
+// plan order. Instruction counts are per stream (per core, for a
+// multi-core machine). CPI observations are target cycles per per-stream
+// instruction, so the estimate's Cycles projects the target's clock over
+// the full run. observe, if non-nil, is called after each detailed
+// interval. The plan must come from UniformPlan or a checked
+// Profile.Plan.
 //
-// Both phases ride the batched cpu.Stream protocol: the fast-forward
+// Both kinds of step ride the batched cpu.Stream protocol: fast-forward
 // stretches take cpu.Core.Warm's NextMems path (non-memory instructions
 // skipped as run-length counts, bulk L2 installs), and the detailed
 // intervals consume NextBatch batches.
-func RunTarget(t Target, total uint64, opt Options, observe func(Interval)) Estimate {
-	n := uint64(opt.Intervals)
-	detailed := n * opt.Length
-	ffPer := (total - detailed) / n
-	ffExtra := (total - detailed) % n // first ffExtra intervals skip one more
-
-	est := Estimate{Total: total, Detailed: detailed, Intervals: opt.Intervals}
+func Run(t Target, p Plan, observe func(Interval)) Estimate {
+	var est Estimate
+	cpi := make([]stats.Sample, len(p.Weights))
 	var clock sim.Time
-	for i := 0; i < opt.Intervals; i++ {
-		ff := ffPer
-		if uint64(i) < ffExtra {
-			ff++
-		}
-		t.Warm(ff)
-		r := t.Interval(i, opt.Length)
-		dur := r.Cycles - clock
-		clock = r.Cycles
-		est.CPI.Observe(float64(dur) / float64(opt.Length))
-		est.L1DHits += r.L1DHits
-		est.L1DMisses += r.L1DMisses
-		est.L2Loads += r.L2Loads
-		est.L2Stores += r.L2Stores
-		if observe != nil {
-			observe(Interval{Index: i, Cycles: dur, Result: r})
+	for _, s := range p.Steps {
+		for r := uint64(0); r < s.Repeat; r++ {
+			est.Total += s.Warm + s.Detail
+			if s.Warm > 0 {
+				t.Warm(s.Warm)
+			}
+			if s.Detail == 0 {
+				continue
+			}
+			res := t.Interval(est.Intervals, s.Detail)
+			dur := res.Cycles - clock
+			clock = res.Cycles
+			cpi[s.Stratum].Observe(float64(dur) / float64(s.Detail))
+			if observe != nil {
+				observe(Interval{Index: est.Intervals, Stratum: s.Stratum, Cycles: dur, Result: res})
+			}
+			est.Detailed += s.Detail
+			est.Intervals++
 		}
 	}
 	est.FinalClock = clock
+	est.Cycles, est.CyclesCI = p.estimate(cpi)
 	return est
+}
+
+// estimate folds per-stratum CPI observations into the cycle estimate
+// Σ_h W_h × mean_h and its 95% half-width. One half-width per stratum
+// combines in quadrature: W_h times the observed CI when the stratum timed
+// two or more intervals, else W_h times the CPI-proxy standard error,
+// scaled to observed-CPI terms by the timed window's observed/proxy ratio.
+// A stratum with neither contributes zero, as stats.Sample does for n < 2.
+func (p Plan) estimate(cpi []stats.Sample) (cycles, ci float64) {
+	var sumsq float64
+	for h, s := range cpi {
+		w := float64(p.Weights[h])
+		cycles += w * s.Mean()
+		var hw float64
+		if s.N() >= 2 {
+			hw = w * s.CI95()
+		} else if p.ProxySE != nil {
+			ratio := 1.0
+			if rep := p.ProxyRep[h]; rep > 0 && s.Mean() > 0 {
+				ratio = s.Mean() / rep
+			}
+			hw = 1.96 * w * p.ProxySE[h] * ratio
+		}
+		sumsq += hw * hw
+	}
+	return cycles, math.Sqrt(sumsq)
 }

@@ -370,8 +370,8 @@ func TestValidation(t *testing.T) {
 }
 
 // TestSamplingPlanMustFitRun: a sampling plan that cannot fit the run —
-// uniform intervals longer than the run in total, or more phase windows
-// than instructions — is a 400 at admission, not a 500 from the worker
+// uniform intervals longer than the run in total, even when their product
+// overflows 64 bits, or more phase windows than instructions — is a 400 at admission, not a 500 from the worker
 // that bumps server.runs.failed. The server executes for real here, so a
 // plan that slipped past validation would fail inside the run.
 func TestSamplingPlanMustFitRun(t *testing.T) {
@@ -380,6 +380,9 @@ func TestSamplingPlanMustFitRun(t *testing.T) {
 		"uniform":        `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":1000,"sample_intervals":50}}`,
 		"uniform length": `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":1000,"sample_intervals":50,"sample_length":2000}}`,
 		"phase":          `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":10,"phase_windows":40,"phase_clusters":14}}`,
+		// Intervals × Length wraps to 0 in 64 bits.
+		"2 × 2^63":    `{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":2,"sample_length":9223372036854775808}}`,
+		"2^32 × 2^32": `{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":4294967296,"sample_length":4294967296}}`,
 	} {
 		resp, err := http.Post(hs.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -69,7 +69,7 @@ func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compu
 // save every stream's position, drive each window through per-core shadow
 // caches (a private L1 and an uncontended view of the L2), rewind. Features
 // sum across cores; window weights stay per-core instruction counts, to
-// match RunPhased's per-core accounting. The rewound streams are
+// match the phase plan's per-core accounting. The rewound streams are
 // bit-identical to streams that never profiled (the counters the pass
 // dirtied reset, matching prepare's contract that metrics cover only the
 // timed interval).
@@ -135,12 +135,12 @@ func calibratePhase(est *sample.Estimate, prof sample.Profile, obs *observer, to
 	}
 	for _, s := range obs.spans {
 		cal.Obs = append(cal.Obs, sample.SpanObs{
-			Cluster: s.cluster,
+			Cluster: s.stratum,
 			CPI:     s.cpi,
 			X: []float64{
 				s.l2m / float64(s.instr),
 				s.mispr / float64(s.instr),
-				prof.Features[prof.Reps[s.cluster]][cpu.FeatL1MissRate],
+				prof.Features[prof.Reps[s.stratum]][cpu.FeatL1MissRate],
 			},
 		})
 	}

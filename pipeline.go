@@ -3,12 +3,12 @@ package tlc
 // The run pipeline. Every run, one core or many, takes the same four
 // steps: build a machine of N >= 1 cores over the design under test
 // (internal/machine), restore it from a checkpoint or warm it, time it
-// under one strategy — full (Machine.Run), uniform sampling
-// (sample.RunTarget) or phase sampling (sample.RunPhased) — and assemble
-// the Result from the design's metric registry. A 1-core machine has no
-// Shared layer: its core drives the design directly and its registry
-// holds only the unprefixed cpu.* and workload.* names, so single-core
-// results come out of the same code as CMP results.
+// in full (Machine.Run) or by a sampling plan (sample.Run over a uniform
+// or phase sample.Plan), and assemble the Result from the design's metric
+// registry. A 1-core machine has no Shared layer: its core drives the
+// design directly and its registry holds only the unprefixed cpu.* and
+// workload.* names, so single-core results come out of the same code as
+// CMP results.
 //
 // The core count changes the pipeline in three places, each marked where
 // it branches: building the shared layer and naming metrics (newRig),
@@ -206,7 +206,7 @@ func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
 	if err := opt.validateCMP(); err != nil {
 		return Result{}, err
 	}
-	if opt.sampledMode() {
+	if opt.Sampled() {
 		sres, err := RunSpecSampled(d, spec, opt)
 		return sres.Result, err
 	}
@@ -227,13 +227,13 @@ func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
 }
 
 // RunSpecSampled simulates a custom workload spec on one design in sampled
-// mode, standing in for a full RunInstructions-long detailed run. Uniform
-// mode times SampleIntervals intervals of SampleLength instructions,
-// interleaved with functional fast-forwarding. Phase mode profiles (or
-// fetches) the phase clustering, times one representative window per
-// cluster, and on one core calibrates the cycle estimate against exact
-// covariate totals. RunInstructions and SampleLength count instructions
-// per core.
+// mode, standing in for a full RunInstructions-long detailed run. The run
+// follows a sample.Plan: the uniform plan times SampleIntervals intervals
+// of SampleLength instructions, interleaved with functional
+// fast-forwarding; the phase plan profiles (or fetches) the phase
+// clustering and times one representative window per cluster. On one core
+// a phase run's cycle estimate is then calibrated against exact covariate
+// totals. RunInstructions and SampleLength count instructions per core.
 func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, error) {
 	sopt := opt.SampleOptions()
 	if err := sopt.Validate(opt.RunInstructions); err != nil {
@@ -247,13 +247,17 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 		return SampledResult{}, err
 	}
 	reg := r.inst.Metrics()
-	var prof sample.Profile // zero in uniform mode: no weights, no calibration
+	var prof sample.Profile // zero in uniform mode: no calibration
+	var plan sample.Plan
 	if sopt.Phase() {
 		var cached bool
 		prof, cached = phaseProfileFor(spec, opt, sopt, func(key string) sample.Profile {
 			return computePhaseProfile(key, r.streams, opt)
 		})
 		registerPhaseMetrics(reg, prof, cached)
+		plan = prof.Plan()
+	} else {
+		plan, _ = sample.UniformPlan(opt.RunInstructions, sopt.Intervals, sopt.Length) // validated above
 	}
 	obs, observe := newObserver(reg, r.inst)
 	// Core-count branch: GREG calibration of phase estimates runs on one
@@ -268,12 +272,7 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 		core.SetWarmMissCounting(true)
 	}
 	warmBase := core.WarmL2Misses()
-	var est sample.Estimate
-	if sopt.Phase() {
-		est = sample.RunPhased(r.m, opt.RunInstructions, sopt, prof, observe)
-	} else {
-		est = sample.RunTarget(r.m, opt.RunInstructions, sopt, observe)
-	}
+	est := sample.Run(r.m, plan, observe)
 	if err := r.m.CancelErr(); err != nil {
 		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
 	}
@@ -281,13 +280,11 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 		totL2 := float64(reg.CounterValue("l2.misses")) + float64(core.WarmL2Misses()-warmBase)
 		calibratePhase(&est, prof, obs, totL2, float64(reg.CounterValue("workload.mispredicts")))
 	}
-	return assembleSampled(d, spec, opt, r, est, obs.fold(prof.Weights)), nil
+	return assembleSampled(d, spec, opt, r, est, obs.fold(plan.Weights)), nil
 }
 
 // observer records, per detailed interval, the deltas of the L2 lookup
-// histogram, the L2 miss counter and every registry counter. Uniform and
-// phase sampling keep the same records and differ only in how they fold
-// them: unweighted, or weighted by cluster instruction count.
+// histogram, the L2 miss counter and every registry counter.
 type observer struct {
 	names []string
 	spans []span
@@ -295,7 +292,7 @@ type observer struct {
 
 // span is one detailed interval's record.
 type span struct {
-	cluster int // interval index; the cluster id in phase mode
+	stratum int
 	instr   uint64
 	cpi     float64
 	// lookup is the interval's mean L2 lookup latency, valid when
@@ -330,7 +327,7 @@ func newObserver(reg *metrics.Registry, inst l2.Instrumented) (*observer, func(s
 		dMiss := st.Misses.Value() - prevMisses
 		prevLookupSum, prevLookupCount, prevMisses = st.Lookup.Sum(), st.Lookup.Count(), st.Misses.Value()
 		sp := span{
-			cluster: iv.Index,
+			stratum: iv.Stratum,
 			instr:   iv.Result.Instructions,
 			cpi:     float64(iv.Cycles) / float64(iv.Result.Instructions),
 			l2m:     float64(dMiss),
@@ -351,56 +348,34 @@ func newObserver(reg *metrics.Registry, inst l2.Instrumented) (*observer, func(s
 	}
 }
 
-// estimator is one folded estimate: a mean with its 95% confidence
-// half-width.
-type estimator interface {
-	observe(x, w float64)
-	N() uint64
-	Mean() float64
-	CI95() float64
-}
-
-type plainEstimator struct{ stats.Sample }
-
-func (e *plainEstimator) observe(x, _ float64) { e.Observe(x) }
-
-type weightedEstimator struct{ stats.Weighted }
-
-func (e *weightedEstimator) observe(x, w float64) { e.Observe(x, w) }
-
-// folded holds the sampled-run estimates.
+// folded holds the sampled-run estimates, each interval weighted by
+// W_h / n_h: its stratum's instruction weight over the number of intervals
+// the stratum timed. A phase cluster's one representative carries the
+// cluster's weight, so small phases do not count as much as big ones;
+// uniform intervals weigh equally.
 type folded struct {
 	names            []string
-	lookup, missRate estimator
-	counters         []estimator
+	strata           int
+	lookup, missRate stats.Weighted
+	counters         []stats.Weighted
 }
 
-// fold aggregates the records in interval order: unweighted when weights
-// is nil (uniform sampling), else each record weighted by its cluster's
-// instruction count, so phase estimates are unbiased even though small
-// phases get the same one detailed interval big phases do.
+// fold aggregates the records in interval order against the plan's
+// stratum weights.
 func (o *observer) fold(weights []uint64) folded {
-	est := func() estimator {
-		if weights == nil {
-			return &plainEstimator{}
-		}
-		return &weightedEstimator{}
-	}
-	f := folded{names: o.names, lookup: est(), missRate: est(), counters: make([]estimator, len(o.names))}
-	for i := range f.counters {
-		f.counters[i] = est()
-	}
+	n := make([]int, len(weights))
 	for _, sp := range o.spans {
-		w := 1.0
-		if weights != nil {
-			w = float64(weights[sp.cluster])
-		}
+		n[sp.stratum]++
+	}
+	f := folded{names: o.names, strata: len(weights), counters: make([]stats.Weighted, len(o.names))}
+	for _, sp := range o.spans {
+		w := float64(weights[sp.stratum]) / float64(n[sp.stratum])
 		if sp.hasLookup {
-			f.lookup.observe(sp.lookup, w)
+			f.lookup.Observe(sp.lookup, w)
 		}
-		f.missRate.observe(1000*sp.l2m/float64(sp.instr), w)
+		f.missRate.Observe(1000*sp.l2m/float64(sp.instr), w)
 		for i, r := range sp.rates {
-			f.counters[i].observe(r, w)
+			f.counters[i].Observe(r, w)
 		}
 	}
 	return f
@@ -423,20 +398,20 @@ func (f folded) counterTotal(name string, total, raw, detailed uint64) uint64 {
 // counters cover only the detailed instructions, so rates are computed
 // over that denominator. Power and utilization integrate over the detailed
 // window: the clock only advances during detailed intervals, so FinalClock
-// is that window's span. Uniform mode scales the absolute load/store
-// counts to the full run like the cycle estimate. Phase mode takes the
+// is that window's span. A one-stratum plan reports the pooled
+// detailed-window rates and scales the absolute load/store counts to the
+// full run like the cycle estimate. A plan with several strata takes the
 // rate metrics — misses/1K, mean lookup, the load/store totals — from the
-// cluster-weighted estimates instead, because registry aggregates over the
-// detailed window would over-represent small clusters.
+// stratum-weighted fold instead, because registry aggregates over the
+// detailed window would over-represent small strata.
 func assembleSampled(d Design, spec workload.Spec, opt Options, r *rig, est sample.Estimate, f folded) SampledResult {
 	cores := uint64(len(r.cores))
-	estCycles := est.Cycles()
 	totalInstr := opt.RunInstructions * cores
 	detailedTotal := est.Detailed * cores
 	res := assemble(d, spec.Name, r.inst.Metrics(), detailedTotal, est.FinalClock)
 	res.Instructions = totalInstr
-	res.Cycles = uint64(estCycles + 0.5)
-	if est.Phased {
+	res.Cycles = uint64(est.Cycles + 0.5)
+	if f.strata > 1 {
 		res.MissesPer1K = f.missRate.Mean()
 		if f.lookup.N() > 0 {
 			res.MeanLookup = f.lookup.Mean()
@@ -447,8 +422,8 @@ func assembleSampled(d Design, spec workload.Spec, opt Options, r *rig, est samp
 		res.L2Loads = scaleCount(res.L2Loads, totalInstr, detailedTotal)
 		res.L2Stores = scaleCount(res.L2Stores, totalInstr, detailedTotal)
 	}
-	if estCycles > 0 {
-		res.IPC = float64(totalInstr) / estCycles
+	if est.Cycles > 0 {
+		res.IPC = float64(totalInstr) / est.Cycles
 	}
 	mcis := make([]MetricCI, len(f.names))
 	for i, n := range f.names {
@@ -457,7 +432,7 @@ func assembleSampled(d Design, spec workload.Spec, opt Options, r *rig, est samp
 	emitMetrics(d, spec.Name, r.inst, est.FinalClock, opt)
 	return SampledResult{
 		Result:               res,
-		CyclesCI:             est.CyclesCI(),
+		CyclesCI:             est.CyclesCI,
 		MeanLookupCI:         f.lookup.CI95(),
 		MissesPer1KCI:        f.missRate.CI95(),
 		Intervals:            est.Intervals,

@@ -183,13 +183,10 @@ func (o Options) SampleOptions() sample.Options {
 	}
 }
 
-// phaseMode reports whether the options request phase-aware sampling
-// (possibly half-configured; validation names the missing field).
-func (o Options) phaseMode() bool { return o.PhaseWindows > 0 || o.PhaseClusters > 0 }
-
-// sampledMode reports whether the options request any sampled execution —
-// uniform intervals or phase-aware representatives.
-func (o Options) sampledMode() bool { return o.SampleIntervals > 0 || o.phaseMode() }
+// Sampled reports whether the options request sampled execution: uniform
+// intervals, or phase windows/clusters (possibly half-configured, so
+// validation can name the missing field).
+func (o Options) Sampled() bool { return o.SampleIntervals > 0 || o.SampleOptions().Phase() }
 
 // SharingSpec parameterizes cross-core sharing in CMP runs; see
 // workload.SharingSpec.
@@ -237,7 +234,7 @@ func (o Options) Validate() error {
 	if err := o.validateCMP(); err != nil {
 		return err
 	}
-	if o.sampledMode() {
+	if o.Sampled() {
 		return o.SampleOptions().Validate(o.RunInstructions)
 	}
 	return nil
