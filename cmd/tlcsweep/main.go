@@ -218,7 +218,6 @@ func main() {
 func localGrid() func([]runSpec) ([]tlc.Result, []tlc.MetricsSnapshot, []float64, error) {
 	var mu sync.Mutex
 	suites := make(map[string]*experiments.Suite)
-	planner := experiments.NewLanePlanner()
 	run := func(s runSpec) (tlc.Result, tlc.MetricsSnapshot, error) {
 		key := s.opt.ContentKey()
 		mu.Lock()
@@ -244,21 +243,11 @@ func localGrid() func([]runSpec) ([]tlc.Result, []tlc.MetricsSnapshot, []float64
 		for i, s := range specs {
 			points[i] = experiments.GridPoint{Design: s.design, Bench: s.bench, Opt: s.opt}
 		}
-		mu.Lock()
-		groups := planner.Plan(points)
-		timings.Lanes.ScalarPoints += uint64(planner.ScalarPoints())
-		for i := range groups {
-			g := &groups[i]
-			if len(g.Designs) < 2 {
-				continue
-			}
-			if st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt); err == nil && st.Lanes > 0 {
-				timings.Lanes.Groups++
-				timings.Lanes.LanesWarmed += uint64(st.Lanes)
-				timings.Lanes.BatchesShared += st.Batches
-			}
-		}
-		mu.Unlock()
+		lt := experiments.WarmGrid(points, 1)
+		timings.Lanes.Groups += lt.Groups
+		timings.Lanes.LanesWarmed += lt.Lanes
+		timings.Lanes.BatchesShared += lt.Batches
+		timings.Lanes.ScalarPoints += lt.ScalarPoints
 
 		results := make([]tlc.Result, len(specs))
 		snaps := make([]tlc.MetricsSnapshot, len(specs))

@@ -123,6 +123,7 @@ func FuzzRunRequest(f *testing.F) {
 		`{"design":"TLC","benchmark":"perl","options":{"warm_instructions":2000000,"run_instructions":200000,"fidelity":"fast"}}`,
 		`{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":2,"sample_length":9223372036854775808}}`,
 		`{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":4294967296,"sample_length":4294967296}}`,
+		`{"design":"TLC","benchmark":"gcc","options":{"phase_windows":2000000,"phase_clusters":2000000}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -147,6 +148,9 @@ func FuzzRunRequest(f *testing.F) {
 				t.Fatalf("admitted %d intervals × %d instructions against a %d-instruction run",
 					opt.SampleIntervals, opt.SampleLength, opt.RunInstructions)
 			}
+		}
+		if opt.PhaseWindows > 1<<16 || uint64(opt.PhaseWindows)*uint64(opt.PhaseClusters) > 1<<20 {
+			t.Fatalf("admitted a %d-window × %d-cluster phase shape", opt.PhaseWindows, opt.PhaseClusters)
 		}
 	})
 }

@@ -95,32 +95,24 @@ func Register() *Flags {
 // -sample/-samplelen select the uniform sampled interval plan, -phase (and
 // its shape knobs) the phase-aware one with a per-invocation profile store,
 // -cores/-sharing set the CMP axis, and -metrics chains a collector onto
-// OnMetrics (a hook
-// already present keeps firing after it). Apply may be called on several
-// Options values (one suite per memory model, say); all their runs collect
-// into the same dump. The returned error rejects impossible CMP flags — a
-// core count outside 1..64 or an unknown sharing pattern — with a one-line
-// message for the caller to print and exit on.
+// OnMetrics (a hook already present keeps firing after it). Apply may be
+// called on several Options values (one suite per memory model, say); all
+// their runs collect into the same dump. The returned error rejects
+// impossible flags — a core count outside 1..64, an unknown sharing
+// pattern, or a sampling plan that cannot fit the run — with a one-line
+// message for the caller to print and exit on; the finished options are
+// validated once, before any store is built.
 func (f *Flags) Apply(opt *tlc.Options) error {
 	if f.Cores < 1 {
 		return fmt.Errorf("cliopt: -cores %d: need at least 1", f.Cores)
 	}
 	opt.Cores = f.Cores
 	opt.Sharing = tlc.SharingSpec{Pattern: f.Sharing, SharedMB: f.SharedMB, SharedFrac: f.SharedFrac}
-	if err := opt.Validate(); err != nil {
-		return err
-	}
-	if f.CkptDir != "" {
-		opt.Checkpoints = tlc.NewCheckpointStore(0, f.CkptDir)
-	}
-	phase := f.Phase || f.PhaseWindows > 0 || f.PhaseClusters > 0
-	if phase && f.Sample > 0 {
-		return fmt.Errorf("cliopt: -sample %d and -phase are mutually exclusive (uniform vs phase-aware sampling)", f.Sample)
-	}
 	if f.Sample > 0 {
 		opt.SampleIntervals = f.Sample
 		opt.SampleLength = f.Length
 	}
+	phase := f.Phase || f.PhaseWindows > 0 || f.PhaseClusters > 0
 	if phase {
 		opt.PhaseWindows = f.PhaseWindows
 		if opt.PhaseWindows == 0 {
@@ -130,10 +122,15 @@ func (f *Flags) Apply(opt *tlc.Options) error {
 		if opt.PhaseClusters == 0 {
 			opt.PhaseClusters = DefaultPhaseClusters
 		}
-		if opt.PhaseClusters > opt.PhaseWindows {
-			return fmt.Errorf("cliopt: -phase-clusters %d exceeds -phase-windows %d", opt.PhaseClusters, opt.PhaseWindows)
-		}
 		opt.SampleLength = f.Length
+	}
+	if err := opt.Validate(); err != nil {
+		return err
+	}
+	if f.CkptDir != "" {
+		opt.Checkpoints = tlc.NewCheckpointStore(0, f.CkptDir)
+	}
+	if phase {
 		// One profile store per invocation: the profile is design-
 		// independent, so a grid over all six designs pays one clustering
 		// pass per benchmark. -ckptdir adds the persistent tier, shared

@@ -7,8 +7,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -55,11 +53,6 @@ type Suite struct {
 	// each (design, benchmark) contributes exactly once.
 	runMetrics map[runKey]tlc.MetricsSnapshot
 	agg        map[string]uint64
-
-	// planner is the suite's reusable lane-grid planner, guarded by its own
-	// mutex so a long-held plan never blocks the run cache.
-	planMu  sync.Mutex
-	planner *LanePlanner
 }
 
 // RunEvent describes one completed underlying simulation.
@@ -87,26 +80,15 @@ type Metrics struct {
 	// runs overlap).
 	SimWall time.Duration
 
-	// Lane-parallel warm phase counters (the sim.lanes.* spine): how much
-	// grid work the shared-stream passes actually absorbed.
-
-	// LaneGroups counts shared warm passes that warmed at least one lane.
-	LaneGroups uint64
-	// LanesWarmed counts configurations warmed by shared passes — warm-ups
-	// the grid's runs restored instead of re-executing.
-	LanesWarmed uint64
-	// LaneBatches counts stream batches consumed once on behalf of a whole
-	// group, each saved (lanes-1) times over scalar execution.
-	LaneBatches uint64
-	// LaneScalarPoints counts grid points left to scalar warm-up: no
-	// checkpoint store, or a group too small to share.
+	// Lane-phase totals, summed from every WarmGrid's LaneTally (the
+	// field docs are there). Add LaneWall to SimWall when comparing a
+	// lane-phased sweep's total simulation cost against a scalar one: the
+	// runs' own wall no longer carries the warm-up the passes pre-paid.
+	LaneGroups       uint64
+	LanesWarmed      uint64
+	LaneBatches      uint64
 	LaneScalarPoints uint64
-	// LaneWall is the summed wall-clock time of the shared warm passes
-	// (CPU-seconds like SimWall: passes running in parallel overlap). Add
-	// it to SimWall when comparing a lane-phased sweep's total simulation
-	// cost against a scalar one — the runs' own wall no longer carries the
-	// warm-up the passes pre-paid.
-	LaneWall time.Duration
+	LaneWall         time.Duration
 }
 
 // flight is one singleflight cache entry: the first requester of a key
@@ -211,19 +193,6 @@ func (s *Suite) SampledErr(d tlc.Design, bench string) (tlc.SampledResult, error
 	return f.sres, nil
 }
 
-// SampledCtx is SampledErr bounded by a context, with RunCtx's
-// cancellation and eviction semantics. The suite must be in sampled mode.
-func (s *Suite) SampledCtx(ctx context.Context, d tlc.Design, bench string) (tlc.SampledResult, error) {
-	if !s.Sampled() {
-		return tlc.SampledResult{}, fmt.Errorf("experiments: suite is not in sampled mode")
-	}
-	f, err := s.runCtx(ctx, d, bench)
-	if err != nil {
-		return tlc.SampledResult{}, err
-	}
-	return f.sres, nil
-}
-
 // sampled is SampledErr with the Run panic contract, for figure builders.
 func (s *Suite) sampled(d tlc.Design, bench string) tlc.SampledResult {
 	r, err := s.SampledErr(d, bench)
@@ -242,106 +211,47 @@ func (s *Suite) RunErr(d tlc.Design, bench string) (tlc.Result, error) {
 	return f.res, nil
 }
 
-// RunCtx is RunErr bounded by a context: the executing simulation polls ctx
-// at batch boundaries (through tlc.Options.Cancel), and a request that
-// joins an in-flight simulation of the same key stops waiting when its own
-// ctx ends. A flight aborted by cancellation is evicted from the cache —
-// cancellation is a property of the requests that happened to be waiting,
-// not of the (design, benchmark) key — so a later request re-simulates
-// instead of inheriting the cancelled flight's error.
-func (s *Suite) RunCtx(ctx context.Context, d tlc.Design, bench string) (tlc.Result, error) {
-	f, err := s.runCtx(ctx, d, bench)
-	if err != nil {
-		return tlc.Result{}, err
-	}
-	return f.res, nil
-}
-
-// run is the singleflight core shared by RunErr and SampledErr.
+// run is the singleflight core shared by RunErr and SampledErr: the first
+// requester of a key simulates, later ones wait on its flight.
 func (s *Suite) run(d tlc.Design, bench string) (*flight, error) {
-	return s.runCtx(context.Background(), d, bench)
-}
-
-// runCtx installs or joins the key's flight. Joiners whose flight ends in
-// another request's cancellation retry with their own (still live) context.
-func (s *Suite) runCtx(ctx context.Context, d tlc.Design, bench string) (*flight, error) {
 	key := runKey{d, bench}
-	for {
-		s.mu.Lock()
-		if f, ok := s.cache[key]; ok {
-			s.m.CacheHits++
-			s.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if isCancellation(f.err) && ctx.Err() == nil {
-				// The executing requester was cancelled after we joined; the
-				// flight has been evicted. Re-run under our own context.
-				continue
-			}
-			return f, f.err
-		}
-		f := &flight{done: make(chan struct{})}
-		s.cache[key] = f
+	s.mu.Lock()
+	if f, ok := s.cache[key]; ok {
+		s.m.CacheHits++
 		s.mu.Unlock()
-		s.execute(ctx, key, f)
+		<-f.done
 		return f, f.err
 	}
-}
+	f := &flight{done: make(chan struct{})}
+	s.cache[key] = f
+	s.mu.Unlock()
 
-// execute runs one simulation in the caller's goroutine, fills the flight,
-// and wakes its waiters. Cancelled flights are evicted before the wake-up,
-// so retrying waiters never rejoin a dead flight.
-func (s *Suite) execute(ctx context.Context, key runKey, f *flight) {
-	opt := s.Opt
-	if ctx.Done() != nil {
-		user := opt.Cancel
-		opt.Cancel = func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if user != nil {
-				return user()
-			}
-			return nil
-		}
-	}
 	start := time.Now()
 	if s.Sampled() {
-		f.sres, f.err = tlc.RunSampled(key.d, key.bench, opt)
+		f.sres, f.err = tlc.RunSampled(d, bench, s.Opt)
 		f.res = f.sres.Result
 	} else {
-		f.res, f.err = tlc.Run(key.d, key.bench, opt)
+		f.res, f.err = tlc.Run(d, bench, s.Opt)
 	}
 	wall := time.Since(start)
 
 	s.mu.Lock()
-	if isCancellation(f.err) && s.cache[key] == f {
-		delete(s.cache, key)
-	}
 	s.m.Simulated++
 	s.m.SimWall += wall
 	s.mu.Unlock()
 	close(f.done)
 	if s.OnRun != nil {
-		s.OnRun(RunEvent{Design: key.d, Benchmark: key.bench, Wall: wall, Result: f.res, Err: f.err})
+		s.OnRun(RunEvent{Design: d, Benchmark: bench, Wall: wall, Result: f.res, Err: f.err})
 	}
-}
-
-// isCancellation reports whether err stems from context cancellation or an
-// expired deadline (tlc wraps the context error, so errors.Is sees it).
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return f, f.err
 }
 
 // Seed installs an already-computed result for (d, bench), making later
 // table and figure builds of that key pure cache lookups. The tlcd server
-// uses it to replay records from its content-addressed result cache into a
-// fresh (or LRU-rebuilt) suite without re-simulating. A key that is already
-// cached or in flight is left alone. sres carries the confidence intervals
-// when the suite runs sampled; it may be nil otherwise.
+// uses it to render a figure from the records its grid fill returned,
+// without re-simulating. A key that is already cached or in flight is left
+// alone. sres carries the confidence intervals when the suite runs
+// sampled; it may be nil otherwise.
 func (s *Suite) Seed(d tlc.Design, bench string, res tlc.Result, sres *tlc.SampledResult) {
 	f := &flight{done: make(chan struct{}), res: res}
 	if sres != nil {
@@ -383,7 +293,7 @@ func (s *Suite) RunAll(designs []tlc.Design, benches []string, par int) error {
 			points = append(points, GridPoint{Design: d, Bench: b, Opt: s.Opt})
 		}
 	}
-	s.warmLanes(points, par)
+	s.WarmGrid(points, par)
 	type job struct {
 		d tlc.Design
 		b string

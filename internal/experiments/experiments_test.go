@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tlc"
 )
@@ -175,72 +172,6 @@ func TestConcurrentMixedCallers(t *testing.T) {
 	wg.Wait()
 	if m := s.Metrics(); m.Simulated != 4 {
 		t.Fatalf("%d underlying runs, want 4 (one per grid key)", m.Simulated)
-	}
-}
-
-// TestRunCtxCancelledBeforeStart: a dead context aborts the run promptly
-// (the cancellation hook fires at the first batch boundary) and — the
-// eviction guarantee — does not poison the key: a later uncancelled request
-// simulates and succeeds.
-func TestRunCtxCancelledBeforeStart(t *testing.T) {
-	s := tinySuite()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := s.RunCtx(ctx, tlc.DesignTLC, "perl")
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx under a cancelled context = %v, want context.Canceled", err)
-	}
-	if _, err := s.RunCtx(context.Background(), tlc.DesignTLC, "perl"); err != nil {
-		t.Fatalf("key poisoned by cancelled flight: %v", err)
-	}
-	if m := s.Metrics(); m.Simulated != 2 {
-		t.Fatalf("Simulated = %d, want 2 (the aborted attempt and the retry)", m.Simulated)
-	}
-}
-
-// TestRunCtxDeadline: an already-expired deadline yields DeadlineExceeded.
-func TestRunCtxDeadline(t *testing.T) {
-	s := tinySuite()
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	_, err := s.RunCtx(ctx, tlc.DesignTLC, "perl")
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx past deadline = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestRunCtxWaiterOutlivesCancelledExecutor: a waiter with a live context
-// that joined a flight whose executor got cancelled must transparently
-// re-run rather than inherit the executor's cancellation error.
-func TestRunCtxWaiterOutlivesCancelledExecutor(t *testing.T) {
-	s := tinySuite()
-	execCtx, cancelExec := context.WithCancel(context.Background())
-
-	started := make(chan struct{})
-	var once sync.Once
-	s.OnRun = func(RunEvent) { once.Do(func() { close(started) }) }
-
-	// The executor starts first and is cancelled mid-run; OnRun fires when
-	// its (aborted) attempt finishes. A best-effort schedule: if the tiny
-	// run completes before cancel lands, the waiter simply joins a healthy
-	// flight — the assertions below hold either way.
-	errc := make(chan error, 1)
-	go func() {
-		_, err := s.RunCtx(execCtx, tlc.DesignSNUCA2, "oltp")
-		errc <- err
-	}()
-	cancelExec()
-	<-errc
-
-	if res, err := s.RunCtx(context.Background(), tlc.DesignSNUCA2, "oltp"); err != nil {
-		t.Fatalf("waiter with live context got %v, want a result", err)
-	} else if res.Cycles == 0 {
-		t.Fatal("waiter got a zero result")
-	}
-	select {
-	case <-started:
-	default:
-		t.Fatal("OnRun never fired")
 	}
 }
 

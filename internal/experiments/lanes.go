@@ -152,29 +152,41 @@ func laneOrder(groups []LaneGroup) []int {
 	return order
 }
 
-// warmLanes is the lane phase of grid execution: plan the grid, then run
+// LaneTally counts what one lane phase absorbed (the sim.lanes.* spine).
+type LaneTally struct {
+	// Groups counts shared warm passes that warmed at least one lane.
+	Groups uint64
+	// Lanes counts configurations warmed by shared passes — warm-ups the
+	// grid's runs restore instead of re-executing.
+	Lanes uint64
+	// Batches counts stream batches consumed once on behalf of a whole
+	// group, each saved (lanes-1) times over scalar execution.
+	Batches uint64
+	// ScalarPoints counts grid points left to scalar warm-up: no checkpoint
+	// store, or a group too small to share.
+	ScalarPoints uint64
+	// Wall is the summed wall-clock time of the passes (CPU-seconds:
+	// passes running in parallel overlap).
+	Wall time.Duration
+}
+
+// WarmGrid is the lane phase of grid execution: plan the grid, then run
 // one lane-parallel warm pass per shareable group from a pool of par
 // workers taking the groups in laneOrder. It only pre-pays warm-ups into
-// the checkpoint store — the points themselves still execute exactly as
-// before, restoring what the pass stored. Pass errors (cancellation) are
-// dropped deliberately: the pass is an accelerator, and whatever it could
-// not warm is warmed scalar by the runs, which surface their own errors.
-func (s *Suite) warmLanes(points []GridPoint, par int) {
-	if s.NoLanes {
-		return
-	}
+// the points' checkpoint stores — the points themselves still execute
+// exactly as before, restoring what the passes stored. Pass errors
+// (cancellation) are dropped deliberately: the pass is an accelerator, and
+// whatever it could not warm is warmed scalar by the runs, which surface
+// their own errors.
+func WarmGrid(points []GridPoint, par int) LaneTally {
 	if par < 1 {
 		par = 1
 	}
-	s.planMu.Lock()
-	if s.planner == nil {
-		s.planner = NewLanePlanner()
-	}
-	groups := s.planner.Plan(points)
-	scalar := s.planner.ScalarPoints()
-	s.planMu.Unlock()
-
+	p := NewLanePlanner()
+	groups := p.Plan(points)
 	order := laneOrder(groups)
+	t := LaneTally{ScalarPoints: uint64(p.ScalarPoints())}
+	var mu sync.Mutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < par && w < len(order); w++ {
@@ -192,27 +204,34 @@ func (s *Suite) warmLanes(points []GridPoint, par int) {
 				if err != nil || st.Lanes == 0 {
 					continue
 				}
-				s.mu.Lock()
-				s.m.LaneGroups++
-				s.m.LanesWarmed += uint64(st.Lanes)
-				s.m.LaneBatches += st.Batches
-				s.m.LaneWall += time.Since(start)
-				s.mu.Unlock()
+				mu.Lock()
+				t.Groups++
+				t.Lanes += uint64(st.Lanes)
+				t.Batches += st.Batches
+				t.Wall += time.Since(start)
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	s.mu.Lock()
-	s.m.LaneScalarPoints += uint64(scalar)
-	s.mu.Unlock()
+	return t
 }
 
-// WarmGrid plans and executes the lane-parallel warm phase for an explicit
-// grid, bounded by par workers. Callers that then run the same points —
-// through this suite or any executor sharing the points' checkpoint
-// stores — restore the pre-paid warm states instead of re-warming. It is
-// the entry point for grid executors outside RunAll (tlcsweep's local
-// path, the tlcd sweep and figure pipelines).
+// WarmGrid runs the lane phase (the package-level WarmGrid) for an explicit
+// grid and adds its tally to the suite's metrics; NoLanes makes it a no-op.
+// Callers that then run the same points — through this suite or any
+// executor sharing the points' checkpoint stores — restore the pre-paid
+// warm states instead of re-warming.
 func (s *Suite) WarmGrid(points []GridPoint, par int) {
-	s.warmLanes(points, par)
+	if s.NoLanes {
+		return
+	}
+	t := WarmGrid(points, par)
+	s.mu.Lock()
+	s.m.LaneGroups += t.Groups
+	s.m.LanesWarmed += t.Lanes
+	s.m.LaneBatches += t.Batches
+	s.m.LaneScalarPoints += t.ScalarPoints
+	s.m.LaneWall += t.Wall
+	s.mu.Unlock()
 }

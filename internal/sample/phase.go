@@ -263,21 +263,22 @@ func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
 
 	// k-means++ seeding: first centroid uniform, later ones with
 	// probability proportional to squared distance from the nearest
-	// chosen centroid.
+	// chosen centroid. d2[i] holds that distance for window i, updated
+	// against only the newest centroid each round.
 	first := rng.intn(n)
 	centroids = append(centroids, append([]float64(nil), points[first]...))
 	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		var totalD float64
 		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := sqDist(p, c); d < best {
-					best = d
-				}
+			if d := sqDist(p, newest); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
-			totalD += best
+			totalD += d2[i]
 		}
 		pick := -1
 		if totalD > 0 {

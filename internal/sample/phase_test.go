@@ -30,6 +30,12 @@ func TestValidatePhase(t *testing.T) {
 		// Length is a uniform-mode knob: phase mode times whole windows, so
 		// any Length must be ignored, not rejected.
 		{"length is ignored in phase mode", Options{PhaseWindows: 40, PhaseClusters: 14, Length: 1 << 60}, 200_000, ""},
+		// The shape bounds hold however long the run is.
+		{"largest window count", Options{PhaseWindows: 1 << 16, PhaseClusters: 16}, 2_000_000, ""},
+		{"too many windows", Options{PhaseWindows: 1<<16 + 1, PhaseClusters: 1}, 2_000_000, "PhaseWindows=65537"},
+		{"run-sized shape", Options{PhaseWindows: 2_000_000, PhaseClusters: 2_000_000}, 2_000_000, "PhaseWindows=2000000"},
+		{"largest windows × clusters", Options{PhaseWindows: 1 << 10, PhaseClusters: 1 << 10}, 2_000_000, ""},
+		{"too many windows × clusters", Options{PhaseWindows: 1 << 12, PhaseClusters: 1<<8 + 1}, 2_000_000, "PhaseClusters=257"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -53,6 +53,15 @@ type Options struct {
 	PhaseClusters int
 }
 
+// maxPhaseWindows and maxPhaseCells bound a phase plan's shape: profiling
+// and k-means cost grows with windows × clusters, so an unbounded shape
+// that fits the run could still hold a worker for hours. The default shape
+// is 40 × 14.
+const (
+	maxPhaseWindows = 1 << 16
+	maxPhaseCells   = 1 << 20
+)
+
 // Phase reports whether the options request phase-aware sampling. A
 // half-set pair still reports true so Validate can name the missing field.
 func (o Options) Phase() bool { return o.PhaseWindows > 0 || o.PhaseClusters > 0 }
@@ -88,6 +97,13 @@ func (o Options) validatePhase(total uint64) error {
 	if uint64(o.PhaseWindows) > total {
 		return fmt.Errorf("sample: PhaseWindows=%d exceeds the %d-instruction run; need at least one instruction per window",
 			o.PhaseWindows, total)
+	}
+	if o.PhaseWindows > maxPhaseWindows {
+		return fmt.Errorf("sample: PhaseWindows=%d exceeds the %d-window limit", o.PhaseWindows, maxPhaseWindows)
+	}
+	if uint64(o.PhaseWindows)*uint64(o.PhaseClusters) > maxPhaseCells {
+		return fmt.Errorf("sample: PhaseWindows=%d × PhaseClusters=%d exceeds the %d-cell clustering limit",
+			o.PhaseWindows, o.PhaseClusters, maxPhaseCells)
 	}
 	// Length is a uniform-mode knob: phase mode times whole windows, so the
 	// interval length is total/PhaseWindows by construction.

@@ -258,7 +258,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	suite := s.suiteFor(s.cfg.BaseOptions)
+	suite := experiments.NewSuite(s.cfg.BaseOptions)
 	if len(fig.designs) > 0 {
 		// Lane phase: each benchmark's warm-up is paid once for every
 		// design of the figure through a shared stream before the grid
@@ -289,13 +289,11 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 						mu.Unlock()
 						return
 					}
-					// Seed the rendering suite from the returned record: a
-					// grid point served from the result cache never touched
-					// this suite (it may be fresh, or rebuilt after LRU
-					// eviction), and render below must be a pure lookup —
-					// not a serial background-context re-simulation inside
-					// the HTTP handler that would bypass the worker pool
-					// and the request deadline.
+					// Seed the request's rendering suite from the returned
+					// record, so render below is a pure lookup — not a
+					// serial re-simulation inside the HTTP handler that
+					// would bypass the worker pool and the request
+					// deadline.
 					if rec.Result != nil {
 						var sres *tlc.SampledResult
 						if suite.Sampled() {

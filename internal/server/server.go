@@ -1,17 +1,18 @@
 // Package server implements the tlcd experiment service: the paper's
 // evaluation behind an HTTP API. One long-running process amortizes what
 // every one-shot CLI invocation re-pays — warm state, identical grid
-// points, in-flight duplicates — through three layers that a request
-// traverses in order:
+// points, in-flight duplicates. A request meets two deduplication layers,
+// in order, before any work is queued:
 //
 //  1. a content-addressed LRU result cache keyed by tlc.RunKey (hits are
 //     served without touching a worker),
-//  2. request coalescing: an identical in-flight configuration is joined,
-//     not re-enqueued, and the underlying execution is additionally
-//     deduplicated by experiments.Suite's per-key singleflight,
-//  3. a bounded worker pool fed by a bounded queue with explicit
-//     backpressure — a full queue rejects with 429 and a Retry-After
-//     estimate instead of queueing without bound.
+//  2. request coalescing: an identical in-flight configuration (a flight,
+//     keyed by the same RunKey) is joined, not re-enqueued.
+//
+// A new flight goes to a bounded worker pool fed by a bounded queue with
+// explicit backpressure — a full queue rejects with 429 and a Retry-After
+// estimate instead of queueing without bound — and the worker runs the
+// simulation itself (tlc.Run or tlc.RunSampled).
 //
 // Per-request deadlines are cooperative: the executing simulation polls the
 // request context at batch boundaries (tlc.Options.Cancel), so an expired
@@ -22,7 +23,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"log"
@@ -66,8 +66,9 @@ type Config struct {
 	// tlc.DefaultOptions.
 	BaseOptions tlc.Options
 
-	// execute overrides run execution, for tests. The default executes
-	// through a per-options experiments.Suite.
+	// execute overrides run execution, for tests. The default, executeRun,
+	// simulates directly: the result cache and the flight map in front of
+	// it are the only deduplication.
 	execute func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error)
 }
 
@@ -79,10 +80,8 @@ type Server struct {
 	start time.Time
 
 	mu       sync.Mutex
-	suites   map[string]*experiments.Suite // by Options.ContentKey
-	suiteUse *list.List                    // LRU order of suite keys
-	flights  map[string]*runFlight         // in-flight runs by RunKey
-	cache    *lru                          // RunKey -> api.RunRecord
+	flights  map[string]*runFlight // in-flight runs by RunKey
+	cache    *lru                  // RunKey -> api.RunRecord
 	draining bool
 
 	queue   chan *runFlight
@@ -114,13 +113,11 @@ type Server struct {
 	nFailed    atomic.Uint64
 	nHTTP      atomic.Uint64
 
-	// Lane-parallel warm phase: sweep and figure grids are planned into
-	// shared-stream groups and warmed once per group before their points
-	// are submitted. laneMu serializes the passes (concurrent grids would
-	// mostly duplicate each other's warm work); the planner reuses its
-	// storage across plans.
+	// Lane-parallel warm phase: sweep and figure grids are warmed once per
+	// shared-stream group before their points are submitted. laneMu
+	// serializes the passes (concurrent grids would mostly duplicate each
+	// other's warm work).
 	laneMu      sync.Mutex
-	planner     *experiments.LanePlanner
 	nLaneGroups atomic.Uint64
 	nLaneWarmed atomic.Uint64
 	nLaneBatch  atomic.Uint64
@@ -148,11 +145,6 @@ type runFlight struct {
 	rec  api.RunRecord
 	err  error
 }
-
-// maxSuites bounds the per-options suite cache. Each suite's internal
-// result cache is bounded by the design×benchmark grid, so the worst-case
-// footprint is maxSuites full grids of Results plus metric snapshots.
-const maxSuites = 32
 
 // defaultCacheSize is the result-cache capacity when Config.CacheSize is
 // zero or invalid.
@@ -199,19 +191,17 @@ func New(cfg Config) *Server {
 	}
 
 	s := &Server{
-		cfg:      cfg,
-		reg:      metrics.New(),
-		start:    time.Now(),
-		suites:   make(map[string]*experiments.Suite),
-		suiteUse: list.New(),
-		flights:  make(map[string]*runFlight),
-		cache:    newLRU(cfg.CacheSize),
-		queue:    make(chan *runFlight, cfg.QueueDepth),
-		drain:    make(chan struct{}),
-		settled:  make(chan struct{}),
+		cfg:     cfg,
+		reg:     metrics.New(),
+		start:   time.Now(),
+		flights: make(map[string]*runFlight),
+		cache:   newLRU(cfg.CacheSize),
+		queue:   make(chan *runFlight, cfg.QueueDepth),
+		drain:   make(chan struct{}),
+		settled: make(chan struct{}),
 	}
 	if s.cfg.execute == nil {
-		s.cfg.execute = s.executeSuite
+		s.cfg.execute = s.executeRun
 	}
 	s.registerMetrics()
 	for i := 0; i < cfg.Workers; i++ {
@@ -252,41 +242,24 @@ func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("sim.lanes.scalar_points", s.nLaneScalar.Load)
 }
 
-// laneWarm pre-pays a grid's warm-ups into the shared checkpoint store:
-// points are grouped by shared workload stream and each group warmed once
-// through a lane-parallel pass, so the submits that follow restore
-// checkpoints instead of re-warming per point. Purely an accelerator —
-// lane-warmed state is pinned bit-identical to scalar warm-up — so pass
-// errors (the request's deadline expiring mid-pass) just stop the phase;
-// the points themselves still run and surface their own errors.
+// laneWarm pre-pays a grid's warm-ups into the shared checkpoint store
+// through one serial experiments.WarmGrid, so the submits that follow
+// restore checkpoints instead of re-warming per point. Purely an
+// accelerator — lane-warmed state is pinned bit-identical to scalar
+// warm-up — so a pass the request's deadline cuts short just leaves its
+// points to warm scalar in their own runs.
 func (s *Server) laneWarm(ctx context.Context, points []experiments.GridPoint) {
 	for i := range points {
 		points[i].Opt.Checkpoints = s.cfg.Checkpoints
 		points[i].Opt.Cancel = ctx.Err
 	}
 	s.laneMu.Lock()
-	defer s.laneMu.Unlock()
-	if s.planner == nil {
-		s.planner = experiments.NewLanePlanner()
-	}
-	groups := s.planner.Plan(points)
-	s.nLaneScalar.Add(uint64(s.planner.ScalarPoints()))
-	for i := range groups {
-		g := &groups[i]
-		if len(g.Designs) < 2 {
-			continue
-		}
-		st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
-		if err != nil {
-			return
-		}
-		if st.Lanes == 0 {
-			continue
-		}
-		s.nLaneGroups.Add(1)
-		s.nLaneWarmed.Add(uint64(st.Lanes))
-		s.nLaneBatch.Add(st.Batches)
-	}
+	t := experiments.WarmGrid(points, 1)
+	s.laneMu.Unlock()
+	s.nLaneGroups.Add(t.Groups)
+	s.nLaneWarmed.Add(t.Lanes)
+	s.nLaneBatch.Add(t.Batches)
+	s.nLaneScalar.Add(t.ScalarPoints)
 }
 
 // Metrics exposes the server's registry (tests and /metricz).
@@ -488,60 +461,34 @@ func (s *Server) runOne(f *runFlight) {
 	close(f.done)
 }
 
-// executeSuite is the production execute hook: run through the per-options
-// suite so identical configurations share the singleflight and the metrics
-// aggregation, with the shared checkpoint store wired in.
-func (s *Server) executeSuite(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
-	suite := s.suiteFor(opt)
+// executeRun is the production execute hook: one simulation with the
+// shared checkpoint and profile stores wired in, polling the flight's
+// context at batch boundaries, its registry snapshot captured for the
+// record.
+func (s *Server) executeRun(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
+	opt.Checkpoints = s.cfg.Checkpoints
+	opt.PhaseProfiles = s.cfg.Profiles
+	opt.Cancel = ctx.Err
+	var snap tlc.MetricsSnapshot
+	opt.OnMetrics = func(ev tlc.MetricsEvent) { snap = ev.Snapshot }
 	var res tlc.Result
 	var sres *tlc.SampledResult
 	var err error
-	if suite.Sampled() {
+	if opt.Sampled() {
 		var sr tlc.SampledResult
-		sr, err = suite.SampledCtx(ctx, d, bench)
+		sr, err = tlc.RunSampled(d, bench, opt)
 		res, sres = sr.Result, &sr
 	} else {
-		res, err = suite.RunCtx(ctx, d, bench)
+		res, err = tlc.Run(d, bench, opt)
 	}
 	if err != nil {
 		return api.RunRecord{}, err
 	}
-	snap, _ := suite.RunMetrics(d, bench)
 	rec := api.RecordFrom(res, sres, snap, 0)
 	// Embed the complete Result so remote callers reconstruct exactly what
 	// this in-process run returned (the byte-identity contract).
 	rec.Result = &res
 	return rec, nil
-}
-
-// suiteFor returns the suite for opt's content key, building it (with the
-// shared checkpoint store) on first use. Suites are kept LRU-bounded: each
-// one retains at most a full grid of results, and maxSuites bounds how many
-// option variants retain theirs.
-func (s *Server) suiteFor(opt tlc.Options) *experiments.Suite {
-	ck := opt.ContentKey()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if suite, ok := s.suites[ck]; ok {
-		for el := s.suiteUse.Front(); el != nil; el = el.Next() {
-			if el.Value.(string) == ck {
-				s.suiteUse.MoveToFront(el)
-				break
-			}
-		}
-		return suite
-	}
-	opt.Checkpoints = s.cfg.Checkpoints
-	opt.PhaseProfiles = s.cfg.Profiles
-	suite := experiments.NewSuite(opt)
-	s.suites[ck] = suite
-	s.suiteUse.PushFront(ck)
-	for len(s.suites) > maxSuites {
-		oldest := s.suiteUse.Back()
-		s.suiteUse.Remove(oldest)
-		delete(s.suites, oldest.Value.(string))
-	}
-	return suite
 }
 
 // observeWall folds one executed run's wall time into the EWMA.

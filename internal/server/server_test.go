@@ -16,6 +16,7 @@ import (
 
 	"tlc"
 	"tlc/internal/api"
+	"tlc/internal/experiments"
 )
 
 // tinyOptions keeps real simulations fast where a test needs one.
@@ -87,6 +88,11 @@ func counter(t *testing.T, s *Server, name string) uint64 {
 // stubRecord is what the stub executor returns for (d, bench).
 func stubRecord(d tlc.Design, bench string) api.RunRecord {
 	return api.RunRecord{Design: d.String(), Benchmark: bench, Cycles: 42}
+}
+
+// stubResult is the full Result a stub executor embeds for (d, bench).
+func stubResult(d tlc.Design, bench string) tlc.Result {
+	return tlc.Result{Design: d, Benchmark: bench, Instructions: 1000, Cycles: 42}
 }
 
 // TestBackpressure429 saturates a one-worker, depth-one queue and asserts
@@ -288,26 +294,92 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestServedMatchesInProcess is the byte-identity contract: a run served
-// over HTTP reconstructs exactly the tlc.Result an in-process run returns.
+// over HTTP reconstructs exactly the tlc.Result an in-process run returns,
+// in full detail and under both sampling plans, with the same confidence
+// intervals and the same registry snapshot.
 func TestServedMatchesInProcess(t *testing.T) {
 	opt := tinyOptions()
 	_, hs := newTestServer(t, Config{Workers: 2, BaseOptions: opt})
 
-	req := api.RunRequest{Design: "TLC", Benchmark: "perl", Options: api.FromOptions(opt)}
-	resp, data := postRun(t, hs.URL, req, "")
+	uniform := opt
+	uniform.SampleIntervals, uniform.SampleLength = 5, 200
+	phase := opt
+	phase.PhaseWindows, phase.PhaseClusters = 8, 3
+	for name, o := range map[string]tlc.Options{"full": opt, "uniform": uniform, "phase": phase} {
+		req := api.RunRequest{Design: "TLC", Benchmark: "perl", Options: api.FromOptions(o)}
+		resp, data := postRun(t, hs.URL, req, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", name, resp.StatusCode, data)
+		}
+		rec := decodeRecord(t, data)
+		served, err := rec.ToResult()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var snap tlc.MetricsSnapshot
+		o.OnMetrics = func(ev tlc.MetricsEvent) { snap = ev.Snapshot }
+		var local tlc.SampledResult
+		if o.Sampled() {
+			local, err = tlc.RunSampled(tlc.DesignTLC, "perl", o)
+		} else {
+			local.Result, err = tlc.Run(tlc.DesignTLC, "perl", o)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served != local.Result {
+			t.Errorf("%s: served result diverged from in-process run:\nserved %+v\nlocal  %+v", name, served, local.Result)
+		}
+		if rec.CyclesCI != local.CyclesCI || rec.MeanLookupCI != local.MeanLookupCI || rec.MissesPer1KCI != local.MissesPer1KCI {
+			t.Errorf("%s: served CIs (%g, %g, %g), in-process (%g, %g, %g)", name,
+				rec.CyclesCI, rec.MeanLookupCI, rec.MissesPer1KCI,
+				local.CyclesCI, local.MeanLookupCI, local.MissesPer1KCI)
+		}
+		if o.Sampled() && local.CyclesCI == 0 {
+			t.Errorf("%s: sampled run reports no cycles CI", name)
+		}
+		servedSnap, _ := json.Marshal(rec.Metrics)
+		localSnap, _ := json.Marshal(snap)
+		if len(snap) == 0 || !bytes.Equal(servedSnap, localSnap) {
+			t.Errorf("%s: served registry snapshot diverged from in-process run", name)
+		}
+	}
+}
+
+// TestDeadlineCancelsRealRun drives the production executor: a run far too
+// long to finish answers 504 at its deadline, and the cancellation reaches
+// the simulation, so the one worker is free for the tiny request that
+// follows. Only the finished run is cached.
+func TestDeadlineCancelsRealRun(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1})
+
+	long := tinyOptions()
+	long.RunInstructions = 2_000_000_000
+	req := api.RunRequest{Design: "TLC", Benchmark: "gcc", Options: api.FromOptions(long)}
+	resp, data := postRun(t, hs.URL, req, "?timeout_ms=100")
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("2 G-instruction run: status %d, want 504 (%s)", resp.StatusCode, data)
+	}
+
+	tiny := api.RunRequest{Design: "TLC", Benchmark: "gcc", Options: api.FromOptions(tinyOptions())}
+	resp, data = postRun(t, hs.URL, tiny, "?timeout_ms=30000")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (%s)", resp.StatusCode, data)
+		t.Fatalf("tiny run after the cancelled one: status %d (%s)", resp.StatusCode, data)
 	}
-	served, err := decodeRecord(t, data).ToResult()
+	id, err := tiny.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := tlc.Run(tlc.DesignTLC, "perl", opt)
-	if err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	n := s.cache.len()
+	_, ok := s.cache.get(id)
+	s.mu.Unlock()
+	if n != 1 || !ok {
+		t.Errorf("result cache holds %d entries (tiny run cached: %v), want only the tiny run", n, ok)
 	}
-	if served != local {
-		t.Fatalf("served result diverged from in-process run:\nserved %+v\nlocal  %+v", served, local)
+	if got := counter(t, s, "server.runs.executed"); got != 1 {
+		t.Errorf("executed counter = %d, want 1", got)
 	}
 }
 
@@ -371,8 +443,9 @@ func TestValidation(t *testing.T) {
 
 // TestSamplingPlanMustFitRun: a sampling plan that cannot fit the run —
 // uniform intervals longer than the run in total, even when their product
-// overflows 64 bits, or more phase windows than instructions — is a 400 at admission, not a 500 from the worker
-// that bumps server.runs.failed. The server executes for real here, so a
+// overflows 64 bits, more phase windows than instructions, or a phase shape
+// past the clustering bounds — is a 400 at admission, not a 500 (or a
+// deadline) from the worker that bumps server.runs.failed. The server executes for real here, so a
 // plan that slipped past validation would fail inside the run.
 func TestSamplingPlanMustFitRun(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 1, BaseOptions: tinyOptions()})
@@ -380,18 +453,23 @@ func TestSamplingPlanMustFitRun(t *testing.T) {
 		"uniform":        `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":1000,"sample_intervals":50}}`,
 		"uniform length": `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":1000,"sample_intervals":50,"sample_length":2000}}`,
 		"phase":          `{"design":"TLC","benchmark":"gcc","options":{"warm_instructions":10000,"run_instructions":10,"phase_windows":40,"phase_clusters":14}}`,
+		// Fits the default 2 M run, but k-means over 2 M windows and
+		// clusters would hold the worker far past any deadline.
+		"phase shape": `{"design":"TLC","benchmark":"gcc","options":{"phase_windows":2000000,"phase_clusters":2000000}}`,
 		// Intervals × Length wraps to 0 in 64 bits.
 		"2 × 2^63":    `{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":2,"sample_length":9223372036854775808}}`,
 		"2^32 × 2^32": `{"design":"TLC","benchmark":"gcc","options":{"sample_intervals":4294967296,"sample_length":4294967296}}`,
 	} {
-		resp, err := http.Post(hs.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		// A short deadline turns a plan that slips through into a 504
+		// instead of a hang.
+		resp, err := http.Post(hs.URL+"/v1/runs?timeout_ms=2000", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s plan longer than the run: status %d (%s), want 400", name, resp.StatusCode, data)
+			t.Errorf("%s plan that cannot fit the run: status %d (%s), want 400", name, resp.StatusCode, data)
 		}
 	}
 	if got := counter(t, s, "server.runs.failed"); got != 0 {
@@ -644,18 +722,26 @@ func TestNoCoalesceOntoCancelledFlight(t *testing.T) {
 // served straight from the LRU cache).
 func TestFigureRendersWithoutResimulating(t *testing.T) {
 	var executions atomic.Uint64
-	s, hs := newTestServer(t, Config{
+	_, hs := newTestServer(t, Config{
 		Workers:     4,
 		BaseOptions: tinyOptions(),
 		execute: func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
 			executions.Add(1)
 			rec := stubRecord(d, bench)
-			rec.Result = &tlc.Result{Design: d, Benchmark: bench, Instructions: 1000, Cycles: 42}
+			res := stubResult(d, bench)
+			rec.Result = &res
 			return rec, nil
 		},
 	})
 
 	grid := uint64(2 * len(tlc.Benchmarks())) // table9: {DNUCA, TLC} x benches
+	seeded := experiments.NewSuite(tinyOptions())
+	for _, d := range []tlc.Design{tlc.DesignDNUCA, tlc.DesignTLC} {
+		for _, b := range tlc.Benchmarks() {
+			seeded.Seed(d, b, stubResult(d, b), nil)
+		}
+	}
+	want := seeded.Table9().String()
 	for fetch := 1; fetch <= 2; fetch++ {
 		resp, err := http.Get(hs.URL + "/v1/figures/table9")
 		if err != nil {
@@ -672,8 +758,8 @@ func TestFigureRendersWithoutResimulating(t *testing.T) {
 		if got := executions.Load(); got != grid {
 			t.Fatalf("fetch %d: %d executions, want %d (second fetch must be all cache hits)", fetch, got, grid)
 		}
-		if sim := s.suiteFor(s.cfg.BaseOptions).Metrics().Simulated; sim != 0 {
-			t.Fatalf("fetch %d: render re-simulated %d grid points in the handler", fetch, sim)
+		if string(data) != want {
+			t.Fatalf("fetch %d: table9 is not the stub records' table (a re-simulation prints real values):\n%s\nwant\n%s", fetch, data, want)
 		}
 	}
 }
@@ -803,6 +889,13 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	}
 	if got := counter(t, s, "server.runs.requested"); got != 4 {
 		t.Errorf("requested counter = %d, want 4", got)
+	}
+	// The lane phase warmed gcc's two designs in one shared pass; lone mcf
+	// was left to scalar warm-up.
+	for name, want := range map[string]uint64{"sim.lanes.groups": 1, "sim.lanes.lanes_warmed": 2, "sim.lanes.scalar_points": 1} {
+		if got := counter(t, s, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 
 	for name, body := range map[string]string{
