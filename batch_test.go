@@ -96,7 +96,7 @@ func equivalencePoint(t *testing.T, d Design, spec workload.Spec, scalar bool) (
 		warmInstrs = 150_000
 		runInstrs  = 40_000
 	)
-	inst := build(d, Options{})
+	inst := Build(d, Options{})
 	gen := workload.New(spec, 1)
 	var core *cpu.Core
 	var r cpu.Result
@@ -173,7 +173,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 					t.Fatalf("unknown benchmark %q", name)
 				}
 				run := func(scalar bool) (sample.Estimate, cpu.State, l2.State) {
-					inst := build(d, Options{})
+					inst := Build(d, Options{})
 					gen := workload.New(spec, 1)
 					var cacheArm l2.Cache = inst
 					var streamArm cpu.Stream = gen
@@ -210,7 +210,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 func TestWarmFastPathDoesNotAllocate(t *testing.T) {
 	spec, _ := workload.SpecByName("oltp")
 	for _, d := range []Design{DesignSNUCA2, DesignTLC} {
-		inst := build(d, Options{})
+		inst := Build(d, Options{})
 		gen := workload.New(spec, 1)
 		core := cpu.New(config.DefaultSystem(), inst)
 		gen.PreWarm(inst)

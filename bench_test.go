@@ -89,18 +89,17 @@ func BenchmarkFigure3WireComparison(b *testing.B) {
 }
 
 func BenchmarkTable6BenchmarkCharacteristics(b *testing.B) {
-	var tlcPred, dnucaPred stats.Series
+	var tlcPred, dnucaPred float64
 	for i := 0; i < b.N; i++ {
-		tlcPred, dnucaPred = stats.Series{}, stats.Series{}
+		tlcPred, dnucaPred = 0, 0
 		for _, bench := range Benchmarks() {
-			tr := benchRun(b, DesignTLC, bench)
-			dr := benchRun(b, DesignDNUCA, bench)
-			tlcPred.Append(bench, tr.PredictablePct)
-			dnucaPred.Append(bench, dr.PredictablePct)
+			tlcPred += benchRun(b, DesignTLC, bench).PredictablePct
+			dnucaPred += benchRun(b, DesignDNUCA, bench).PredictablePct
 		}
 	}
-	b.ReportMetric(tlcPred.Mean(), "tlc_predictable_pct")
-	b.ReportMetric(dnucaPred.Mean(), "dnuca_predictable_pct")
+	n := float64(len(Benchmarks()))
+	b.ReportMetric(tlcPred/n, "tlc_predictable_pct")
+	b.ReportMetric(dnucaPred/n, "dnuca_predictable_pct")
 }
 
 func BenchmarkTable7SubstrateArea(b *testing.B) {
@@ -323,7 +322,7 @@ func BenchmarkLaneSweep(b *testing.B) {
 			scalarCores := make([]*cpu.Core, len(designs))
 			scalarL2s := make([]l2.Snapshotter, len(designs))
 			for i, d := range designs {
-				inst := build(d, Options{})
+				inst := Build(d, Options{})
 				scalarGens[i] = workload.New(spec, 1)
 				scalarGens[i].PreWarm(inst)
 				scalarCores[i] = cpu.New(sys, inst)
@@ -335,7 +334,7 @@ func BenchmarkLaneSweep(b *testing.B) {
 			fan := make(laneFanout, len(designs))
 			laneL2s := make([]l2.Snapshotter, len(designs))
 			for i, d := range designs {
-				inst := build(d, Options{})
+				inst := Build(d, Options{})
 				fan[i] = inst
 				laneL2s[i] = inst.(l2.Snapshotter)
 			}
@@ -402,7 +401,7 @@ func BenchmarkL2Warm(b *testing.B) {
 		b.Run(d.String(), func(b *testing.B) {
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				c := build(d, Options{})
+				c := Build(d, Options{})
 				b.StartTimer()
 				for lo := 0; lo < len(blocks); lo += 1024 {
 					l2.WarmAll(c, blocks[lo:min(lo+1024, len(blocks))])

@@ -1,6 +1,7 @@
 package tlc
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -147,58 +148,76 @@ func TestCheckpointStoreConcurrentRuns(t *testing.T) {
 	wg.Wait()
 }
 
+// seedSweep is the loop tlcsweep -seeds builds: one run per design and
+// SeedOptions entry, every run sharing one checkpoint store. It returns the
+// results per design, in seed order.
+func seedSweep(t *testing.T, designs []Design, opt Options, seeds []int64) [][]Result {
+	t.Helper()
+	out := make([][]Result, len(designs))
+	for i, d := range designs {
+		for _, o := range SeedOptions(opt, seeds) {
+			r, err := Run(d, "gcc", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = append(out[i], r)
+		}
+	}
+	return out
+}
+
 func TestRunSeedsDeterministicAndSkipsWarm(t *testing.T) {
 	opt := Options{WarmInstructions: 500_000, RunInstructions: 50_000}
+	designs := []Design{DesignSNUCA2, DesignTLC}
 	seeds := []int64{1, 2, 3}
-	c1, l1, m1, err := RunSeeds(DesignTLC, "gcc", opt, seeds)
-	if err != nil {
-		t.Fatal(err)
+
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	first := seedSweep(t, designs, opt, seeds)
+	// Only each design's first seed warms: the seeds share the
+	// WarmSeed-keyed checkpoint, so N seeds cost one put and N-1 hits per
+	// design (the first run both misses and puts).
+	st := opt.Checkpoints.Stats()
+	if st.Puts != uint64(len(designs)) {
+		t.Fatalf("%d warm-ups executed for %d designs, want one each", st.Puts, len(designs))
 	}
-	c2, l2, m2, err := RunSeeds(DesignTLC, "gcc", opt, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 || l1 != l2 || m1 != m2 {
-		t.Fatal("RunSeeds is not deterministic across invocations")
+	if want := uint64(len(designs) * (len(seeds) - 1)); st.Hits != want {
+		t.Fatalf("%d checkpoint hits, want %d", st.Hits, want)
 	}
 
-	// With a caller-provided store, only the first seed warms: seeds share
-	// the WarmSeed-keyed checkpoint, so N seeds cost 1 put + N-1 hits (the
-	// first run both misses and puts).
 	opt.Checkpoints = NewCheckpointStore(0, "")
-	if _, _, _, err := RunSeeds(DesignTLC, "gcc", opt, seeds); err != nil {
-		t.Fatal(err)
-	}
-	st := opt.Checkpoints.Stats()
-	if st.Puts != 1 {
-		t.Fatalf("%d warm-ups executed across %d seeds, want 1", st.Puts, len(seeds))
-	}
-	if st.Hits != uint64(len(seeds)-1) {
-		t.Fatalf("%d checkpoint hits, want %d", st.Hits, len(seeds)-1)
+	second := seedSweep(t, designs, opt, seeds)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("the seed sweep is not deterministic across invocations")
 	}
 }
 
 func TestRunSeedsStatsCorrect(t *testing.T) {
-	// SeedStats must be the exact mean/min/max of the individual per-seed
-	// runs under the same warm-sharing configuration RunSeeds uses.
+	// SummarizeSeeds over the sweep must be the exact mean/min/max of the
+	// per-seed runs, and a run restored from the shared checkpoint must
+	// equal the same configuration warmed from scratch.
 	opt := Options{WarmInstructions: 500_000, RunInstructions: 50_000}
 	seeds := []int64{1, 2, 3, 4}
-	cycles, lookup, misses, err := RunSeeds(DesignTLC, "gcc", opt, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cs []float64
-	single := opt
-	single.WarmSeed = seeds[0]
-	for _, s := range seeds {
-		o := single
-		o.Seed = s
-		r, err := Run(DesignTLC, "gcc", o)
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	runs := seedSweep(t, []Design{DesignTLC}, opt, seeds)[0]
+
+	var cs, ls, ms []float64
+	for i, r := range runs {
+		cold := opt
+		cold.Checkpoints = nil
+		cold.WarmSeed, cold.Seed = seeds[0], seeds[i]
+		want, err := Run(DesignTLC, "gcc", cold)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if r != want {
+			t.Fatalf("seed %d: checkpointed run differs from its cold run", seeds[i])
+		}
 		cs = append(cs, float64(r.Cycles))
+		ls = append(ls, r.MeanLookup)
+		ms = append(ms, r.MissesPer1K)
 	}
+	cycles, lookup, misses := SummarizeSeeds(cs), SummarizeSeeds(ls), SummarizeSeeds(ms)
+
 	var sum, min, max float64
 	min, max = cs[0], cs[0]
 	for _, v := range cs {

@@ -221,32 +221,18 @@ func main() {
 	for _, d := range designs {
 		for _, b := range benches {
 			r := s.Run(d, b)
-			rec := record{
-				Design:          d.String(),
-				Benchmark:       b,
-				Cycles:          r.Cycles,
-				IPC:             r.IPC,
-				MeanLookup:      r.MeanLookup,
-				MissesPer1K:     r.MissesPer1K,
-				PredictablePct:  r.PredictablePct,
-				LinkUtilization: r.LinkUtilization,
-				NetworkPowerW:   r.NetworkPowerW,
-				WallMS:          float64(wall[d.String()+"/"+b].Microseconds()) / 1000,
-			}
+			var sres *tlc.SampledResult
 			if s.Sampled() {
 				sr, err := s.SampledErr(d, b)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}
-				rec.CyclesCI = sr.CyclesCI
-				rec.MeanLookupCI = sr.MeanLookupCI
-				rec.MissesPer1KCI = sr.MissesPer1KCI
+				sres = &sr
 			}
-			if snap, ok := s.RunMetrics(d, b); ok {
-				rec.Metrics = snap
-			}
-			doc.Runs = append(doc.Runs, rec)
+			snap, _ := s.RunMetrics(d, b)
+			wallMS := float64(wall[d.String()+"/"+b].Microseconds()) / 1000
+			doc.Runs = append(doc.Runs, api.RecordFrom(r, sres, snap, wallMS))
 			base := float64(s.Run(tlc.DesignSNUCA2, b).Cycles)
 			norm[d].Append(b, float64(r.Cycles)/base)
 		}

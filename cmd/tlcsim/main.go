@@ -25,62 +25,10 @@ import (
 	"time"
 
 	"tlc"
+	"tlc/internal/api"
 	"tlc/internal/cliopt"
 	"tlc/internal/experiments"
 )
-
-// runJSON is the machine-readable headline record for one run.
-type runJSON struct {
-	Design          string  `json:"design"`
-	Benchmark       string  `json:"benchmark"`
-	Instructions    uint64  `json:"instructions"`
-	Cycles          uint64  `json:"cycles"`
-	IPC             float64 `json:"ipc"`
-	L2Loads         uint64  `json:"l2_loads"`
-	L2Stores        uint64  `json:"l2_stores"`
-	MissesPer1K     float64 `json:"misses_per_1k"`
-	MeanLookup      float64 `json:"mean_lookup_cycles"`
-	PredictablePct  float64 `json:"predictable_pct"`
-	BanksPerRequest float64 `json:"banks_per_request"`
-	LinkUtilization float64 `json:"link_utilization"`
-	NetworkPowerW   float64 `json:"network_power_w"`
-
-	// Sampled-mode extras: 95% confidence half-widths and the sampling
-	// plan. Zero (omitted) for full detailed runs.
-	CyclesCI             float64 `json:"cycles_ci,omitempty"`
-	MeanLookupCI         float64 `json:"mean_lookup_ci,omitempty"`
-	MissesPer1KCI        float64 `json:"misses_per_1k_ci,omitempty"`
-	SampleIntervals      int     `json:"sample_intervals,omitempty"`
-	DetailedInstructions uint64  `json:"detailed_instructions,omitempty"`
-}
-
-func toJSON(r tlc.Result) runJSON {
-	return runJSON{
-		Design:          r.Design.String(),
-		Benchmark:       r.Benchmark,
-		Instructions:    r.Instructions,
-		Cycles:          r.Cycles,
-		IPC:             r.IPC,
-		L2Loads:         r.L2Loads,
-		L2Stores:        r.L2Stores,
-		MissesPer1K:     r.MissesPer1K,
-		MeanLookup:      r.MeanLookup,
-		PredictablePct:  r.PredictablePct,
-		BanksPerRequest: r.BanksPerRequest,
-		LinkUtilization: r.LinkUtilization,
-		NetworkPowerW:   r.NetworkPowerW,
-	}
-}
-
-func toJSONSampled(sr tlc.SampledResult) runJSON {
-	j := toJSON(sr.Result)
-	j.CyclesCI = sr.CyclesCI
-	j.MeanLookupCI = sr.MeanLookupCI
-	j.MissesPer1KCI = sr.MissesPer1KCI
-	j.SampleIntervals = sr.Intervals
-	j.DetailedInstructions = sr.DetailedInstructions
-	return j
-}
 
 func main() {
 	design := flag.String("design", "TLC", "cache design(s): comma-separated or 'all'")
@@ -132,19 +80,25 @@ func main() {
 
 	switch {
 	case *jsonF:
-		out := make([]runJSON, 0, len(designs)*len(benches))
+		// The service's run record, with the complete Result attached. The
+		// record's wall time stays zero: stdout is byte-identical for every
+		// -par value.
+		out := make([]api.RunRecord, 0, len(designs)*len(benches))
 		for _, d := range designs {
 			for _, b := range benches {
+				res := s.Run(d, b)
+				var sres *tlc.SampledResult
 				if s.Sampled() {
 					sr, err := s.SampledErr(d, b)
 					if err != nil {
 						fmt.Fprintln(os.Stderr, err)
 						os.Exit(2)
 					}
-					out = append(out, toJSONSampled(sr))
-					continue
+					sres = &sr
 				}
-				out = append(out, toJSON(s.Run(d, b)))
+				rec := api.RecordFrom(res, sres, nil, 0)
+				rec.Result = &res
+				out = append(out, rec)
 			}
 		}
 		enc := json.NewEncoder(os.Stdout)

@@ -376,18 +376,16 @@ func seedSweep(bench string) {
 	seeds := []int64{1, 2, 3, 5, 8}
 	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignDNUCA, tlc.DesignTLC}
 
-	// Mirror tlc.RunSeeds: the warm stream is pinned to the first seed so
-	// every seed measures from identical warm state (one warm-up per
-	// design, via the shared checkpoint store — or the server's, under
-	// -remote); the timed stream reseeds per run. Per-seed results are
-	// summarized with tlc.SummarizeSeeds in seed order, so the statistics
-	// match RunSeeds bit for bit.
+	// tlc.SeedOptions pins the warm stream to the first seed, so every seed
+	// measures from identical warm state (one warm-up per design, via the
+	// shared checkpoint store — or the server's, under -remote); the timed
+	// stream reseeds per run. Per-seed results are summarized with
+	// tlc.SummarizeSeeds in seed order.
 	specs := make([]runSpec, 0, len(designs)*len(seeds))
-	for i := 0; i < len(designs)*len(seeds); i++ {
-		opt := sweepOptions()
-		opt.WarmSeed = seeds[0]
-		opt.Seed = seeds[i%len(seeds)]
-		specs = append(specs, runSpec{designs[i/len(seeds)], bench, opt})
+	for _, d := range designs {
+		for _, opt := range tlc.SeedOptions(sweepOptions(), seeds) {
+			specs = append(specs, runSpec{d, bench, opt})
+		}
 	}
 	start := time.Now()
 	results, _, walls, err := runGrid(specs)

@@ -17,11 +17,10 @@ import (
 	"os"
 	"strings"
 
+	"tlc"
 	"tlc/internal/config"
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
-	"tlc/internal/nuca"
-	"tlc/internal/tlcache"
 	"tlc/internal/trace"
 	"tlc/internal/workload"
 )
@@ -86,26 +85,16 @@ func doInfo(path string) {
 
 func doReplay(path, designName string, warmN, runN uint64, metricsPath string) {
 	r := open(path)
-	sys := config.DefaultSystem()
 	var c l2.Instrumented
-	switch {
-	case strings.EqualFold(designName, "SNUCA2"):
-		c = nuca.NewSNUCA(sys.MemoryLatency)
-	case strings.EqualFold(designName, "DNUCA"):
-		c = nuca.NewDNUCA(sys.MemoryLatency)
-	default:
-		var d config.Design = -1
-		for _, cand := range config.TLCFamily() {
-			if strings.EqualFold(cand.String(), designName) {
-				d = cand
-			}
+	for _, d := range tlc.Designs() {
+		if strings.EqualFold(d.String(), designName) {
+			c = tlc.Build(d, tlc.Options{})
 		}
-		if d < 0 {
-			fatal("unknown design %q", designName)
-		}
-		c = tlcache.New(d, sys.MemoryLatency)
 	}
-	core := cpu.New(sys, c)
+	if c == nil {
+		fatal("unknown design %q", designName)
+	}
+	core := cpu.New(config.DefaultSystem(), c)
 	core.RegisterMetrics(c.Metrics())
 	core.Warm(r, warmN)
 	res := core.Run(r, runN)

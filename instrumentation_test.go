@@ -27,12 +27,11 @@ func TestOnMetricsSnapshotMatchesResult(t *testing.T) {
 	if ev.Cycles != res.Cycles {
 		t.Errorf("event Cycles = %d, Result Cycles = %d", ev.Cycles, res.Cycles)
 	}
-	counters := ev.Snapshot.Counters()
-	if counters["l2.loads"] != res.L2Loads {
-		t.Errorf("snapshot l2.loads = %d, Result.L2Loads = %d", counters["l2.loads"], res.L2Loads)
+	if v, _ := ev.Snapshot.Value("l2.loads"); v != float64(res.L2Loads) {
+		t.Errorf("snapshot l2.loads = %v, Result.L2Loads = %d", v, res.L2Loads)
 	}
-	if counters["l2.stores"] != res.L2Stores {
-		t.Errorf("snapshot l2.stores = %d, Result.L2Stores = %d", counters["l2.stores"], res.L2Stores)
+	if v, _ := ev.Snapshot.Value("l2.stores"); v != float64(res.L2Stores) {
+		t.Errorf("snapshot l2.stores = %v, Result.L2Stores = %d", v, res.L2Stores)
 	}
 	if v, ok := ev.Snapshot.Value("power.network_w"); !ok || v != res.NetworkPowerW {
 		t.Errorf("snapshot power.network_w = %v (ok=%v), Result.NetworkPowerW = %v", v, ok, res.NetworkPowerW)

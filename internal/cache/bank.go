@@ -51,9 +51,6 @@ func (b *Bank) Reserve(at sim.Time) (done sim.Time) {
 // PortBusyCycles reports total cycles the bank port was occupied.
 func (b *Bank) PortBusyCycles() sim.Time { return b.port.BusyCycles() }
 
-// PortWaits reports how many accesses queued behind the port.
-func (b *Bank) PortWaits() uint64 { return b.port.Waits() }
-
 // SizeBytes reports the bank's data capacity.
 func (b *Bank) SizeBytes() int { return b.Array.Blocks() * mem.BlockBytes }
 

@@ -75,11 +75,6 @@ func (p *PartialTags) Install(b mem.Block, bank, way int) {
 	p.entry[p.index(b.SetIndex(p.sets), bank, way)] = p.key(b)
 }
 
-// Clear invalidates the entry for (set of b, bank, way).
-func (p *PartialTags) Clear(b mem.Block, bank, way int) {
-	p.entry[p.index(b.SetIndex(p.sets), bank, way)] = 0
-}
-
 // Masks scans b's set once and reports, one bit per bank, the banks with
 // a way whose partial tag matches b (match) and the banks with an invalid
 // way (free). When the associativity divides eight and a set fills whole

@@ -43,7 +43,7 @@ func TestPartialTagClear(t *testing.T) {
 	p := NewPartialTags(sets, 2, 2)
 	b := blk(5, 3, sets)
 	p.Install(b, 1, 0)
-	p.Clear(b, 1, 0)
+	p.SyncSet(b.SetIndex(sets), 1, nil) // the set's last line left bank 1
 	if match, _ := p.Masks(b); match != 0 {
 		t.Fatal("cleared entry still matches")
 	}
@@ -102,9 +102,7 @@ func TestQuickPartialTagConsistency(t *testing.T) {
 			resident[b] = true
 			// Rebuild the shadow entries for this set from the bank, as the
 			// DNUCA controller does on migration completion.
-			for way := 0; way < assoc; way++ {
-				p.Clear(mem.Block(uint64(b.SetIndex(sets))), 0, way)
-			}
+			p.SyncSet(b.SetIndex(sets), 0, nil)
 			for rb := range resident {
 				if rb.SetIndex(sets) == b.SetIndex(sets) {
 					w, ok := bank.WayOf(rb)
@@ -149,7 +147,7 @@ func naiveMasks(st PartialTagsState, b mem.Block) (match, free uint64) {
 // TestMasksMatchesNaiveScan checks the word-parallel scan (DNUCA's 16x2,
 // a 64-bank edge, 4- and 8-way folds) and the byte loop (TLCopt's 1x4, odd
 // associativities) against a per-entry scan over random installs and
-// clears. Tags are drawn from few values so matches, false positives and
+// set clears. Tags are drawn from few values so matches, false positives and
 // free ways are all common.
 func TestMasksMatchesNaiveScan(t *testing.T) {
 	for _, g := range []struct{ sets, banks, assoc int }{
@@ -161,7 +159,7 @@ func TestMasksMatchesNaiveScan(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			b, bank, way := block(), rng.Intn(g.banks), rng.Intn(g.assoc)
 			if rng.Intn(3) == 0 {
-				p.Clear(b, bank, way)
+				p.SyncSet(b.SetIndex(g.sets), bank, nil)
 			} else {
 				p.Install(b, bank, way)
 			}
@@ -195,7 +193,7 @@ func TestVerifyRejectsInconsistentShadow(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		b := blk(uint64(i), i%sets, sets)
 		arr.Insert(b)
-		p.SyncSet(b.SetIndex(sets), 1, arr.LinesIn(b.SetIndex(sets)))
+		p.SyncSet(b.SetIndex(sets), 1, arr.AppendLinesIn(nil, b.SetIndex(sets)))
 	}
 	if err := p.Verify(1, arr); err != nil {
 		t.Fatalf("synced shadow rejected: %v", err)
@@ -209,7 +207,13 @@ func TestVerifyRejectsInconsistentShadow(t *testing.T) {
 	if err := p.Verify(1, arr); err == nil {
 		t.Fatal("shadow with a wrong tag accepted")
 	}
-	p.Clear(b, 1, way)
+	var missing []Line
+	for _, ln := range arr.AppendLinesIn(nil, 3) {
+		if ln.Block != b {
+			missing = append(missing, ln)
+		}
+	}
+	p.SyncSet(3, 1, missing)
 	if err := p.Verify(1, arr); err == nil {
 		t.Fatal("shadow missing a valid line accepted")
 	}
@@ -237,8 +241,8 @@ func TestBankTiming(t *testing.T) {
 	if b.PortBusyCycles() != 24 {
 		t.Fatalf("busy cycles %d, want 24", b.PortBusyCycles())
 	}
-	if b.PortWaits() != 1 {
-		t.Fatalf("port waits %d, want 1", b.PortWaits())
+	if b.port.Waits() != 1 {
+		t.Fatalf("port waits %d, want 1", b.port.Waits())
 	}
 }
 

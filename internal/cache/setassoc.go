@@ -283,17 +283,6 @@ func (c *SetAssoc) VictimOf(b mem.Block) (victim mem.Block, ok bool) {
 	panic("cache: set has no LRU way") // unreachable: ranks are a permutation
 }
 
-// Occupancy reports the number of valid lines.
-func (c *SetAssoc) Occupancy() int {
-	n := 0
-	for _, v := range c.valid {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // find returns the line index holding b.
 func (c *SetAssoc) find(b mem.Block) (int, bool) {
 	base := b.SetIndex(c.sets) * c.assoc
@@ -327,13 +316,6 @@ func (c *SetAssoc) promote(set, idx int) {
 type Line struct {
 	Way   int
 	Block mem.Block
-}
-
-// LinesIn reports the valid lines of a set, in way order. Callers (the
-// DNUCA controller) use it to resynchronize partial-tag shadows after a
-// migration or fill mutates a set.
-func (c *SetAssoc) LinesIn(set int) []Line {
-	return c.AppendLinesIn(nil, set)
 }
 
 // AppendLinesIn appends the valid lines of a set to dst, in way order, and

@@ -85,7 +85,7 @@ func TestSetAssocSnapshotIsDeepCopy(t *testing.T) {
 	if err := c3.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	if c3.Occupancy() != occ {
+	if validLines(c3) != occ {
 		t.Fatal("mutating a restored array changed the stored state")
 	}
 }
@@ -149,7 +149,7 @@ func TestPartialTagsSnapshotRestoreRoundTrip(t *testing.T) {
 		bank := rng.Intn(4)
 		way := rng.Intn(8)
 		if rng.Intn(5) == 0 {
-			p.Clear(b, bank, way)
+			p.SyncSet(b.SetIndex(32), bank, nil)
 		} else {
 			p.Install(b, bank, way)
 		}

@@ -181,12 +181,6 @@ func (m *Memory) bookRefreshes(bnk *bank, at sim.Time) {
 	}
 }
 
-// Write performs one block writeback: same bank/bus occupancy, but the
-// caller does not wait, so only the reservations matter.
-func (m *Memory) Write(at sim.Time, b mem.Block) {
-	m.Fetch(at, b)
-}
-
 // RowHitRate reports the fraction of accesses that hit an open row.
 func (m *Memory) RowHitRate() float64 {
 	if m.Accesses == 0 {

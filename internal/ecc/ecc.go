@@ -1,4 +1,4 @@
-// Package ecc implements the end-to-end error protection the paper leans
+// Package ecc describes the end-to-end error protection the paper leans
 // on for transmission-line noise (Section 4): "Remaining faults on the
 // transmission lines could be repaired using end-to-end ECC checks",
 // generated and checked in the central controller, as the IBM POWER4
@@ -9,10 +9,11 @@
 // 64-bit datapaths. A 64-byte cache block is protected as eight
 // independently coded 64-bit words, so any single bit flip per word is
 // corrected in place and any double flip per word is detected and forces
-// a retransmission.
+// a retransmission. The package holds the code's geometry and its outcome
+// classes; the TLC noise model (internal/tlcache) draws each word's
+// outcome from the binomial flip probabilities over the 72 coded bits
+// rather than coding data.
 package ecc
-
-import "math/bits"
 
 // CheckBits is the number of check bits per 64-bit data word: 7 Hamming
 // syndrome bits plus overall parity.
@@ -25,21 +26,7 @@ const WordsPerBlock = 8
 // on the wire: 64 bits, an eighth of the payload.
 const BlockOverheadBits = CheckBits * WordsPerBlock
 
-// Encode computes the check byte for a 64-bit data word: bits 0-6 are the
-// Hamming syndrome over the data's coded positions, bit 7 is overall
-// parity of data plus syndrome.
-func Encode(data uint64) uint8 {
-	var syn uint8
-	for i := 0; i < 64; i++ {
-		if data&(1<<uint(i)) != 0 {
-			syn ^= uint8(position(i) & 0x7f)
-		}
-	}
-	parity := uint8(bits.OnesCount64(data)+bits.OnesCount8(syn)) & 1
-	return syn | parity<<7
-}
-
-// Result classifies a decode.
+// Result classifies one coded word's (or block's) arrival.
 type Result int
 
 const (
@@ -50,116 +37,3 @@ const (
 	// Uncorrectable: a double-bit (or worse, detected) error.
 	Uncorrectable
 )
-
-func (r Result) String() string {
-	switch r {
-	case OK:
-		return "ok"
-	case Corrected:
-		return "corrected"
-	case Uncorrectable:
-		return "uncorrectable"
-	default:
-		return "Result(?)"
-	}
-}
-
-// Decode checks a received (data, check) pair and returns the corrected
-// data word and the classification. Correction covers any single flipped
-// bit anywhere in the 72-bit codeword; check-bit flips are recognized and
-// leave the data intact. Two flipped bits are detected as uncorrectable.
-func Decode(data uint64, check uint8) (uint64, Result) {
-	// The syndrome difference names the flipped code position; the
-	// overall parity of the *received* codeword (even when clean, by
-	// construction) distinguishes odd from even flip counts.
-	synDiff := (check ^ Encode(data)) & 0x7f
-	wholeParity := uint8(bits.OnesCount64(data)+bits.OnesCount8(check)) & 1
-
-	switch {
-	case synDiff == 0 && wholeParity == 0:
-		return data, OK
-	case wholeParity == 1:
-		// Odd number of flips: a single-bit error. A zero syndrome
-		// difference means the overall parity bit itself flipped; a
-		// coded position names a data bit to repair; any other value
-		// names a flipped syndrome check bit.
-		if synDiff == 0 {
-			return data, Corrected
-		}
-		if bit, ok := dataBit(int(synDiff)); ok {
-			return data ^ 1<<uint(bit), Corrected
-		}
-		return data, Corrected
-	default:
-		// Even number of flips with a nonzero syndrome: double error.
-		return data, Uncorrectable
-	}
-}
-
-// position maps data bit i (0-63) to its Hamming code position: the
-// non-power-of-two positions of a 127-position code, in order.
-func position(i int) int {
-	p := codePositions[i]
-	return p
-}
-
-// dataBit inverts position: which data bit lives at code position p.
-func dataBit(p int) (int, bool) {
-	i, ok := positionToBit[p]
-	return i, ok
-}
-
-var codePositions [64]int
-var positionToBit map[int]int
-
-func init() {
-	positionToBit = make(map[int]int, 64)
-	i := 0
-	for p := 1; p < 128 && i < 64; p++ {
-		if p&(p-1) == 0 {
-			continue // power of two: reserved for check bits
-		}
-		codePositions[i] = p
-		positionToBit[p] = i
-		i++
-	}
-}
-
-// Block protects a 64-byte cache block as eight coded words.
-type Block struct {
-	Data  [WordsPerBlock]uint64
-	Check [WordsPerBlock]uint8
-}
-
-// EncodeBlock codes a block's payload.
-func EncodeBlock(data [WordsPerBlock]uint64) Block {
-	var b Block
-	b.Data = data
-	for i, w := range data {
-		b.Check[i] = Encode(w)
-	}
-	return b
-}
-
-// DecodeBlock checks and repairs all eight words, returning the corrected
-// payload, the per-block classification (the worst word's), and how many
-// words were corrected.
-func DecodeBlock(b Block) ([WordsPerBlock]uint64, Result, int) {
-	out := b.Data
-	worst := OK
-	corrected := 0
-	for i := range b.Data {
-		w, res := Decode(b.Data[i], b.Check[i])
-		out[i] = w
-		switch res {
-		case Corrected:
-			corrected++
-			if worst == OK {
-				worst = Corrected
-			}
-		case Uncorrectable:
-			worst = Uncorrectable
-		}
-	}
-	return out, worst, corrected
-}

@@ -46,13 +46,11 @@ type Suite struct {
 	cache map[runKey]*flight
 	m     Metrics
 
-	// runMetrics holds each executed run's full registry snapshot; agg sums
-	// every counter across runs. Both are fed by the OnMetrics hook NewSuite
-	// installs, which fires from RunAll's worker goroutines — s.mu makes the
-	// aggregation race-safe, and cached duplicate runs do not re-fire, so
-	// each (design, benchmark) contributes exactly once.
+	// runMetrics holds each executed run's full registry snapshot, fed by
+	// the OnMetrics hook NewSuite installs, which fires from RunAll's worker
+	// goroutines — s.mu makes the map race-safe, and cached duplicate runs
+	// do not re-fire, so each (design, benchmark) is recorded exactly once.
 	runMetrics map[runKey]tlc.MetricsSnapshot
-	agg        map[string]uint64
 }
 
 // RunEvent describes one completed underlying simulation.
@@ -108,15 +106,13 @@ type runKey struct {
 }
 
 // NewSuite builds a suite with the given run options. The suite chains its
-// own metrics aggregation onto opt.OnMetrics: every executed run's registry
-// snapshot is retained (RunMetrics) and its counters summed into a
-// grid-wide total (AggregatedCounters); a caller-supplied hook still fires
+// own metrics capture onto opt.OnMetrics: every executed run's registry
+// snapshot is retained (RunMetrics); a caller-supplied hook still fires
 // afterwards.
 func NewSuite(opt tlc.Options) *Suite {
 	s := &Suite{
 		cache:      make(map[runKey]*flight),
 		runMetrics: make(map[runKey]tlc.MetricsSnapshot),
-		agg:        make(map[string]uint64),
 	}
 	user := opt.OnMetrics
 	opt.OnMetrics = func(ev tlc.MetricsEvent) {
@@ -134,9 +130,6 @@ func (s *Suite) recordMetrics(ev tlc.MetricsEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.runMetrics[runKey{ev.Design, ev.Benchmark}] = ev.Snapshot
-	for name, v := range ev.Snapshot.Counters() {
-		s.agg[name] += v
-	}
 }
 
 // RunMetrics returns the full registry snapshot of the (design, benchmark)
@@ -148,21 +141,6 @@ func (s *Suite) RunMetrics(d tlc.Design, bench string) (tlc.MetricsSnapshot, boo
 	snap, ok := s.runMetrics[runKey{d, bench}]
 	return snap, ok
 }
-
-// AggregatedCounters returns a copy of every counter summed across all
-// executed runs — grid-wide totals like l2.misses or noc.spine.flits.
-func (s *Suite) AggregatedCounters() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.agg))
-	for k, v := range s.agg {
-		out[k] = v
-	}
-	return out
-}
-
-// Default returns a suite at the standard scaled run length.
-func Default() *Suite { return NewSuite(tlc.DefaultOptions()) }
 
 // Run returns the cached result for (design, benchmark), simulating on
 // first use. It panics on an unknown benchmark name — table builders only
@@ -328,15 +306,6 @@ func (s *Suite) RunAll(designs []tlc.Design, benches []string, par int) error {
 		}
 	}
 	return nil
-}
-
-// Prefetch runs the given design/benchmark grid concurrently, bounded by
-// par workers, so subsequent table builds hit the cache. It is RunAll with
-// the legacy panic-on-error contract.
-func (s *Suite) Prefetch(designs []tlc.Design, benches []string, par int) {
-	if err := s.RunAll(designs, benches, par); err != nil {
-		panic(err)
-	}
 }
 
 // Table1 reproduces Table 1 plus the physical quantities the paper's

@@ -187,7 +187,9 @@ func TestRunCaching(t *testing.T) {
 func TestPrefetchFillsCache(t *testing.T) {
 	s := quickSuite()
 	benches := []string{"perl", "oltp"}
-	s.Prefetch([]tlc.Design{tlc.DesignTLC}, benches, 2)
+	if err := s.RunAll([]tlc.Design{tlc.DesignTLC}, benches, 2); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
 	n := len(s.cache)
 	s.mu.Unlock()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +11,8 @@ import (
 
 // TestSuiteAggregatesRunMetrics is the satellite check on the metrics spine
 // at the suite layer: every executed run contributes its full registry
-// snapshot exactly once, counters sum across the grid, and cached duplicate
-// runs do not re-fire the hook or double-count.
+// snapshot exactly once, and cached duplicate runs neither re-fire the hook
+// nor replace the retained snapshot.
 func TestSuiteAggregatesRunMetrics(t *testing.T) {
 	var fired atomic.Uint64
 	opt := tlc.Options{WarmInstructions: 10_000, RunInstructions: 5_000, Seed: 1}
@@ -28,9 +29,8 @@ func TestSuiteAggregatesRunMetrics(t *testing.T) {
 		t.Fatalf("user OnMetrics fired %d times, want %d", got, want)
 	}
 
-	// Every grid cell has a retained snapshot, and summing the per-run
-	// counters by hand reproduces AggregatedCounters exactly.
-	want := make(map[string]uint64)
+	// Every grid cell has a retained snapshot.
+	want := make(map[runKey]tlc.MetricsSnapshot)
 	for _, d := range designs {
 		for _, b := range benches {
 			snap, ok := s.RunMetrics(d, b)
@@ -43,23 +43,11 @@ func TestSuiteAggregatesRunMetrics(t *testing.T) {
 			if v, ok := snap.Value("l2.loads"); !ok || v <= 0 {
 				t.Fatalf("%v/%s snapshot missing l2.loads (got %v, %v)", d, b, v, ok)
 			}
-			for name, v := range snap.Counters() {
-				want[name] += v
-			}
+			want[runKey{d, b}] = snap
 		}
 	}
-	got := s.AggregatedCounters()
-	if len(got) != len(want) {
-		t.Fatalf("AggregatedCounters has %d names, want %d", len(got), len(want))
-	}
-	for name, w := range want {
-		if got[name] != w {
-			t.Errorf("aggregated %s = %d, want %d", name, got[name], w)
-		}
-	}
-
-	// A repeat of the whole grid hits the cache: no new snapshots, no
-	// double-counting, no extra hook firings.
+	// A repeat of the whole grid hits the cache: no new snapshots and no
+	// extra hook firings.
 	for _, d := range designs {
 		for _, b := range benches {
 			s.Run(d, b)
@@ -68,10 +56,9 @@ func TestSuiteAggregatesRunMetrics(t *testing.T) {
 	if fired.Load() != uint64(len(designs)*len(benches)) {
 		t.Fatal("cached runs re-fired OnMetrics")
 	}
-	again := s.AggregatedCounters()
-	for name, w := range want {
-		if again[name] != w {
-			t.Errorf("cached re-run changed aggregated %s: %d -> %d", name, w, again[name])
+	for k, w := range want {
+		if again, _ := s.RunMetrics(k.d, k.bench); !reflect.DeepEqual(again, w) {
+			t.Errorf("cached re-run replaced the %v/%s snapshot", k.d, k.bench)
 		}
 	}
 
@@ -88,11 +75,11 @@ func TestSuiteAggregatesRunMetrics(t *testing.T) {
 }
 
 // TestSuiteMetricsConcurrentReaders races RunAll's worker goroutines against
-// continuous RunMetrics/AggregatedCounters/Metrics readers; its value is
+// continuous RunMetrics/Metrics readers; its value is
 // being -race-clean while the aggregation mutates under the suite mutex.
 func TestSuiteMetricsConcurrentReaders(t *testing.T) {
 	s := NewSuite(tlc.Options{WarmInstructions: 10_000, RunInstructions: 5_000, Seed: 1})
-	s.OnRun = func(RunEvent) { s.AggregatedCounters() } // reentrant-adjacent read path
+	s.OnRun = func(ev RunEvent) { s.RunMetrics(ev.Design, ev.Benchmark) } // reentrant-adjacent read path
 
 	designs := []tlc.Design{tlc.DesignTLC, tlc.DesignSNUCA2}
 	benches := []string{"perl", "oltp"}
@@ -109,7 +96,6 @@ func TestSuiteMetricsConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				s.AggregatedCounters()
 				s.Metrics()
 				for _, d := range designs {
 					for _, b := range benches {
@@ -128,8 +114,8 @@ func TestSuiteMetricsConcurrentReaders(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	agg := s.AggregatedCounters()
-	if agg["l2.loads"] == 0 {
-		t.Fatal("aggregated l2.loads is zero after a full grid")
+	snap, _ := s.RunMetrics(tlc.DesignTLC, "perl")
+	if v, _ := snap.Value("l2.loads"); v == 0 {
+		t.Fatal("l2.loads is zero after a full grid")
 	}
 }

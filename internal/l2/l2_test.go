@@ -52,9 +52,6 @@ func TestDerivedMetrics(t *testing.T) {
 	s.RecordLoad(40, false, false, 1)
 	s.RecordLoad(40, false, false, 1)
 	s.RecordStore(true, 1)
-	if got := s.Requests(); got != 11 {
-		t.Fatalf("requests %d, want 11", got)
-	}
 	if got := s.MissesPer1K(1000); got != 2 {
 		t.Fatalf("misses/1K %v, want 2", got)
 	}

@@ -40,9 +40,6 @@ func (s *Stats) Register(r *metrics.Registry) {
 	r.Histogram("l2.lookup", s.Lookup)
 }
 
-// Requests reports total requests.
-func (s *Stats) Requests() uint64 { return s.Loads.Value() + s.Stores.Value() }
-
 // MissesPer1K reports load misses per thousand of the given instruction
 // count (Table 6, columns 3-4).
 func (s *Stats) MissesPer1K(instructions uint64) float64 {
@@ -57,7 +54,7 @@ func (s *Stats) PredictablePct() float64 {
 
 // BanksPerRequest reports mean banks accessed per request (Table 9).
 func (s *Stats) BanksPerRequest() float64 {
-	return stats.Ratio(s.BanksTouched.Value(), s.Requests())
+	return stats.Ratio(s.BanksTouched.Value(), s.Loads.Value()+s.Stores.Value())
 }
 
 // RecordLoad folds one load outcome into the stats.

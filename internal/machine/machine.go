@@ -57,9 +57,6 @@ func New(cores []*cpu.Core, streams []cpu.Stream, shared *Shared) *Machine {
 	}
 }
 
-// Cores reports the core count.
-func (m *Machine) Cores() int { return len(m.cores) }
-
 // DirectorySnapshot captures the coherence directory; a single-core
 // machine has none and returns nil.
 func (m *Machine) DirectorySnapshot() []DirEntry {

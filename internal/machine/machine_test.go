@@ -106,7 +106,7 @@ func TestMSIProtocol(t *testing.T) {
 	m.cores[0].Warm(streams[0], 1)
 	m.cores[1].Warm(streams[1], 1)
 	shd.SeedDirectory()
-	if got := shd.DirEntries(); got != 1 {
+	if got := len(shd.dir); got != 1 {
 		t.Fatalf("directory entries after seeding = %d, want 1", got)
 	}
 	snap := shd.DirectorySnapshot()

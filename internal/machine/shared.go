@@ -277,9 +277,6 @@ func (s *Shared) RestoreDirectory(entries []DirEntry) error {
 	return nil
 }
 
-// DirEntries reports the live directory size (tests and reporting).
-func (s *Shared) DirEntries() int { return len(s.dir) }
-
 // RegisterMetrics publishes the coherence and arbitration counters, plus
 // the injection-port counters, under "coh.", "cmp.arb.", and "noc.port.".
 // Only CMP machines register these names: single-core runs must keep their

@@ -244,18 +244,6 @@ func (s Snapshot) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// Counters extracts the exact integer counters of the snapshot — the shape
-// a Suite aggregates across a grid.
-func (s Snapshot) Counters() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, m := range s {
-		if m.Kind == "counter" {
-			out[m.Name] = m.Count
-		}
-	}
-	return out
-}
-
 // WriteJSON serializes the snapshot, indented, to w.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -82,9 +82,6 @@ type stats64 uint64
 // Inc increments the counter.
 func (s *stats64) Inc() { *s++ }
 
-// Value reports the count.
-func (s stats64) Value() uint64 { return uint64(s) }
-
 const (
 	closeRows = 2
 	// ptagLookupBusy is the pipeline occupancy ahead of the partial-tag
@@ -133,9 +130,6 @@ func (d *DNUCA) Metrics() *metrics.Registry { return d.reg }
 
 // Mesh exposes the interconnect for power/utilization accounting.
 func (d *DNUCA) Mesh() *noc.Mesh { return d.mesh }
-
-// Params exposes the design parameters.
-func (d *DNUCA) Params() config.NUCAParams { return d.p }
 
 // colOf maps a block to its bank set (one per column). Bank-set selection
 // XOR-folds higher address bits into the low bits (bank hashing), matching

@@ -141,7 +141,7 @@ func TestDNUCAInsertsAtFarBank(t *testing.T) {
 	if got := rowOf(d, col, d.local(b)); got != d.farRow() {
 		t.Fatalf("fill landed in row %d, want far row %d", got, d.farRow())
 	}
-	if d.Insertions.Value() != 1 {
+	if uint64(d.Insertions) != 1 {
 		t.Fatal("insertion not counted")
 	}
 }
@@ -162,7 +162,7 @@ func TestDNUCAPromotionOnHit(t *testing.T) {
 	if got := rowOf(d, col, d.local(b)); got != startRow-1 {
 		t.Fatalf("block at row %d after hit, want promoted to %d", got, startRow-1)
 	}
-	if d.Promotions.Value() != 1 {
+	if uint64(d.Promotions) != 1 {
 		t.Fatal("promotion not counted")
 	}
 }
@@ -195,9 +195,9 @@ func TestDNUCACloseHitCounting(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.Warm(b)
 	}
-	before := d.CloseHits.Value()
+	before := uint64(d.CloseHits)
 	d.Access(0, mem.Request{Block: b, Type: mem.Load})
-	if d.CloseHits.Value() != before+1 {
+	if uint64(d.CloseHits) != before+1 {
 		t.Fatal("close hit not counted")
 	}
 }
@@ -216,7 +216,7 @@ func TestDNUCAFarHitIsSearchedAndUnpredictable(t *testing.T) {
 	if out.BanksAccessed < 3 {
 		t.Fatalf("far hit touched %d banks, want close 2 + candidates", out.BanksAccessed)
 	}
-	if d.Searches.Value() != 1 {
+	if uint64(d.Searches) != 1 {
 		t.Fatal("search not counted")
 	}
 }
@@ -228,7 +228,7 @@ func TestDNUCAFastMiss(t *testing.T) {
 	if out.Hit {
 		t.Fatal("cold access hit")
 	}
-	if d.FastMisses.Value() != 1 {
+	if uint64(d.FastMisses) != 1 {
 		t.Fatal("empty cache miss should be a fast miss")
 	}
 	if !out.Predictable {
@@ -253,7 +253,7 @@ func TestDNUCAPartialTagFalsePositiveSearch(t *testing.T) {
 	if out.Hit {
 		t.Fatal("false positive treated as hit")
 	}
-	if d.Searches.Value() != 1 {
+	if uint64(d.Searches) != 1 {
 		t.Fatal("false-positive candidates should trigger a search")
 	}
 	if out.Predictable {
@@ -270,7 +270,7 @@ func TestDNUCAStoreWritesInPlace(t *testing.T) {
 	if got := rowOf(d, d.colOf(b), d.local(b)); got != row {
 		t.Fatal("store should not migrate the block")
 	}
-	if d.Promotions.Value() != 0 {
+	if uint64(d.Promotions) != 0 {
 		t.Fatal("stores must not promote")
 	}
 }
@@ -293,8 +293,8 @@ func TestDNUCAWritebackOnSetOverflow(t *testing.T) {
 		d.Access(at, mem.Request{Block: b, Type: mem.Load})
 		at += 2000
 	}
-	if d.Writebacks.Value() != 1 {
-		t.Fatalf("writebacks %d, want 1 after overflowing a 2-way far set", d.Writebacks.Value())
+	if uint64(d.Writebacks) != 1 {
+		t.Fatalf("writebacks %d, want 1 after overflowing a 2-way far set", uint64(d.Writebacks))
 	}
 }
 

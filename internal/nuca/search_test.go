@@ -36,7 +36,7 @@ func fullScan(d *DNUCA, col int, local mem.Block) (row, freeRow int, cands []int
 			cands = append(cands, r)
 			continue
 		}
-		for _, ln := range d.banks[col][r].Array.LinesIn(set) {
+		for _, ln := range d.banks[col][r].Array.AppendLinesIn(nil, set) {
 			if ln.Block.PartialTag(d.sets) == pt {
 				cands = append(cands, r)
 				break

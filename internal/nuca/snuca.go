@@ -68,9 +68,6 @@ func (s *SNUCA) Metrics() *metrics.Registry { return s.reg }
 // Mesh exposes the interconnect for power/utilization accounting.
 func (s *SNUCA) Mesh() *noc.Mesh { return s.mesh }
 
-// Params exposes the design parameters.
-func (s *SNUCA) Params() config.NUCAParams { return s.p }
-
 // bankOf maps a block to its static bank and grid position. The low block
 // bits select the bank; the bank index linearizes column-major so adjacent
 // banksets spread across columns.

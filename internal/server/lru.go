@@ -54,5 +54,3 @@ func (c *lru) add(key string, rec api.RunRecord) {
 		delete(c.items, oldest.Value.(*lruEntry).key)
 	}
 }
-
-func (c *lru) len() int { return len(c.items) }

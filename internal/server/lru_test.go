@@ -21,8 +21,8 @@ func TestLRUDegenerateCapacity(t *testing.T) {
 		if !ok || rec.Cycles != 7 {
 			t.Fatalf("newLRU(%d): just-added record was evicted (ok=%v)", capacity, ok)
 		}
-		if c.len() != 1 {
-			t.Fatalf("newLRU(%d): len = %d, want 1", capacity, c.len())
+		if len(c.items) != 1 {
+			t.Fatalf("newLRU(%d): len = %d, want 1", capacity, len(c.items))
 		}
 	}
 }

@@ -272,8 +272,6 @@ type httpError struct {
 	retryAfter int // seconds; nonzero only for 429
 }
 
-func (e *httpError) Error() string { return e.msg }
-
 // submit is the core of POST /v1/runs: resolve the content address, then
 // cache → coalesce → enqueue, and wait bounded by ctx. wait=true turns a
 // full queue into a ctx-bounded blocking enqueue instead of a 429 — the
@@ -541,11 +539,20 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
+// drainGrace bounds how long Drain waits for the workers after its context
+// expires and the remaining flights are cancelled. A run notices its
+// cancellation at the next Options.Cancel poll, microseconds away at a
+// batch boundary; the longest step that does not poll, phase profiling's
+// k-means, is held to about a second by the plan shape limits. A worker
+// still busy after the grace period is abandoned, so one step that never
+// polls cannot keep the process from exiting.
+const drainGrace = 2 * time.Second
+
 // Drain stops intake and waits for queued work to finish, bounded by ctx:
 // new runs are rejected with 503, queued and executing runs complete (their
 // waiters get answers), then the worker pool exits. On ctx expiry the
 // remaining flights are cancelled cooperatively and Drain returns ctx's
-// error once the workers notice.
+// error once the workers notice, or after drainGrace if they do not.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -583,7 +590,10 @@ func (s *Server) Drain(ctx context.Context) error {
 			f.cancel()
 		}
 		s.mu.Unlock()
-		<-done
+		select {
+		case <-done:
+		case <-time.After(drainGrace):
+		}
 		return ctx.Err()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -189,7 +190,7 @@ func TestDeadlineCancelsRun(t *testing.T) {
 	}
 	// The cancelled run must not be cached as a result.
 	s.mu.Lock()
-	n := s.cache.len()
+	n := len(s.cache.items)
 	s.mu.Unlock()
 	if n != 0 {
 		t.Errorf("cancelled run landed in the result cache (%d entries)", n)
@@ -372,7 +373,7 @@ func TestDeadlineCancelsRealRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	n := s.cache.len()
+	n := len(s.cache.items)
 	_, ok := s.cache.get(id)
 	s.mu.Unlock()
 	if n != 1 || !ok {
@@ -576,6 +577,49 @@ func TestDrain(t *testing.T) {
 	out := <-resc
 	if out.status != http.StatusOK || out.rec.Cycles != 42 {
 		t.Errorf("run spanning drain: status %d rec %+v", out.status, out.rec)
+	}
+}
+
+// TestDrainBoundedWhenRunIgnoresCancel: a run that polls neither its
+// context nor Options.Cancel keeps its worker busy forever, yet Drain must
+// return ctx's error shortly after ctx expires instead of waiting on the
+// worker. The watchdog fails the test rather than letting Drain hang the
+// binary until go test -timeout.
+func TestDrainBoundedWhenRunIgnoresCancel(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{})
+	s, hs := newTestServer(t, Config{
+		Workers: 1,
+		execute: func(ctx context.Context, d tlc.Design, bench string, opt tlc.Options) (api.RunRecord, error) {
+			close(started)
+			<-release // ignores ctx and opt.Cancel
+			return stubRecord(d, bench), nil
+		},
+	})
+	// Cleanups run last-registered first: the stuck run is released before
+	// the test server closes, which waits for the run's HTTP handler.
+	t.Cleanup(func() { close(release) })
+
+	go func() {
+		resp, err := http.Post(hs.URL+"/v1/runs", "application/json",
+			strings.NewReader(`{"design":"TLC","benchmark":"gcc"}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	select {
+	case err := <-drained:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("drain: %v, want the context's deadline error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain still waiting on a worker whose run ignores cancellation 10 s after its context expired")
 	}
 }
 

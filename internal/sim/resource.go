@@ -27,8 +27,6 @@ type Resource struct {
 	waitCycles Time
 	// reservations counts all reservations.
 	reservations uint64
-	// maxEnd is the latest booked end, for FreeAt.
-	maxEnd Time
 }
 
 type span struct {
@@ -71,18 +69,12 @@ func (r *Resource) Reserve(at, dur Time) Time {
 	r.intervals = append(r.intervals, span{})
 	copy(r.intervals[insert+1:], r.intervals[insert:])
 	r.intervals[insert] = span{start: start, end: start + dur}
-	if start+dur > r.maxEnd {
-		r.maxEnd = start + dur
-	}
 	if start > at {
 		r.waits++
 		r.waitCycles += start - at
 	}
 	return start
 }
-
-// FreeAt reports the end of the latest booked interval.
-func (r *Resource) FreeAt() Time { return r.maxEnd }
 
 // BusyCycles reports the total cycles ever reserved.
 func (r *Resource) BusyCycles() Time { return r.busy }

@@ -273,8 +273,11 @@ func TestResourceReset(t *testing.T) {
 	var r Resource
 	r.Reserve(5, 10)
 	r.Reset()
-	if r.BusyCycles() != 0 || r.FreeAt() != 0 || r.Reservations() != 0 {
+	if r.BusyCycles() != 0 || r.Reservations() != 0 {
 		t.Fatal("Reset did not clear resource state")
+	}
+	if start := r.Reserve(5, 1); start != 5 {
+		t.Fatalf("a reservation after Reset starts at %d, want 5: the old booking survived", start)
 	}
 }
 

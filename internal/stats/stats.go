@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -109,28 +108,6 @@ func (h *Histogram) Min() uint64 {
 // Max reports the largest sample, or 0 with no samples.
 func (h *Histogram) Max() uint64 { return h.max }
 
-// Mode reports the most frequent in-range value. Ties resolve to the
-// smallest value; overflow samples never win. With no samples Mode is 0.
-func (h *Histogram) Mode() uint64 {
-	var best uint64
-	var bestCount uint64
-	for v, c := range h.buckets {
-		if c > bestCount {
-			bestCount = c
-			best = uint64(v)
-		}
-	}
-	return best
-}
-
-// CountOf reports how many samples had exactly value v (v below the cap).
-func (h *Histogram) CountOf(v uint64) uint64 {
-	if v < uint64(len(h.buckets)) {
-		return h.buckets[v]
-	}
-	return 0
-}
-
 // CountAtMost reports how many samples were <= v. Overflow samples (values
 // at or above the bucket cap) are tracked only in aggregate, so they are
 // counted once v reaches the observed maximum — every sample is <= Max by
@@ -229,29 +206,6 @@ func (s *Series) Append(label string, v float64) {
 	s.Values = append(s.Values, v)
 }
 
-// Mean reports the arithmetic mean of the series values (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// Max reports the largest value in the series (0 when empty).
-func (s *Series) Max() float64 {
-	var m float64
-	for i, v := range s.Values {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // GeoMean reports the geometric mean of the series values, the conventional
 // aggregate for normalized execution times. Non-positive values make the
 // geometric mean undefined; they yield 0.
@@ -267,15 +221,6 @@ func (s *Series) GeoMean() float64 {
 		logSum += math.Log(v)
 	}
 	return math.Exp(logSum / float64(len(s.Values)))
-}
-
-// String renders the series compactly for logs and tests.
-func (s *Series) String() string {
-	out := s.Name + ":"
-	for i := range s.Values {
-		out += fmt.Sprintf(" %s=%.3f", s.Labels[i], s.Values[i])
-	}
-	return out
 }
 
 // Sample accumulates scalar observations and reports their mean with a 95%
@@ -358,9 +303,6 @@ func (s *Weighted) Observe(x, w float64) {
 
 // N reports the number of observations (not the total weight).
 func (s *Weighted) N() uint64 { return s.n }
-
-// SumWeights reports the total weight observed.
-func (s *Weighted) SumWeights() float64 { return s.sumw }
 
 // Mean reports the weighted mean (0 when empty).
 func (s *Weighted) Mean() float64 {

@@ -65,7 +65,7 @@ type refTLC struct {
 }
 
 func newRefTLC(prod *Cache) *refTLC {
-	p := prod.Params()
+	p := prod.p
 	r := &refTLC{
 		eng:      sim.New(),
 		p:        p,

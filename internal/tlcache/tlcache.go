@@ -181,9 +181,6 @@ func (c *Cache) ctrlResp(pair int) sim.Time {
 	return c.ctrlReq(pair)
 }
 
-// Params exposes the design parameters.
-func (c *Cache) Params() config.TLCParams { return c.p }
-
 // AddLinkMargin widens every transmission-line traversal by extra cycles —
 // the ablation for the paper's conservative 40%-of-cycle setup and hold
 // margins (Section 4): a design needing even more margin pays this many

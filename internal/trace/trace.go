@@ -250,9 +250,6 @@ func (r *Reader) NextMems(buf []cpu.MemRef, maxInstr uint64) (n int, consumed ui
 	return n, consumed
 }
 
-// Rewind restarts replay from the first record.
-func (r *Reader) Rewind() { r.pos = 0 }
-
 // Stats summarizes a trace for sanity checks and tooling.
 type Stats struct {
 	Instructions uint64

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
@@ -37,10 +39,9 @@ func SharingPatterns() []string {
 
 // Validate rejects unknown patterns and out-of-range parameters.
 func (s SharingSpec) Validate() error {
-	switch s.Pattern {
-	case "", "private", "producer-consumer", "migratory", "read-mostly":
-	default:
-		return fmt.Errorf("workload: unknown sharing pattern %q (want private, producer-consumer, migratory, or read-mostly)", s.Pattern)
+	if ps := SharingPatterns(); s.Pattern != "" && !slices.Contains(ps, s.Pattern) {
+		return fmt.Errorf("workload: unknown sharing pattern %q (want %s, or %s)",
+			s.Pattern, strings.Join(ps[:len(ps)-1], ", "), ps[len(ps)-1])
 	}
 	if s.SharedMB < 0 {
 		return fmt.Errorf("workload: negative shared region size %g MB", s.SharedMB)
@@ -189,9 +190,6 @@ func NewCMPStream(spec Spec, seed int64, core int, sh SharingSpec) *CMPStream {
 	}
 	return cs
 }
-
-// Generator exposes the inner striped generator (tests and reporting).
-func (cs *CMPStream) Generator() *Generator { return cs.g }
 
 // mapRef maps one inner memory reference into the CMP address space: with
 // probability SharedFrac it becomes a shared-region reference shaped by

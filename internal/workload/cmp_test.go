@@ -76,7 +76,7 @@ func TestCMPStreamCore0PrivateMatchesGenerator(t *testing.T) {
 			t.Fatalf("instr %d: CMP core 0 %+v != generator %+v", i, got, want)
 		}
 	}
-	if !reflect.DeepEqual(cs.Generator().State(), g.State()) {
+	if !reflect.DeepEqual(cs.g.State(), g.State()) {
 		t.Fatal("stream states diverged")
 	}
 }

@@ -96,7 +96,6 @@ type Generator struct {
 	streamPtr                       uint64
 	streamLeft                      int
 	windowHead                      uint64
-	reverse                         map[mem.Block]uint64
 
 	// Precomputed reciprocals for the fixed-size region draws: every
 	// region size is pinned at construction, so the modulo each draw pays
@@ -158,9 +157,6 @@ func max64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// Spec reports the generator's spec.
-func (g *Generator) Spec() Spec { return g.spec }
 
 // State is the generator's complete stream position: RNG state plus the
 // phase variables (stream pointer, window head, spatial-repeat countdown,
@@ -667,35 +663,6 @@ func (g *Generator) skewedN(n uint64, levels int) uint64 {
 		}
 	}
 	return lo + uint64(g.rng.Int63n(int64(hi-lo)))
-}
-
-// Region classifies a laid-out block address by the footprint region it
-// came from: "l1", "hot", "cold", or "outside". Useful for analyzing which
-// traffic class a cache design penalizes. The reverse index is built
-// lazily on first use.
-func (g *Generator) Region(b mem.Block) string {
-	if g.reverse == nil {
-		g.reverse = make(map[mem.Block]uint64, g.TotalBlocks())
-		for id := uint64(0); id < g.TotalBlocks(); id++ {
-			g.reverse[layout(id)] = id
-		}
-	}
-	id, ok := g.reverse[b]
-	switch {
-	case !ok:
-		return "outside"
-	case id < g.hotBase:
-		return "l1"
-	case id < g.coldBase:
-		return "hot"
-	default:
-		return "cold"
-	}
-}
-
-// TotalBlocks reports the footprint in 64-byte blocks.
-func (g *Generator) TotalBlocks() uint64 {
-	return g.l1Blocks + g.hotBlocks + g.coldBlocks
 }
 
 // l2CapacityBlocks is the 16 MB L2 in blocks, bounding how much of a huge

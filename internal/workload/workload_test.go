@@ -302,7 +302,7 @@ func TestQuickGeneratorWellFormed(t *testing.T) {
 	f := func(seed int64) bool {
 		g := New(spec, seed)
 		valid := map[mem.Block]bool{}
-		for id := uint64(0); id < g.TotalBlocks(); id++ {
+		for id := uint64(0); id < g.l1Blocks+g.hotBlocks+g.coldBlocks; id++ {
 			valid[layout(id)] = true
 		}
 		for i := 0; i < 5000; i++ {

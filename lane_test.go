@@ -231,7 +231,7 @@ func TestWarmLanesCancelled(t *testing.T) {
 func TestLaneWarmDoesNotAllocate(t *testing.T) {
 	spec, _ := workload.SpecByName("oltp")
 	gen := &countingStream{Generator: workload.New(spec, 1)}
-	fan := laneFanout{build(DesignSNUCA2, Options{}), build(DesignTLC, Options{}), build(DesignTLCOpt500, Options{})}
+	fan := laneFanout{Build(DesignSNUCA2, Options{}), Build(DesignTLC, Options{}), Build(DesignTLCOpt500, Options{})}
 	gen.PreWarm(fan)
 	core := cpu.New(config.DefaultSystem(), fan)
 	core.Warm(gen, 200_000) // allocate the batch buffers

@@ -92,7 +92,7 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 		if opt.Checkpoints.Has(key) {
 			continue
 		}
-		inst := build(d, opt)
+		inst := Build(d, opt)
 		s, ok := inst.(l2.Snapshotter)
 		if !ok {
 			continue

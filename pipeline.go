@@ -71,7 +71,7 @@ type rig struct {
 func newRig(d Design, spec workload.Spec, warmSeed int64, opt Options) *rig {
 	sys := config.DefaultSystem()
 	n := opt.cores()
-	r := &rig{inst: build(d, opt), cores: make([]*cpu.Core, n), streams: make([]stream, n)}
+	r := &rig{inst: Build(d, opt), cores: make([]*cpu.Core, n), streams: make([]stream, n)}
 	reg := r.inst.Metrics()
 	ss := make([]cpu.Stream, n)
 	var shd *machine.Shared

@@ -90,7 +90,7 @@ type Options struct {
 	Cores int
 	// Sharing shapes how the cores' streams relate (CMP runs only): the
 	// zero value stripes each core's private copy of the benchmark across
-	// disjoint address ranges; see workload.SharingPatterns for the
+	// disjoint address ranges; see workload.SharingSpec for the
 	// cross-core patterns.
 	Sharing SharingSpec
 
@@ -191,9 +191,6 @@ func (o Options) Sampled() bool { return o.SampleIntervals > 0 || o.SampleOption
 // SharingSpec parameterizes cross-core sharing in CMP runs; see
 // workload.SharingSpec.
 type SharingSpec = workload.SharingSpec
-
-// SharingPatterns lists the valid Options.Sharing pattern names.
-func SharingPatterns() []string { return workload.SharingPatterns() }
 
 // CMPConfig is the CMP axis of a run's configuration, folded into
 // checkpoint and content keys: the core count, the coherence protocol,
@@ -318,13 +315,15 @@ type Result struct {
 	ECCRetries     uint64
 }
 
-// build instantiates a design wired into the instrumentation spine. Every
-// design registers its layer counters at construction; build adds the
+// Build instantiates a design wired into the instrumentation spine. It is
+// the one design constructor: every run, the trace replayer (tlctrace
+// -replay) and the Table 2 ranges build designs here. Every design
+// registers its layer counters at construction; Build adds the
 // cross-layer roll-ups that live above the design packages (network power
 // imports both cache families, so its gauge registers here) and the
 // optional DRAM substrate. All reporting below reads the returned
 // registry — there is exactly one way to add a metric.
-func build(d Design, opt Options) l2.Instrumented {
+func Build(d Design, opt Options) l2.Instrumented {
 	sys := config.DefaultSystem()
 	var memory *dram.Memory
 	if opt.UseDRAM {
@@ -615,10 +614,9 @@ func RunKey(d Design, benchmark string, opt Options) string {
 	return k.sum()
 }
 
-// SummarizeSeeds folds per-seed observations into SeedStats in slice order.
-// RunSeeds uses it, and remote seed sweeps (tlcsweep -remote) reuse it on
-// individually fetched results so both paths compute — to the bit — the
-// same statistics.
+// SummarizeSeeds folds per-seed observations into SeedStats in slice order,
+// so a seed sweep's statistics are the same to the bit whether its runs
+// executed in process or on a tlcd server (tlcsweep -remote).
 func SummarizeSeeds(vals []float64) SeedStats {
 	st := SeedStats{Min: vals[0], Max: vals[0]}
 	for _, v := range vals {
@@ -737,39 +735,22 @@ func (s SeedStats) Spread() float64 {
 	return (s.Max - s.Min) / s.Mean
 }
 
-// RunSeeds runs one (design, benchmark) pair across several seeds and
-// summarizes cycles, mean lookup latency, and misses/1K. Conclusions that
-// survive the seed sweep are workload-structure effects, not artifacts of
+// SeedOptions expands opt into a seed sweep's run configurations, one per
+// seed in order. Every seed measures from the machine state the first
+// seed's warm-up produced: WarmSeed pins the warm stream to seeds[0] and
+// only the timed stream reseeds. With one Options.Checkpoints store shared
+// across the sweep, each (design, benchmark) pair therefore warms once.
+// Conclusions that survive the sweep (SummarizeSeeds over the per-seed
+// results, in seed order) are workload-structure effects, not artifacts of
 // one random stream.
-//
-// The sweep warms up once: every seed measures from the machine state the
-// first seed's warm-up produced (WarmSeed pins the warm stream; the timed
-// stream reseeds per seed). Warm-up is paid once via the checkpoint store —
-// opt.Checkpoints if provided, else a sweep-local one — so seeds after the
-// first skip it entirely.
-func RunSeeds(d Design, benchmark string, opt Options, seeds []int64) (cycles, lookup, misses SeedStats, err error) {
-	if len(seeds) == 0 {
-		return cycles, lookup, misses, fmt.Errorf("tlc: no seeds")
+func SeedOptions(opt Options, seeds []int64) []Options {
+	out := make([]Options, len(seeds))
+	for i, seed := range seeds {
+		out[i] = opt
+		out[i].WarmSeed = seeds[0]
+		out[i].Seed = seed
 	}
-	if opt.WarmSeed == 0 {
-		opt.WarmSeed = seeds[0]
-	}
-	if opt.Checkpoints == nil {
-		opt.Checkpoints = NewCheckpointStore(0, "")
-	}
-	var cs, ls, ms []float64
-	for _, seed := range seeds {
-		o := opt
-		o.Seed = seed
-		res, rerr := Run(d, benchmark, o)
-		if rerr != nil {
-			return cycles, lookup, misses, rerr
-		}
-		cs = append(cs, float64(res.Cycles))
-		ls = append(ls, res.MeanLookup)
-		ms = append(ms, res.MissesPer1K)
-	}
-	return SummarizeSeeds(cs), SummarizeSeeds(ls), SummarizeSeeds(ms), nil
+	return out
 }
 
 // AreaBreakdown is one Table 7 row.
@@ -800,18 +781,8 @@ func AnalyzeLines() []LineReport {
 
 // UncontendedRange reports a design's Table 2 uncontended-latency range.
 func UncontendedRange(d Design) (min, max uint64) {
-	sys := config.DefaultSystem()
-	switch d {
-	case config.SNUCA2:
-		a, b := nuca.NewSNUCA(sys.MemoryLatency).NominalRange()
-		return uint64(a), uint64(b)
-	case config.DNUCA:
-		a, b := nuca.NewDNUCA(sys.MemoryLatency).NominalRange()
-		return uint64(a), uint64(b)
-	default:
-		a, b := tlcache.New(d, sys.MemoryLatency).NominalRange()
-		return uint64(a), uint64(b)
-	}
+	a, b := Build(d, Options{}).(interface{ NominalRange() (sim.Time, sim.Time) }).NominalRange()
+	return uint64(a), uint64(b)
 }
 
 // TotalLines reports a TLC design's transmission-line count (Table 2);
@@ -822,16 +793,5 @@ func TotalLines(d Design) int {
 		return 0
 	default:
 		return config.TLCFor(d).TotalLines()
-	}
-}
-
-// MeshSegments exposes the NUCA mesh segment count for reporting; zero for
-// TLC designs.
-func MeshSegments(d Design) int {
-	switch d {
-	case config.SNUCA2, config.DNUCA:
-		return noc.New(config.NUCAFor(d).Mesh).SegmentCount()
-	default:
-		return 0
 	}
 }

@@ -113,15 +113,6 @@ func TestTotalLines(t *testing.T) {
 	}
 }
 
-func TestMeshSegments(t *testing.T) {
-	if MeshSegments(DesignTLC) != 0 {
-		t.Fatal("TLC has no mesh")
-	}
-	if MeshSegments(DesignDNUCA) == 0 || MeshSegments(DesignSNUCA2) == 0 {
-		t.Fatal("NUCA designs must report mesh segments")
-	}
-}
-
 func TestAnalyzeLinesAllPass(t *testing.T) {
 	reps := AnalyzeLines()
 	if len(reps) != 3 {
@@ -221,10 +212,22 @@ func TestBitErrorRateOption(t *testing.T) {
 }
 
 func TestRunSeeds(t *testing.T) {
-	cyc, lookup, _, err := RunSeeds(DesignTLC, "perl", testOptions(), []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
+	seeds := []int64{1, 2, 3}
+	opt := testOptions()
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	var cs, ls []float64
+	for i, o := range SeedOptions(opt, seeds) {
+		if o.WarmSeed != seeds[0] || o.Seed != seeds[i] {
+			t.Fatalf("seed %d: warm seed %d, seed %d", seeds[i], o.WarmSeed, o.Seed)
+		}
+		res, err := Run(DesignTLC, "perl", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, float64(res.Cycles))
+		ls = append(ls, res.MeanLookup)
 	}
+	cyc, lookup := SummarizeSeeds(cs), SummarizeSeeds(ls)
 	if cyc.Mean <= 0 || lookup.Mean <= 0 {
 		t.Fatal("seed summary empty")
 	}
@@ -234,7 +237,7 @@ func TestRunSeeds(t *testing.T) {
 	if cyc.Spread() > 0.2 {
 		t.Fatalf("cycles spread %.2f across seeds: conclusions are seed-fragile", cyc.Spread())
 	}
-	if _, _, _, err := RunSeeds(DesignTLC, "perl", testOptions(), nil); err == nil {
-		t.Fatal("empty seed list should error")
+	if got := SeedOptions(opt, nil); len(got) != 0 {
+		t.Fatalf("an empty seed list expands to %d runs", len(got))
 	}
 }
