@@ -66,7 +66,7 @@ type document struct {
 	Lanes             *laneStatsJSON     `json:"lanes,omitempty"`
 }
 
-// laneStatsJSON is the lane-parallel warm phase's share of the grid (the
+// laneStatsJSON is the lane phase's share of the grid (the
 // sim.lanes.* spine, aggregated): present only when the lane phase was
 // enabled, zero-valued when it ran but nothing grouped.
 type laneStatsJSON struct {
@@ -74,10 +74,11 @@ type laneStatsJSON struct {
 	LanesWarmed   uint64 `json:"lanes_warmed"`
 	BatchesShared uint64 `json:"batches_shared"`
 	ScalarPoints  uint64 `json:"scalar_points"`
-	// WarmWallMS is the summed wall-clock of the shared warm passes. The
-	// runs restore instead of warming, so the artifact's total simulation
-	// cost is sim_wall_ms + warm_wall_ms — the figure to hold against a
-	// scalar artifact's sim_wall_ms.
+	// WarmWallMS is the summed wall-clock of the lane passes' warm halves
+	// (shared warm-up or checkpoint restore); their timed halves are in
+	// sim_wall_ms, one share per run. The artifact's total simulation cost
+	// is sim_wall_ms + warm_wall_ms — the figure to hold against a scalar
+	// artifact's sim_wall_ms.
 	WarmWallMS float64 `json:"warm_wall_ms"`
 	// BenchSpeedups carries BenchmarkLaneSweep's measured lane-vs-scalar
 	// warm speedup per calibration workload, parsed from a go-test log via
@@ -107,9 +108,10 @@ func main() {
 			"accuracy gate (a sampled artifact's raw registry counters cover only its "+
 			"detailed fraction, so they are not comparable against a full run's)")
 	lanes := flag.Bool("lanes", true,
-		"lane-parallel warm phase: share each benchmark's warm stream across "+
-			"all designs (an in-memory checkpoint store is used when -ckptdir "+
-			"is unset); -lanes=false measures the scalar warm baseline")
+		"lane phase: share each benchmark's stream and L1 across all designs, "+
+			"warm-up and (full-detail, one-core runs) timed region alike (an "+
+			"in-memory checkpoint store is used when -ckptdir is unset); "+
+			"-lanes=false measures the scalar baseline")
 	laneBenchLog := flag.String("lane-bench-log", "",
 		"go-test output of BenchmarkLaneSweep to embed in the lanes block "+
 			"(bench_speedup per workload)")
@@ -177,6 +179,7 @@ func main() {
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
+	accel.WarnDisk(os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -73,14 +73,16 @@ func main() {
 		log.Fatalf("tlcd: %v", err)
 	}
 
+	ckpts := tlc.NewCheckpointStore(0, *ckptdir)
+	profiles := tlc.NewPhaseProfileStore(0, *ckptdir)
 	cfg := server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		Checkpoints:    tlc.NewCheckpointStore(0, *ckptdir),
-		Profiles:       tlc.NewPhaseProfileStore(0, *ckptdir),
+		Checkpoints:    ckpts,
+		Profiles:       profiles,
 		BaseOptions:    base,
 	}
 
@@ -107,6 +109,14 @@ func main() {
 	drainErr := srv.Drain(dctx)
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("tlcd: http shutdown: %v", err)
+	}
+	// A checkpoint directory that could not be written, or held files
+	// that did not decode, degraded the stores without failing a request.
+	if err := ckpts.DiskErr(); err != nil {
+		log.Printf("tlcd: warning: -ckptdir: %v (checkpoints not persisted)", err)
+	}
+	if err := profiles.DiskErr(); err != nil {
+		log.Printf("tlcd: warning: -ckptdir: %v (phase profiles not persisted)", err)
 	}
 	if drainErr != nil {
 		log.Fatalf("tlcd: drain: %v", drainErr)

@@ -72,7 +72,9 @@ func main() {
 
 	s := experiments.NewSuite(opt)
 	start := time.Now()
-	if err := s.RunAll(designs, benches, *par); err != nil {
+	err = s.RunAll(designs, benches, *par)
+	accel.WarnDisk(os.Stderr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -156,7 +156,9 @@ func main() {
 	accel := cliopt.Register()
 	flag.Parse()
 
-	store := tlc.NewCheckpointStore(0, accel.CkptDir)
+	// Every sweep shares one checkpoint store: the one -ckptdir makes
+	// Apply build, or an in-memory one.
+	store := tlc.NewCheckpointStore(0, "")
 	sweepOptions = func() tlc.Options {
 		opt := tlc.DefaultOptions()
 		if *quick {
@@ -166,7 +168,9 @@ func main() {
 		if err := accel.Apply(&opt); err != nil {
 			log.Fatal(err)
 		}
-		opt.Checkpoints = store
+		if opt.Checkpoints == nil {
+			opt.Checkpoints = store
+		}
 		return opt
 	}
 
@@ -201,6 +205,7 @@ func main() {
 	// Every local sweep's Options came from sweepOptions (Apply), so one
 	// dump collects across all suites of the invocation. (Remote runs
 	// execute on the server; -metrics collects nothing there.)
+	accel.WarnDisk(os.Stderr)
 	if err := accel.WriteMetrics(); err != nil {
 		log.Fatal(err)
 	}

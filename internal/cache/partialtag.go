@@ -75,6 +75,11 @@ func (p *PartialTags) Install(b mem.Block, bank, way int) {
 	p.entry[p.index(b.SetIndex(p.sets), bank, way)] = p.key(b)
 }
 
+// Clear records bank's way in b's set as empty: the way a block left.
+func (p *PartialTags) Clear(b mem.Block, bank, way int) {
+	p.entry[p.index(b.SetIndex(p.sets), bank, way)] = 0
+}
+
 // Masks scans b's set once and reports, one bit per bank, the banks with
 // a way whose partial tag matches b (match) and the banks with an invalid
 // way (free). When the associativity divides eight and a set fills whole

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -45,6 +46,10 @@ type Flags struct {
 
 	mu     sync.Mutex
 	events []tlc.MetricsEvent
+	// ckpt and profiles are the stores Apply builds, once per invocation,
+	// so every option set it fills shares them and WarnDisk sees each one.
+	ckpt     *tlc.CheckpointStore
+	profiles *tlc.PhaseProfileStore
 }
 
 // DefaultPhaseWindows and DefaultPhaseClusters shape -phase when the
@@ -97,11 +102,11 @@ func Register() *Flags {
 // -cores/-sharing set the CMP axis, and -metrics chains a collector onto
 // OnMetrics (a hook already present keeps firing after it). Apply may be
 // called on several Options values (one suite per memory model, say); all
-// their runs collect into the same dump. The returned error rejects
-// impossible flags — a core count outside 1..64, an unknown sharing
-// pattern, or a sampling plan that cannot fit the run — with a one-line
-// message for the caller to print and exit on; the finished options are
-// validated once, before any store is built.
+// their runs collect into the same dump and share the same stores. The
+// returned error rejects impossible flags — a core count outside 1..64, an
+// unknown sharing pattern, or a sampling plan that cannot fit the run —
+// with a one-line message for the caller to print and exit on; the
+// finished options are validated once, before any store is built.
 func (f *Flags) Apply(opt *tlc.Options) error {
 	if f.Cores < 1 {
 		return fmt.Errorf("cliopt: -cores %d: need at least 1", f.Cores)
@@ -127,15 +132,23 @@ func (f *Flags) Apply(opt *tlc.Options) error {
 	if err := opt.Validate(); err != nil {
 		return err
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.CkptDir != "" {
-		opt.Checkpoints = tlc.NewCheckpointStore(0, f.CkptDir)
+		if f.ckpt == nil {
+			f.ckpt = tlc.NewCheckpointStore(0, f.CkptDir)
+		}
+		opt.Checkpoints = f.ckpt
 	}
 	if phase {
 		// One profile store per invocation: the profile is design-
 		// independent, so a grid over all six designs pays one clustering
 		// pass per benchmark. -ckptdir adds the persistent tier, shared
 		// with later invocations.
-		opt.PhaseProfiles = tlc.NewPhaseProfileStore(0, f.CkptDir)
+		if f.profiles == nil {
+			f.profiles = tlc.NewPhaseProfileStore(0, f.CkptDir)
+		}
+		opt.PhaseProfiles = f.profiles
 	}
 	if f.Metrics != "" {
 		user := opt.OnMetrics
@@ -157,6 +170,26 @@ type runMetricsJSON struct {
 	Benchmark string              `json:"benchmark"`
 	Cycles    uint64              `json:"cycles"`
 	Metrics   tlc.MetricsSnapshot `json:"metrics"`
+}
+
+// WarnDisk writes one warning to w for each store Apply built whose disk
+// tier failed: a -ckptdir that could not be written, or files in it that
+// did not decode. Such a store falls back to memory and to misses without
+// failing a run, so this is the only sign of it; the CLIs call WarnDisk
+// once their runs are done.
+func (f *Flags) WarnDisk(w io.Writer) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.ckpt != nil {
+		if err := f.ckpt.DiskErr(); err != nil {
+			fmt.Fprintf(w, "warning: -ckptdir %s: %v (checkpoints not persisted)\n", f.CkptDir, err)
+		}
+	}
+	if f.profiles != nil {
+		if err := f.profiles.DiskErr(); err != nil {
+			fmt.Fprintf(w, "warning: -ckptdir %s: %v (phase profiles not persisted)\n", f.CkptDir, err)
+		}
+	}
 }
 
 // WriteMetrics writes the collected snapshots, sorted by (design,

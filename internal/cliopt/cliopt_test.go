@@ -1,6 +1,9 @@
 package cliopt
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -47,5 +50,50 @@ func TestApplyValidatesFinishedOptions(t *testing.T) {
 				t.Error("a rejected combination still built a store")
 			}
 		})
+	}
+}
+
+// TestWarnDiskReportsUnwritableDir points -ckptdir below a regular file,
+// where no directory can be created (whatever the user's permissions), so
+// every checkpoint and phase-profile write fails. The run still succeeds,
+// and WarnDisk names each store's failure once; a writable directory
+// warns nothing.
+func TestWarnDiskReportsUnwritableDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dir  string
+		want []string
+	}{
+		{filepath.Join(file, "ckpt"), []string{"checkpoints not persisted", "phase profiles not persisted"}},
+		{t.TempDir(), nil},
+	} {
+		f := &Flags{Cores: 1, Phase: true, PhaseWindows: 4, PhaseClusters: 2, Length: 200, CkptDir: tc.dir}
+		opt := tlc.Options{WarmInstructions: 10_000, RunInstructions: 20_000, Seed: 1}
+		if err := f.Apply(&opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tlc.RunSampled(tlc.DesignTLC, "gcc", opt); err != nil {
+			t.Fatalf("%s: %v", tc.dir, err)
+		}
+		var buf bytes.Buffer
+		f.WarnDisk(&buf)
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		if len(tc.want) == 0 {
+			if buf.Len() != 0 {
+				t.Errorf("%s: writable directory warned: %q", tc.dir, buf.String())
+			}
+			continue
+		}
+		if len(lines) != len(tc.want) {
+			t.Fatalf("%s: warnings %q, want one per store", tc.dir, buf.String())
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(lines[i], w) || !strings.Contains(lines[i], "not a directory") {
+				t.Errorf("%s: warning %q, want it to name %q and the cause", tc.dir, lines[i], w)
+			}
+		}
 	}
 }

@@ -96,17 +96,24 @@ type Coherence interface {
 	StoreNotify(core int, b mem.Block)
 }
 
-// Core drives a Stream against an L2 design.
+// Core drives a Stream against an L2 design. A core is a front end and a
+// back end. The front end owns the stream batch and the L1: it draws each
+// batch once and resolves every memory operation's L1 outcome (hit or
+// miss, dirty-victim writeback, dirty bit) in program order. The back end
+// (Backend) owns everything that depends on the L2: the pipeline rings,
+// the MSHRs, the L2 itself and the coherence hook. Run and Resume time one
+// back end, the core's own; RunLanes times several behind one front end.
+//
+// The split is exact because nothing a back end does feeds back into the
+// L1 of its own core: an L2 access never touches it, and coherence
+// actions (Invalidate, Downgrade) only reach other cores' L1s, which run
+// in other quanta of the machine's schedule.
 type Core struct {
 	sys config.System
-	l2  l2.Cache
-
-	// id is this core's CMP core index, stamped on every L2 request.
-	// Single-core runs leave it zero.
-	id int
-	// coh, when non-nil, observes every store for MSI upgrade handling.
-	// Nil on single-core runs: the hook costs one nil-check per store.
-	coh Coherence
+	// be is the core's own back end; own lists it alone, the back-end list
+	// Run and Resume drive, kept so they allocate nothing per call.
+	be  *Backend
+	own [1]*Backend
 
 	l1 *cache.SetAssoc
 	// dirty[idx] is the dirty bit of L1 line idx (set*assoc+way): per-way
@@ -115,6 +122,65 @@ type Core struct {
 	// than bools so the warm fast path can update them with arithmetic
 	// instead of a data-random branch.
 	dirty []uint8
+
+	// Batched-delivery buffers, allocated lazily on first use and reused
+	// for the core's lifetime so the hot loops stay allocation-free.
+	// batch receives detailed-mode instructions, and l1out/victims record
+	// each memory operation's resolved L1 outcome (victims[k] is meaningful
+	// only when l1out[k] has l1Writeback). memBuf receives warm-mode memory
+	// references (Core.Warm), and l2Warm collects warm-path L2 installs
+	// for bulk delivery to an l2.Warmer.
+	batch   []Instr
+	l1out   []uint8
+	victims []mem.Block
+	memBuf  []MemRef
+	l2Warm  []mem.Block
+
+	// cancel, when set, is polled at batch boundaries during Warm and run;
+	// a non-nil return aborts the loop and is retained in cancelErr. Polling
+	// happens once per instruction batch (a few thousand instructions), so
+	// cooperative cancellation costs a nil-check per batch, not per
+	// instruction, and never perturbs the simulated state of a run that was
+	// not cancelled.
+	cancel    func() error
+	cancelErr error
+
+	// countWarmMisses gates functional L2-miss counting in the warm paths:
+	// when set, every warm-path L2 install is preceded by a read-only
+	// Contains probe and warmL2Misses counts the absent blocks — the misses
+	// a detailed run over the same stretch would have charged. Off by
+	// default so bulk warming (the 2M-instruction warm phase, uniform
+	// fast-forward, lane sweeps) pays nothing; the phase-sampled runner
+	// enables it across the timed region to total its L2-miss covariate
+	// exactly. The probe never mutates cache state, so counting cannot
+	// perturb a run.
+	countWarmMisses bool
+	warmL2Misses    uint64
+
+	// hits and misses count the current timed call's L1 outcomes; every
+	// back end books them when the call ends.
+	hits, misses uint64
+}
+
+// Backend is one design's timed pipeline: the reorder buffer, scheduler
+// and retire rings, the MSHRs, the L2 it issues to, and the counters of
+// all of them. It times the batches its front end draws, taking every
+// memory operation's L1 outcome from the front end.
+type Backend struct {
+	sys config.System
+	l2  l2.Cache
+	// fe is the front end whose batches this back end times; resolving
+	// marks it the first back end of the current batch, the one whose pass
+	// resolves the batch through the L1.
+	fe        *Core
+	resolving bool
+
+	// id is this core's CMP core index, stamped on every L2 request.
+	// Single-core runs leave it zero.
+	id int
+	// coh, when non-nil, observes every store for MSI upgrade handling.
+	// Nil on single-core runs: the hook costs one nil-check per store.
+	coh Coherence
 
 	// retire ring buffer: retire[i % ROB] is instruction i's retire time.
 	retire []sim.Time
@@ -145,61 +211,49 @@ type Core struct {
 
 	res Result
 
-	// Batched-delivery buffers, allocated lazily on first use and reused
-	// for the core's lifetime so the hot loops stay allocation-free.
-	// batch receives detailed-mode instructions (Core.run), memBuf receives
-	// warm-mode memory references (Core.Warm), and l2Warm collects warm-path
-	// L2 installs for bulk delivery to an l2.Warmer.
-	batch  []Instr
-	memBuf []MemRef
-	l2Warm []mem.Block
-
-	// cancel, when set, is polled at batch boundaries during Warm and run;
-	// a non-nil return aborts the loop and is retained in cancelErr. Polling
-	// happens once per instruction batch (a few thousand instructions), so
-	// cooperative cancellation costs a nil-check per batch, not per
-	// instruction, and never perturbs the simulated state of a run that was
-	// not cancelled.
-	cancel    func() error
-	cancelErr error
-
 	// cum accumulates pipeline-event counters over the whole timing epoch
 	// (res resets on every run/Resume call; these reset with the epoch in
-	// resetTiming), feeding the metrics registry.
-	cum struct {
-		l1dHits, l1dMisses     uint64
-		l2Loads, l2Stores      uint64
-		robStalls, schedStalls uint64
-		mshrWaits, mispredicts uint64
-	}
+	// resetTiming), feeding the metrics registry. The L1 counts come from
+	// the front end at the end of each call.
+	cum counters
+}
 
-	// countWarmMisses gates functional L2-miss counting in the warm paths:
-	// when set, every warm-path L2 install is preceded by a read-only
-	// Contains probe and warmL2Misses counts the absent blocks — the misses
-	// a detailed run over the same stretch would have charged. Off by
-	// default so bulk warming (the 2M-instruction warm phase, uniform
-	// fast-forward, lane sweeps) pays nothing; the phase-sampled runner
-	// enables it across the timed region to total its L2-miss covariate
-	// exactly. The probe never mutates cache state, so counting cannot
-	// perturb a run.
-	countWarmMisses bool
-	warmL2Misses    uint64
+// counters are a back end's metric-registry counts.
+type counters struct {
+	l1dHits, l1dMisses     uint64
+	l2Loads, l2Stores      uint64
+	robStalls, schedStalls uint64
+	mshrWaits, mispredicts uint64
 }
 
 // New builds a core over the given L2.
 func New(sys config.System, l2c l2.Cache) *Core {
 	sets := sys.L1Bytes / mem.BlockBytes / sys.L1Assoc
 	l1 := cache.NewSetAssoc(sets, sys.L1Assoc)
-	return &Core{
-		sys:    sys,
+	c := &Core{
+		sys:   sys,
+		l1:    l1,
+		dirty: make([]uint8, l1.Blocks()),
+	}
+	c.be = c.NewBackend(l2c)
+	c.own[0] = c.be
+	return c
+}
+
+// NewBackend builds a back end over l2c behind this core's front end, with
+// the core's machine parameters: the core's own, or a further one for
+// RunLanes. A further back end has no coherence hook: only one-core
+// machines share a front end.
+func (c *Core) NewBackend(l2c l2.Cache) *Backend {
+	return &Backend{
+		sys:    c.sys,
 		l2:     l2c,
-		l1:     l1,
-		dirty:  make([]uint8, l1.Blocks()),
-		retire: make([]sim.Time, sys.ROBEntries),
-		issued: make([]sim.Time, sys.SchedulerEntries),
+		fe:     c,
+		retire: make([]sim.Time, c.sys.ROBEntries),
+		issued: make([]sim.Time, c.sys.SchedulerEntries),
 		// MSHR occupancy never exceeds MaxOutstanding entries; a fixed
 		// capacity keeps the tracking allocation-free.
-		outstanding: make([]sim.Time, 0, sys.MaxOutstanding),
+		outstanding: make([]sim.Time, 0, c.sys.MaxOutstanding),
 	}
 }
 
@@ -208,8 +262,8 @@ func New(sys config.System, l2c l2.Cache) *Core {
 // never do, keeping the default path free of coherence work beyond a
 // nil-check per store.
 func (c *Core) SetCoherence(id int, h Coherence) {
-	c.id = id
-	c.coh = h
+	c.be.id = id
+	c.be.coh = h
 }
 
 // Invalidate removes b from the L1 (a remote BusRdX hitting this core's
@@ -282,44 +336,51 @@ func (c *Core) cancelled() bool {
 // "cpu.". The counters cover the current timing epoch: they reset with the
 // pipeline in RunFrom, and accumulate across Resume calls.
 func (c *Core) RegisterMetrics(r *metrics.Registry) {
-	c.RegisterMetricsPrefixed(r, "")
+	c.be.RegisterMetricsPrefixed(r, "")
 }
 
 // RegisterMetricsPrefixed is RegisterMetrics with the names prefixed — CMP
 // runs publish each core's counters under "core.<i>." so per-core traffic
 // stays attributable after aggregation.
 func (c *Core) RegisterMetricsPrefixed(r *metrics.Registry, prefix string) {
-	r.CounterFunc(prefix+"cpu.l1d.hits", func() uint64 { return c.cum.l1dHits })
-	r.CounterFunc(prefix+"cpu.l1d.misses", func() uint64 { return c.cum.l1dMisses })
-	r.CounterFunc(prefix+"cpu.l2.loads", func() uint64 { return c.cum.l2Loads })
-	r.CounterFunc(prefix+"cpu.l2.stores", func() uint64 { return c.cum.l2Stores })
-	r.CounterFunc(prefix+"cpu.rob.stalls", func() uint64 { return c.cum.robStalls })
-	r.CounterFunc(prefix+"cpu.sched.stalls", func() uint64 { return c.cum.schedStalls })
-	r.CounterFunc(prefix+"cpu.mshr.waits", func() uint64 { return c.cum.mshrWaits })
-	r.CounterFunc(prefix+"cpu.fetch.mispredicts", func() uint64 { return c.cum.mispredicts })
+	c.be.RegisterMetricsPrefixed(r, prefix)
+}
+
+// RegisterMetricsPrefixed publishes a back end's counters, its front
+// end's L1 counts included, under prefix+"cpu." — the names a core with
+// this back end as its own publishes.
+func (b *Backend) RegisterMetricsPrefixed(r *metrics.Registry, prefix string) {
+	r.CounterFunc(prefix+"cpu.l1d.hits", func() uint64 { return b.cum.l1dHits })
+	r.CounterFunc(prefix+"cpu.l1d.misses", func() uint64 { return b.cum.l1dMisses })
+	r.CounterFunc(prefix+"cpu.l2.loads", func() uint64 { return b.cum.l2Loads })
+	r.CounterFunc(prefix+"cpu.l2.stores", func() uint64 { return b.cum.l2Stores })
+	r.CounterFunc(prefix+"cpu.rob.stalls", func() uint64 { return b.cum.robStalls })
+	r.CounterFunc(prefix+"cpu.sched.stalls", func() uint64 { return b.cum.schedStalls })
+	r.CounterFunc(prefix+"cpu.mshr.waits", func() uint64 { return b.cum.mshrWaits })
+	r.CounterFunc(prefix+"cpu.fetch.mispredicts", func() uint64 { return b.cum.mispredicts })
 }
 
 // RegisterMetricsSum publishes the summed counters of several cores under
 // the plain "cpu." names, so CMP runs keep the aggregate names single-core
 // tooling reads alongside the per-core "core.<i>.cpu." sets.
 func RegisterMetricsSum(r *metrics.Registry, cores []*Core) {
-	sum := func(read func(*Core) uint64) func() uint64 {
+	sum := func(read func(*counters) uint64) func() uint64 {
 		return func() uint64 {
 			var n uint64
 			for _, c := range cores {
-				n += read(c)
+				n += read(&c.be.cum)
 			}
 			return n
 		}
 	}
-	r.CounterFunc("cpu.l1d.hits", sum(func(c *Core) uint64 { return c.cum.l1dHits }))
-	r.CounterFunc("cpu.l1d.misses", sum(func(c *Core) uint64 { return c.cum.l1dMisses }))
-	r.CounterFunc("cpu.l2.loads", sum(func(c *Core) uint64 { return c.cum.l2Loads }))
-	r.CounterFunc("cpu.l2.stores", sum(func(c *Core) uint64 { return c.cum.l2Stores }))
-	r.CounterFunc("cpu.rob.stalls", sum(func(c *Core) uint64 { return c.cum.robStalls }))
-	r.CounterFunc("cpu.sched.stalls", sum(func(c *Core) uint64 { return c.cum.schedStalls }))
-	r.CounterFunc("cpu.mshr.waits", sum(func(c *Core) uint64 { return c.cum.mshrWaits }))
-	r.CounterFunc("cpu.fetch.mispredicts", sum(func(c *Core) uint64 { return c.cum.mispredicts }))
+	r.CounterFunc("cpu.l1d.hits", sum(func(c *counters) uint64 { return c.l1dHits }))
+	r.CounterFunc("cpu.l1d.misses", sum(func(c *counters) uint64 { return c.l1dMisses }))
+	r.CounterFunc("cpu.l2.loads", sum(func(c *counters) uint64 { return c.l2Loads }))
+	r.CounterFunc("cpu.l2.stores", sum(func(c *counters) uint64 { return c.l2Stores }))
+	r.CounterFunc("cpu.rob.stalls", sum(func(c *counters) uint64 { return c.robStalls }))
+	r.CounterFunc("cpu.sched.stalls", sum(func(c *counters) uint64 { return c.schedStalls }))
+	r.CounterFunc("cpu.mshr.waits", sum(func(c *counters) uint64 { return c.mshrWaits }))
+	r.CounterFunc("cpu.fetch.mispredicts", sum(func(c *counters) uint64 { return c.mispredicts }))
 }
 
 // Batch-buffer capacities. streamBatch bounds one detailed-mode NextBatch
@@ -377,12 +438,12 @@ func (c *Core) Warm(s Stream, n uint64) {
 			// references per sweep the double-count is noise against the
 			// covariate total it feeds.
 			for _, b := range spill {
-				if !c.l2.Contains(b) {
+				if !c.be.l2.Contains(b) {
 					c.warmL2Misses++
 				}
 			}
 		}
-		l2.WarmAll(c.l2, spill)
+		l2.WarmAll(c.be.l2, spill)
 	}
 }
 
@@ -402,8 +463,8 @@ func (c *Core) Run(s Stream, n uint64) Result { return c.RunFrom(s, n, 0) }
 // own length is Cycles - base.
 func (c *Core) RunFrom(s Stream, n uint64, base sim.Time) Result {
 	c.resetTiming()
-	c.epochBase = base
-	c.lastRetire = base
+	c.be.epochBase = base
+	c.be.lastRetire = base
 	return c.run(s, n)
 }
 
@@ -416,28 +477,53 @@ func (c *Core) RunFrom(s Stream, n uint64, base sim.Time) Result {
 // boundaries introduce no pipeline-restart transient into the measured CPI.
 func (c *Core) Resume(s Stream, n uint64) Result { return c.run(s, n) }
 
-// run times n instructions within the current timing epoch. Instructions
-// arrive in NextBatch fills of the core's reusable buffer, so the loop
-// allocates nothing per call.
+// run times n instructions on the core's own back end within its current
+// timing epoch: the one-back-end case of the detailed loop.
 func (c *Core) run(s Stream, n uint64) Result {
-	c.res = Result{Instructions: n}
-	rob := uint64(c.sys.ROBEntries)
-	sched := uint64(c.sys.SchedulerEntries)
-	width := uint64(c.sys.FetchWidth)
-	base := c.epochBase
-	start := c.epochInstrs
-	last := c.lastRetire
-	// Ring cursors for instruction i, advanced once per instruction so the
-	// loop pays no division: robAt = i%rob, prevAt = (i-1)%rob (the
-	// previous instruction's retire slot), backAt = (i-width)%rob,
-	// schedAt = i%sched, and i = fetchCycle*width + fetchSlot.
-	robAt := start % rob
-	prevAt := (start + rob - 1) % rob
-	backAt := (start + rob - width%rob) % rob
-	schedAt := start % sched
-	fetchCycle, fetchSlot := sim.Time(start/width), start%width
+	c.drive(s, n, c.own[:])
+	return c.be.res
+}
+
+// RunLanes starts a timing epoch at cycle zero on every back end in backs
+// and times n instructions of s on all of them in lockstep: each batch is
+// drawn and resolved through this core's L1 once, then timed by every back
+// end in turn. With backs holding only the core's own back end this is
+// Run. The back ends' results are read with Result.
+func (c *Core) RunLanes(s Stream, n uint64, backs []*Backend) {
+	c.cancelErr = nil
+	for _, b := range backs {
+		if b.fe != c {
+			panic("cpu: back end of another core")
+		}
+		b.resetTiming()
+	}
+	c.drive(s, n, backs)
+}
+
+// Result reports the back end's most recent timed call.
+func (b *Backend) Result() Result { return b.res }
+
+// l1out flags: an L1 hit, or a miss whose evicted line was dirty and
+// drains to the L2 ahead of the access.
+const (
+	l1Hit uint8 = 1 << iota
+	l1Writeback
+)
+
+// drive is the detailed loop: it fills the core's batch buffer from s and
+// hands each batch to every back end in turn, until n instructions are
+// timed. Every timed run goes through it. The first back end's pass
+// resolves the batch's memory operations through the L1 as it reaches
+// them (resolve) and records their outcomes; the others read the record.
+func (c *Core) drive(s Stream, n uint64, backs []*Backend) {
 	if c.batch == nil {
 		c.batch = make([]Instr, streamBatch)
+		c.l1out = make([]uint8, streamBatch)
+		c.victims = make([]mem.Block, streamBatch)
+	}
+	c.hits, c.misses = 0, 0
+	for _, b := range backs {
+		b.res = Result{Instructions: n}
 	}
 	for j := uint64(0); j < n; {
 		if c.cancelled() {
@@ -451,95 +537,187 @@ func (c *Core) run(s Stream, n uint64) Result {
 		if got <= 0 {
 			panic("cpu: batch stream made no progress")
 		}
-		for _, in := range c.batch[:got] {
-			i := start + j
-			// Fetch bandwidth: FetchWidth instructions per cycle, pushed
-			// back by accumulated misprediction refills.
-			issue := base + fetchCycle + c.fetchPenalty
-			// ROB availability: instruction i needs instruction i-ROB
-			// retired.
-			if i >= rob {
-				if t := c.retire[robAt]; t > issue {
-					issue = t
-					c.cum.robStalls++
+		for i, b := range backs {
+			b.resolving = i == 0
+			b.time(c.batch[:got])
+		}
+		j += uint64(got)
+	}
+	for _, b := range backs {
+		b.res.Cycles = b.lastRetire
+		b.res.L1DHits = c.hits
+		b.res.L1DMisses = c.misses
+		b.cum.l1dHits += c.hits
+		b.cum.l1dMisses += c.misses
+	}
+}
+
+// resolve is the front end's work for one memory operation of the batch,
+// at batch index k: the L1 hit promote or miss install, and the dirty bit
+// a store sets or a load fill clears (a store retires through the store
+// buffer, so its line is dirty whether it hit or allocated). It records
+// the outcome in l1out[k], and a dirty victim in victims[k], for the back
+// ends that time the batch after the first; the L1's path depends on no
+// back end, so every back end sees the same outcomes.
+func (c *Core) resolve(k int, b mem.Block, store bool) (uint8, mem.Block) {
+	// One fused set scan covers the hit promote and the miss install.
+	idx, hit, victim, evicted := c.l1.TouchOrInsertAt(b)
+	if hit {
+		c.hits++
+		c.l1out[k] = l1Hit
+		if store {
+			c.dirty[idx] = 1
+		}
+		return l1Hit, 0
+	}
+	c.misses++
+	out := uint8(0)
+	if evicted && c.dirty[idx] != 0 {
+		out = l1Writeback
+		c.victims[k] = victim
+	}
+	c.l1out[k] = out
+	if store {
+		c.dirty[idx] = 1
+	} else {
+		c.dirty[idx] = 0
+	}
+	return out, victim
+}
+
+// time is the timed loop — fetch, the reorder buffer, the scheduler and
+// in-order retirement — over one batch of the front end's. The timing
+// epoch continues across calls.
+func (b *Backend) time(ins []Instr) {
+	rob := uint64(b.sys.ROBEntries)
+	sched := uint64(b.sys.SchedulerEntries)
+	width := uint64(b.sys.FetchWidth)
+	base := b.epochBase
+	start := b.epochInstrs
+	last := b.lastRetire
+	// Ring cursors for instruction i, advanced once per instruction so the
+	// loop pays no division: robAt = i%rob, prevAt = (i-1)%rob (the
+	// previous instruction's retire slot), backAt = (i-width)%rob,
+	// schedAt = i%sched, and i = fetchCycle*width + fetchSlot.
+	robAt := start % rob
+	prevAt := (start + rob - 1) % rob
+	backAt := (start + rob - width%rob) % rob
+	schedAt := start % sched
+	fetchCycle, fetchSlot := sim.Time(start/width), start%width
+	for k, in := range ins {
+		i := start + uint64(k)
+		// Fetch bandwidth: FetchWidth instructions per cycle, pushed
+		// back by accumulated misprediction refills.
+		issue := base + fetchCycle + b.fetchPenalty
+		// ROB availability: instruction i needs instruction i-ROB
+		// retired.
+		if i >= rob {
+			if t := b.retire[robAt]; t > issue {
+				issue = t
+				b.cum.robStalls++
+			}
+		}
+		// Scheduler availability: instruction i-sched must have issued.
+		if i >= sched {
+			if t := b.issued[schedAt]; t > issue {
+				issue = t
+				b.cum.schedStalls++
+			}
+		}
+		// Execute: operands ready, then completion. A memory operation
+		// takes its L1 outcome from the front end — resolved now by the
+		// batch's first back end, read back from the record by the others
+		// — and the L2 side from access.
+		var complete sim.Time
+		if !in.IsMem {
+			if in.Dep && b.prevComplete > issue {
+				issue = b.prevComplete
+			}
+			complete = issue + 1
+		} else {
+			var l1 uint8
+			var victim mem.Block
+			if b.resolving {
+				l1, victim = b.fe.resolve(k, in.Block, in.IsStore)
+			} else {
+				l1, victim = b.fe.l1out[k], b.fe.victims[k]
+			}
+			if in.IsStore {
+				// Stores retire through the store buffer in one cycle; the
+				// cache update happens off the critical path.
+				b.access(issue, in.Block, true, l1, victim)
+				complete = issue + 1
+			} else {
+				if in.Dep && b.lastLoad > issue {
+					issue = b.lastLoad
 				}
+				complete = b.access(issue, in.Block, false, l1, victim)
+				b.lastLoad = complete
 			}
-			// Scheduler availability: instruction i-sched must have issued.
-			if i >= sched {
-				if t := c.issued[schedAt]; t > issue {
-					issue = t
-					c.cum.schedStalls++
-				}
+		}
+		b.issued[schedAt] = issue
+		if in.Mispredict {
+			b.fetchPenalty += sim.Time(b.sys.PipelineStages)
+			b.cum.mispredicts++
+		}
+		b.prevComplete = complete
+		// In-order retirement at fetch width.
+		slot := b.retire[prevAt] // previous instruction's retire
+		if i == 0 {
+			slot = base
+		}
+		if complete > slot {
+			slot = complete
+		}
+		if i >= width {
+			if t := b.retire[backAt] + 1; t > slot {
+				slot = t
 			}
-			issueAt, complete := c.execute(issue, in)
-			c.issued[schedAt] = issueAt
-			if in.Mispredict {
-				c.fetchPenalty += sim.Time(c.sys.PipelineStages)
-				c.cum.mispredicts++
-			}
-			c.prevComplete = complete
-			// In-order retirement at fetch width.
-			slot := c.retire[prevAt] // previous instruction's retire
-			if i == 0 {
-				slot = base
-			}
-			if complete > slot {
-				slot = complete
-			}
-			if i >= width {
-				if t := c.retire[backAt] + 1; t > slot {
-					slot = t
-				}
-			}
-			c.retire[robAt] = slot
-			last = slot
-			prevAt = robAt
-			if robAt++; robAt == rob {
-				robAt = 0
-			}
-			if backAt++; backAt == rob {
-				backAt = 0
-			}
-			if schedAt++; schedAt == sched {
-				schedAt = 0
-			}
-			if fetchSlot++; fetchSlot == width {
-				fetchSlot = 0
-				fetchCycle++
-			}
-			j++
+		}
+		b.retire[robAt] = slot
+		last = slot
+		prevAt = robAt
+		if robAt++; robAt == rob {
+			robAt = 0
+		}
+		if backAt++; backAt == rob {
+			backAt = 0
+		}
+		if schedAt++; schedAt == sched {
+			schedAt = 0
+		}
+		if fetchSlot++; fetchSlot == width {
+			fetchSlot = 0
+			fetchCycle++
 		}
 	}
-	c.epochInstrs = start + n
-	c.lastRetire = last
-	c.res.Cycles = last
-	return c.res
+	b.epochInstrs = start + uint64(len(ins))
+	b.lastRetire = last
 }
 
 // resetTiming clears the pipeline timing state a run accumulates. Cache
 // contents (L1 array, dirty bits) survive: they are architectural state a
 // back-to-back run legitimately inherits.
 func (c *Core) resetTiming() {
-	for i := range c.retire {
-		c.retire[i] = 0
-	}
-	for i := range c.issued {
-		c.issued[i] = 0
-	}
-	c.outstanding = c.outstanding[:0]
-	c.lastLoad = 0
-	c.prevComplete = 0
-	c.fetchPenalty = 0
 	c.cancelErr = nil
-	c.epochBase = 0
-	c.epochInstrs = 0
-	c.lastRetire = 0
-	c.cum = struct {
-		l1dHits, l1dMisses     uint64
-		l2Loads, l2Stores      uint64
-		robStalls, schedStalls uint64
-		mshrWaits, mispredicts uint64
-	}{}
+	c.be.resetTiming()
+}
+
+func (b *Backend) resetTiming() {
+	for i := range b.retire {
+		b.retire[i] = 0
+	}
+	for i := range b.issued {
+		b.issued[i] = 0
+	}
+	b.outstanding = b.outstanding[:0]
+	b.lastLoad = 0
+	b.prevComplete = 0
+	b.fetchPenalty = 0
+	b.epochBase = 0
+	b.epochInstrs = 0
+	b.lastRetire = 0
+	b.cum = counters{}
 }
 
 // State is the core's architectural cache state: the L1 array plus its
@@ -585,115 +763,81 @@ func (c *Core) Restore(st State) error {
 	return nil
 }
 
-// execute computes an instruction's issue (operands ready, scheduler entry
-// freed) and completion times, given the earliest window entry `issue`.
-func (c *Core) execute(issue sim.Time, in Instr) (issueAt, complete sim.Time) {
-	if !in.IsMem {
-		if in.Dep && c.prevComplete > issue {
-			issue = c.prevComplete
+// access is the L2 side of an L1 access the front end resolved: the
+// writeback of a dirty victim, the coherence upgrade of a store, and the
+// load miss's trip to the L2. It returns the data-ready time (loads) or
+// the update time (stores).
+func (b *Backend) access(at sim.Time, blk mem.Block, store bool, l1 uint8, victim mem.Block) sim.Time {
+	if l1&l1Hit != 0 {
+		if store && b.coh != nil {
+			// BusRdX: a store to a possibly shared line must gain
+			// exclusive ownership before the write is architecturally
+			// visible; the invalidations run off the critical path.
+			b.coh.StoreNotify(b.id, blk)
 		}
-		return issue, issue + 1
+		return at + b.sys.L1Latency
 	}
-	if in.IsStore {
-		// Stores retire through the store buffer in one cycle; the cache
-		// update happens off the critical path.
-		c.accessL1(issue, in.Block, true)
-		return issue, issue + 1
-	}
-	if in.Dep && c.lastLoad > issue {
-		issue = c.lastLoad
-	}
-	complete = c.accessL1(issue, in.Block, false)
-	c.lastLoad = complete
-	return issue, complete
-}
-
-// accessL1 performs the L1 lookup, escalating to the L2 on a miss, and
-// returns the data-ready time (loads) or the update time (stores).
-func (c *Core) accessL1(at sim.Time, b mem.Block, store bool) sim.Time {
-	// One fused set scan covers the hit promote and the miss install (the
-	// scalar TouchAt-then-InsertAt sequence searched the set twice on a
-	// miss).
-	idx, hit, victim, evicted := c.l1.TouchOrInsertAt(b)
-	if hit {
-		c.res.L1DHits++
-		c.cum.l1dHits++
-		if store {
-			c.dirty[idx] = 1
-			if c.coh != nil {
-				// BusRdX: a store to a possibly shared line must gain
-				// exclusive ownership before the write is architecturally
-				// visible; the invalidations run off the critical path.
-				c.coh.StoreNotify(c.id, b)
-			}
-		}
-		return at + c.sys.L1Latency
-	}
-	c.res.L1DMisses++
-	c.cum.l1dMisses++
-	if evicted && c.dirty[idx] != 0 {
+	if l1&l1Writeback != 0 {
 		// Dirty writeback to the L2 (the TLC "store" path: written
 		// without a tag comparison, fire-and-forget).
-		c.l2.Access(at, mem.Request{Block: victim, Type: mem.Store, Core: c.id})
-		c.res.L2Stores++
-		c.cum.l2Stores++
+		b.l2.Access(at, mem.Request{Block: victim, Type: mem.Store, Core: b.id})
+		b.res.L2Stores++
+		b.cum.l2Stores++
 	}
 	if store {
-		c.dirty[idx] = 1
-		if c.coh != nil {
+		if b.coh != nil {
 			// BusRdX on a store miss: write-allocate keeps the timing-only
 			// model, but ownership still transfers in the directory.
-			c.coh.StoreNotify(c.id, b)
+			b.coh.StoreNotify(b.id, blk)
 		}
 		// Write-allocate without fetch: timing-only model.
-		return at + c.sys.L1Latency
+		return at + b.sys.L1Latency
 	}
-	c.dirty[idx] = 0
 	// Load miss: bounded by the outstanding-request limit.
-	start := c.mshrAdmit(at)
-	out := c.l2.Access(start, mem.Request{Block: b, Type: mem.Load, Core: c.id})
-	c.res.L2Loads++
-	c.cum.l2Loads++
-	c.mshrTrack(out.CompleteAt)
+	start := b.mshrAdmit(at)
+	out := b.l2.Access(start, mem.Request{Block: blk, Type: mem.Load, Core: b.id})
+	b.res.L2Loads++
+	b.cum.l2Loads++
+	b.mshrTrack(out.CompleteAt)
 	return out.CompleteAt
 }
 
 // mshrAdmit delays a request while all MSHRs are busy and returns its
 // admission time.
-func (c *Core) mshrAdmit(at sim.Time) sim.Time {
+func (b *Backend) mshrAdmit(at sim.Time) sim.Time {
 	// Drop completed entries.
-	live := c.outstanding[:0]
-	for _, t := range c.outstanding {
+	live := b.outstanding[:0]
+	for _, t := range b.outstanding {
 		if t > at {
 			live = append(live, t)
 		}
 	}
-	c.outstanding = live
-	if len(c.outstanding) < c.sys.MaxOutstanding {
+	b.outstanding = live
+	if len(b.outstanding) < b.sys.MaxOutstanding {
 		return at
 	}
-	c.cum.mshrWaits++
+	b.cum.mshrWaits++
 	// Wait for the earliest completion, then free that entry.
-	earliest := c.outstanding[0]
-	for _, t := range c.outstanding[1:] {
+	earliest := b.outstanding[0]
+	for _, t := range b.outstanding[1:] {
 		if t < earliest {
 			earliest = t
 		}
 	}
 	removed := false
-	live = c.outstanding[:0]
-	for _, t := range c.outstanding {
+	live = b.outstanding[:0]
+	for _, t := range b.outstanding {
 		if !removed && t == earliest {
 			removed = true
 			continue
 		}
 		live = append(live, t)
 	}
-	c.outstanding = live
+	b.outstanding = live
 	return earliest
 }
 
 // mshrTrack records a new outstanding completion.
-func (c *Core) mshrTrack(completeAt sim.Time) {
-	c.outstanding = append(c.outstanding, completeAt)
+func (b *Backend) mshrTrack(completeAt sim.Time) {
+	b.outstanding = append(b.outstanding, completeAt)
 }

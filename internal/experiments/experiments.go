@@ -82,6 +82,8 @@ type Metrics struct {
 	// field docs are there). Add LaneWall to SimWall when comparing a
 	// lane-phased sweep's total simulation cost against a scalar one: the
 	// runs' own wall no longer carries the warm-up the passes pre-paid.
+	// A timed lane pass books its warm half here and its timed half to
+	// SimWall, split evenly over its lanes, each counted once in Simulated.
 	LaneGroups       uint64
 	LanesWarmed      uint64
 	LaneBatches      uint64
@@ -193,35 +195,55 @@ func (s *Suite) RunErr(d tlc.Design, bench string) (tlc.Result, error) {
 // requester of a key simulates, later ones wait on its flight.
 func (s *Suite) run(d tlc.Design, bench string) (*flight, error) {
 	key := runKey{d, bench}
-	s.mu.Lock()
-	if f, ok := s.cache[key]; ok {
+	f, owner := s.claim(key)
+	if !owner {
+		s.mu.Lock()
 		s.m.CacheHits++
 		s.mu.Unlock()
 		<-f.done
 		return f, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	s.cache[key] = f
-	s.mu.Unlock()
+	s.execute(key, f)
+	return f, f.err
+}
 
+// claim returns key's flight, installing a new one when there is none;
+// owner reports that the caller installed it and must complete it with
+// execute or finish.
+func (s *Suite) claim(key runKey) (f *flight, owner bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f, ok := s.cache[key]; ok {
+		return f, false
+	}
+	f = &flight{done: make(chan struct{})}
+	s.cache[key] = f
+	return f, true
+}
+
+// execute simulates a claimed flight on its own and completes it.
+func (s *Suite) execute(key runKey, f *flight) {
 	start := time.Now()
 	if s.Sampled() {
-		f.sres, f.err = tlc.RunSampled(d, bench, s.Opt)
+		f.sres, f.err = tlc.RunSampled(key.d, key.bench, s.Opt)
 		f.res = f.sres.Result
 	} else {
-		f.res, f.err = tlc.Run(d, bench, s.Opt)
+		f.res, f.err = tlc.Run(key.d, key.bench, s.Opt)
 	}
-	wall := time.Since(start)
+	s.finish(key, f, time.Since(start))
+}
 
+// finish completes an executed flight: it books one simulation and its
+// wall time, releases the flight's waiters and fires OnRun.
+func (s *Suite) finish(key runKey, f *flight, wall time.Duration) {
 	s.mu.Lock()
 	s.m.Simulated++
 	s.m.SimWall += wall
 	s.mu.Unlock()
 	close(f.done)
 	if s.OnRun != nil {
-		s.OnRun(RunEvent{Design: d, Benchmark: bench, Wall: wall, Result: f.res, Err: f.err})
+		s.OnRun(RunEvent{Design: key.d, Benchmark: key.bench, Wall: wall, Result: f.res, Err: f.err})
 	}
-	return f, f.err
 }
 
 // Seed installs an already-computed result for (d, bench), making later
@@ -261,10 +283,11 @@ func (s *Suite) RunAll(designs []tlc.Design, benches []string, par int) error {
 		par = 1
 	}
 	// Lane phase: pay each benchmark's warm-up once for all designs through
-	// a shared stream, so the workers below restore checkpoints instead of
-	// re-warming per point. Purely an accelerator — results are pinned
-	// bit-identical to scalar warm-up — and a no-op without a checkpoint
-	// store.
+	// a shared stream — and, for full-detail one-core suites, time them
+	// together too — so the workers below restore checkpoints or find
+	// cached results instead of re-warming per point. Purely an
+	// accelerator — results are pinned bit-identical to scalar runs — and
+	// a no-op without a checkpoint store.
 	points := make([]GridPoint, 0, len(designs)*len(benches))
 	for _, d := range designs {
 		for _, b := range benches {

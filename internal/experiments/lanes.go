@@ -165,8 +165,9 @@ type LaneTally struct {
 	// ScalarPoints counts grid points left to scalar warm-up: no checkpoint
 	// store, or a group too small to share.
 	ScalarPoints uint64
-	// Wall is the summed wall-clock time of the passes (CPU-seconds:
-	// passes running in parallel overlap).
+	// Wall is the summed wall-clock time of the passes' warm halves —
+	// warm-up, or restoring checkpoints (CPU-seconds: passes running in
+	// parallel overlap).
 	Wall time.Duration
 }
 
@@ -179,6 +180,15 @@ type LaneTally struct {
 // whatever it could not warm is warmed scalar by the runs, which surface
 // their own errors.
 func WarmGrid(points []GridPoint, par int) LaneTally {
+	return laneGrid(points, par, func(g *LaneGroup) (tlc.LaneStats, error) {
+		return tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
+	})
+}
+
+// laneGrid plans the grid and runs pass on each shareable group from a
+// pool of par workers taking the groups in laneOrder, tallying what the
+// passes covered.
+func laneGrid(points []GridPoint, par int, pass func(*LaneGroup) (tlc.LaneStats, error)) LaneTally {
 	if par < 1 {
 		par = 1
 	}
@@ -198,17 +208,17 @@ func WarmGrid(points []GridPoint, par int) LaneTally {
 				if i >= len(order) {
 					return
 				}
-				g := &groups[order[i]]
-				start := time.Now()
-				st, err := tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
-				if err != nil || st.Lanes == 0 {
+				st, err := pass(&groups[order[i]])
+				if err != nil {
 					continue
 				}
 				mu.Lock()
-				t.Groups++
-				t.Lanes += uint64(st.Lanes)
-				t.Batches += st.Batches
-				t.Wall += time.Since(start)
+				if st.Lanes > 0 {
+					t.Groups++
+					t.Lanes += uint64(st.Lanes)
+					t.Batches += st.Batches
+				}
+				t.Wall += st.Warm
 				mu.Unlock()
 			}
 		}()
@@ -217,16 +227,28 @@ func WarmGrid(points []GridPoint, par int) LaneTally {
 	return t
 }
 
-// WarmGrid runs the lane phase (the package-level WarmGrid) for an explicit
-// grid and adds its tally to the suite's metrics; NoLanes makes it a no-op.
-// Callers that then run the same points — through this suite or any
-// executor sharing the points' checkpoint stores — restore the pre-paid
-// warm states instead of re-warming.
+// WarmGrid runs the lane phase for an explicit grid and adds its tally to
+// the suite's metrics; NoLanes makes it a no-op. A full-detail, one-core
+// suite runs each shareable group of its own points end to end through
+// tlc.RunLanes — warm-up and timed region — and completes the group's
+// cells with the results, so the suite's later requests for them are
+// cache hits. Other suites, and groups of points under other options, get
+// the warm-only pass of the package-level WarmGrid: callers that then run
+// the same points — through this suite or any executor sharing the points'
+// checkpoint stores — restore the pre-paid warm states instead of
+// re-warming.
 func (s *Suite) WarmGrid(points []GridPoint, par int) {
 	if s.NoLanes {
 		return
 	}
-	t := WarmGrid(points, par)
+	timed := !s.Sampled() && s.Opt.Cores <= 1
+	content := s.Opt.ContentKey()
+	t := laneGrid(points, par, func(g *LaneGroup) (tlc.LaneStats, error) {
+		if !timed || g.Opt.Checkpoints != s.Opt.Checkpoints || g.Opt.ContentKey() != content {
+			return tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
+		}
+		return s.runLanes(g)
+	})
 	s.mu.Lock()
 	s.m.LaneGroups += t.Groups
 	s.m.LanesWarmed += t.Lanes
@@ -234,4 +256,35 @@ func (s *Suite) WarmGrid(points []GridPoint, par int) {
 	s.m.LaneScalarPoints += t.ScalarPoints
 	s.m.LaneWall += t.Wall
 	s.mu.Unlock()
+}
+
+// runLanes runs one group's cells that no request has claimed yet as
+// timed lanes and completes their flights. When the pass fails, the
+// claimed cells run on their own, as they would have without it.
+func (s *Suite) runLanes(g *LaneGroup) (tlc.LaneStats, error) {
+	var designs []tlc.Design
+	var flights []*flight
+	for _, d := range g.Designs {
+		if f, owner := s.claim(runKey{d, g.Bench}); owner {
+			designs = append(designs, d)
+			flights = append(flights, f)
+		}
+	}
+	if len(designs) == 0 {
+		return tlc.LaneStats{}, nil
+	}
+	start := time.Now()
+	res, st, err := tlc.RunLanes(designs, g.Bench, s.Opt)
+	if err != nil {
+		for i, d := range designs {
+			s.execute(runKey{d, g.Bench}, flights[i])
+		}
+		return st, err
+	}
+	share := (time.Since(start) - st.Warm) / time.Duration(len(designs))
+	for i, d := range designs {
+		flights[i].res = res[i]
+		s.finish(runKey{d, g.Bench}, flights[i], share)
+	}
+	return st, nil
 }

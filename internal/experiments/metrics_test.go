@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tlc"
 )
@@ -117,5 +118,61 @@ func TestSuiteMetricsConcurrentReaders(t *testing.T) {
 	snap, _ := s.RunMetrics(tlc.DesignTLC, "perl")
 	if v, _ := snap.Value("l2.loads"); v == 0 {
 		t.Fatal("l2.loads is zero after a full grid")
+	}
+}
+
+// TestSuiteLaneAccounting pins how a full-detail grid's timed lanes are
+// charged: every cell counts once in Simulated and fires OnRun once, the
+// cells' OnRun walls sum to SimWall (the timed halves), and the warm
+// halves land in LaneWall alone. The runs RunAll then requests are cache
+// hits, and the results equal a lane-free suite's.
+func TestSuiteLaneAccounting(t *testing.T) {
+	opt := tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1}
+	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignDNUCA, tlc.DesignTLC}
+	benches := []string{"perl", "oltp"}
+	cells := uint64(len(designs) * len(benches))
+
+	opt.Checkpoints = tlc.NewCheckpointStore(0, "")
+	s := NewSuite(opt)
+	var mu sync.Mutex
+	var fired uint64
+	var walls time.Duration
+	s.OnRun = func(ev RunEvent) {
+		mu.Lock()
+		fired++
+		walls += ev.Wall
+		mu.Unlock()
+	}
+	if err := s.RunAll(designs, benches, 2); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	if m.Simulated != cells || fired != cells {
+		t.Errorf("simulated %d, OnRun fired %d, want %d each", m.Simulated, fired, cells)
+	}
+	if m.CacheHits != cells {
+		t.Errorf("cache hits %d, want %d: the lane phase should leave every cell cached", m.CacheHits, cells)
+	}
+	if m.SimWall != walls {
+		t.Errorf("SimWall %v, want the OnRun walls' sum %v", m.SimWall, walls)
+	}
+	if m.LaneGroups != uint64(len(benches)) || m.LanesWarmed != cells || m.LaneWall <= 0 || m.SimWall <= 0 {
+		t.Errorf("lane phase: %d groups, %d lanes, warm %v, timed %v", m.LaneGroups, m.LanesWarmed, m.LaneWall, m.SimWall)
+	}
+
+	scalar := NewSuite(tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1})
+	scalar.NoLanes = true
+	if err := scalar.RunAll(designs, benches, 2); err != nil {
+		t.Fatal(err)
+	}
+	if sm := scalar.Metrics(); sm.Simulated != cells || sm.LaneWall != 0 {
+		t.Errorf("lane-free suite: simulated %d, lane wall %v", sm.Simulated, sm.LaneWall)
+	}
+	for _, d := range designs {
+		for _, b := range benches {
+			if got, want := s.Run(d, b), scalar.Run(d, b); got != want {
+				t.Errorf("%v/%s: timed lane %+v, scalar %+v", d, b, got, want)
+			}
+		}
 	}
 }

@@ -62,8 +62,6 @@ type DNUCA struct {
 	// setBits is log2 of the bank-set count: the width of the bank-set
 	// hash and of the field local strips.
 	setBits int
-	// lineScratch is the reused buffer for partial-tag resyncs.
-	lineScratch []cache.Line
 
 	// Design-specific counters (Table 6).
 	CloseHits  stats64
@@ -194,13 +192,26 @@ func (d *DNUCA) freeRow(free uint64) int {
 // farRow is the insertion row: the farthest bank from the controller.
 func (d *DNUCA) farRow() int { return d.p.Mesh.Rows - 1 }
 
-// syncPTag resynchronizes the partial-tag shadow of one (column,row) set.
-// It reuses a scratch line buffer: resyncs run on every fill, migration,
-// and promotion, and a fresh slice per call dominated the allocation
-// profile.
-func (d *DNUCA) syncPTag(col, row int, set int) {
-	d.lineScratch = d.banks[col][row].Array.AppendLinesIn(d.lineScratch[:0], set)
-	d.ptags[col].SyncSet(set, row, d.lineScratch)
+// install places local in a row's bank and records it in the partial
+// tags. An install writes exactly one way — a free one, or the LRU way
+// whose block it evicts — so rewriting that way's shadow entry keeps the
+// shadow equal to the bank's contents, as TLC's WarmBulk does.
+func (d *DNUCA) install(col, row int, local mem.Block) (victim mem.Block, evicted bool) {
+	idx, victim, evicted := d.banks[col][row].Array.InsertAt(local)
+	d.ptags[col].Install(local, row, idx%d.p.BankAssoc)
+	return victim, evicted
+}
+
+// move migrates local from row `from` (where it sits at line idx) to row
+// `to`, swapping with the victim it displaces there. The partial tags
+// follow way by way: the way local leaves is cleared, the ways the swap
+// writes are installed.
+func (d *DNUCA) move(col, from, to int, local mem.Block, idx int) {
+	d.banks[col][from].Array.Remove(local)
+	d.ptags[col].Clear(local, from, idx%d.p.BankAssoc)
+	if victim, evicted := d.install(col, to, local); evicted {
+		d.install(col, from, victim)
+	}
 }
 
 // nominalClose reports the uncontended close-hit latency at the given row.
@@ -281,11 +292,11 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	if actualRow >= 0 && actualRow < closeRows {
 		// Close hit.
 		resolve := respArrive[actualRow]
-		d.banks[col][actualRow].Array.Touch(local)
+		idx, _ := d.banks[col][actualRow].Array.TouchAt(local)
 		predictable := resolve-at == d.nominalClose(col, actualRow)
 		d.CloseHits.Inc()
 		if actualRow > 0 && !d.Abl.DisablePromotion {
-			d.promote(resolve, col, actualRow, local)
+			d.promote(resolve, col, actualRow, local, idx)
 		}
 		d.RecordLoad(uint64(resolve-at), true, predictable, closeRows)
 		return l2.Outcome{Hit: true, ResolveAt: resolve, CompleteAt: resolve, Predictable: predictable, BanksAccessed: closeRows}
@@ -346,9 +357,9 @@ func (d *DNUCA) Access(at sim.Time, req mem.Request) l2.Outcome {
 	}
 
 	if hit {
-		d.banks[col][actualRow].Array.Touch(local)
+		idx, _ := d.banks[col][actualRow].Array.TouchAt(local)
 		if !d.Abl.DisablePromotion {
-			d.promote(resolve, col, actualRow, local)
+			d.promote(resolve, col, actualRow, local, idx)
 		}
 		d.RecordLoad(uint64(resolve-at), true, false, banksTouched)
 		return l2.Outcome{Hit: true, ResolveAt: resolve, CompleteAt: resolve, BanksAccessed: banksTouched}
@@ -375,11 +386,11 @@ func (d *DNUCA) store(at sim.Time, col int, local mem.Block) l2.Outcome {
 	return l2.Outcome{Hit: true, ResolveAt: at, CompleteAt: at, Predictable: true, BanksAccessed: 1}
 }
 
-// promote migrates a block one row closer to the controller, swapping with
-// the victim in the destination set, and updates the partial tags — the
-// bookkeeping whose synchronization the paper highlights as DNUCA's
-// complexity cost.
-func (d *DNUCA) promote(at sim.Time, col, fromRow int, local mem.Block) {
+// promote migrates a block, at line idx of its row, one row closer to the
+// controller, swapping with the victim in the destination set, and updates
+// the partial tags — the bookkeeping whose synchronization the paper
+// highlights as DNUCA's complexity cost.
+func (d *DNUCA) promote(at sim.Time, col, fromRow int, local mem.Block, idx int) {
 	toRow := fromRow - 1
 	from := d.banks[col][fromRow]
 	to := d.banks[col][toRow]
@@ -392,15 +403,7 @@ func (d *DNUCA) promote(at sim.Time, col, fromRow int, local mem.Block) {
 	t = d.mesh.RouteBetween(t, col, toRow, fromRow, dataBytes)
 	from.Reserve(t)
 
-	// Functional swap.
-	set := local.SetIndex(d.sets)
-	from.Array.Remove(local)
-	victim, evicted := to.Array.Insert(local)
-	if evicted {
-		from.Array.Insert(victim)
-	}
-	d.syncPTag(col, fromRow, set)
-	d.syncPTag(col, toRow, set)
+	d.move(col, fromRow, toRow, local, idx)
 	d.Promotions.Inc()
 }
 
@@ -411,7 +414,7 @@ func (d *DNUCA) fill(at sim.Time, col int, local mem.Block) {
 	bank := d.banks[col][row]
 	arrive := d.mesh.Route(at, col, row, dataBytes, noc.ToBank)
 	done := bank.Reserve(arrive)
-	victim, evicted := bank.Array.Insert(local)
+	victim, evicted := d.install(col, row, local)
 	if evicted {
 		d.mesh.Route(done, col, row, dataBytes, noc.ToController)
 		d.Writebacks.Inc()
@@ -419,7 +422,6 @@ func (d *DNUCA) fill(at sim.Time, col int, local mem.Block) {
 			d.OnWriteback(d.unlocal(victim, col))
 		}
 	}
-	d.syncPTag(col, row, local.SetIndex(d.sets))
 	d.Insertions.Inc()
 }
 
@@ -445,28 +447,16 @@ func (d *DNUCA) Warm(b mem.Block) {
 		// (approximating the placement gradient a long warm-up leaves);
 		// once the column's set is full this degenerates to the paper's
 		// insert-far-with-eviction.
-		set := local.SetIndex(d.sets)
-		target := d.freeRow(free)
-		d.banks[col][target].Array.Insert(local)
-		d.syncPTag(col, target, set)
+		d.install(col, d.freeRow(free), local)
 		return
 	}
-	d.banks[col][row].Array.Touch(local)
+	idx, _ := d.banks[col][row].Array.TouchAt(local)
 	if row > 0 && !d.Abl.DisablePromotion {
 		// Accelerated functional promotion: warm-up moves a hit block
 		// halfway to the controller rather than one row, reaching the
 		// same frequency-ordered fixed point the paper's billion-
 		// instruction warm-up converges to in far fewer passes.
-		set := local.SetIndex(d.sets)
-		from := d.banks[col][row]
-		to := d.banks[col][row/2]
-		from.Array.Remove(local)
-		victim, evicted := to.Array.Insert(local)
-		if evicted {
-			from.Array.Insert(victim)
-		}
-		d.syncPTag(col, row, set)
-		d.syncPTag(col, row/2, set)
+		d.move(col, row, row/2, local, idx)
 	}
 }
 

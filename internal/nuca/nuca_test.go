@@ -401,3 +401,62 @@ func TestDNUCAWarmPromotionKeepsPartialTagsInSync(t *testing.T) {
 		t.Fatal("resident mid-row block missed: partial tags out of sync")
 	}
 }
+
+// verifyShadow checks every (column, row) bank's partial-tag shadow
+// against its array.
+func verifyShadow(d *DNUCA) error {
+	for c, col := range d.banks {
+		for r, b := range col {
+			if err := d.ptags[c].Verify(r, b.Array); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestDNUCAShadowStaysConsistent drives a random mix of warm loads and
+// timed loads and stores through a few crowded bank sets — installs,
+// evictions, far fills and promotions in both the warm and the timed
+// paths — and checks after every operation that each bank's partial-tag
+// shadow equals its array, way for way. It then plants one stale entry,
+// the trace a skipped Install leaves, and requires the check to see it.
+func TestDNUCAShadowStaysConsistent(t *testing.T) {
+	d := NewDNUCA(testMemLat)
+	rng := rand.New(rand.NewSource(1))
+	cols := []int{3, 11}
+	// Four sets per column and 80 tags per set overflow the bank set's
+	// 32 ways, so fills evict and hits promote.
+	block := func() mem.Block {
+		local := mem.Block(rng.Intn(80)*d.sets + rng.Intn(4))
+		return d.unlocal(local, cols[rng.Intn(len(cols))])
+	}
+	at := sim.Time(0)
+	for i := 0; i < 1500; i++ {
+		b := block()
+		switch rng.Intn(3) {
+		case 0:
+			d.Warm(b)
+		case 1:
+			d.Access(at, mem.Request{Block: b, Type: mem.Load})
+		default:
+			d.Access(at, mem.Request{Block: b, Type: mem.Store})
+		}
+		at += 50
+		if err := verifyShadow(d); err != nil {
+			t.Fatalf("operation %d: %v", i, err)
+		}
+	}
+	if d.Promotions == 0 || d.Writebacks == 0 {
+		t.Fatalf("mix exercised %d promotions and %d writebacks, want both", d.Promotions, d.Writebacks)
+	}
+	b := block()
+	d.Warm(b)
+	col, local := d.colOf(b), d.local(b)
+	row := rowOf(d, col, local)
+	way, _ := d.banks[col][row].Array.WayOf(local)
+	d.ptags[col].Clear(local, row, way)
+	if verifyShadow(d) == nil {
+		t.Fatal("a stale partial-tag entry passed the shadow check")
+	}
+}

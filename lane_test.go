@@ -239,3 +239,148 @@ func TestLaneWarmDoesNotAllocate(t *testing.T) {
 		t.Errorf("lane warm allocates %.2f per call, want 0", allocs)
 	}
 }
+
+// TestTimedLanesMatchScalar is the timed-lane correctness gate: for all six
+// designs on three benchmarks, RunLanes returns the Result and the
+// registry snapshot of a per-point Run restored from the checkpoint the
+// lane pass stored. It covers a cold store, a store already holding some
+// of the group's checkpoints (scalar-warmed, so those lanes restore and
+// carry no sim.lanes.restored), and a warm seed apart from the timed seed.
+func TestTimedLanesMatchScalar(t *testing.T) {
+	cases := []struct {
+		name     string
+		warmSeed int64
+		// prewarm lists the designs whose checkpoints a scalar run stores
+		// before the lane pass.
+		prewarm []Design
+	}{
+		{name: "cold"},
+		{name: "partial", prewarm: []Design{DesignDNUCA, DesignTLCOpt500}},
+		{name: "reseeded", warmSeed: 7},
+	}
+	for _, bench := range []string{"gcc", "equake", "oltp"} {
+		for _, tc := range cases {
+			bench, tc := bench, tc
+			t.Run(bench+"/"+tc.name, func(t *testing.T) {
+				t.Parallel()
+				opt := laneTestOptions()
+				opt.WarmSeed = tc.warmSeed
+				opt.Checkpoints = NewCheckpointStore(0, "")
+				for _, d := range tc.prewarm {
+					if _, err := Run(d, bench, opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				snaps := map[Design]MetricsSnapshot{}
+				opt.OnMetrics = func(ev MetricsEvent) { snaps[ev.Design] = ev.Snapshot }
+				got, st, err := RunLanes(Designs(), bench, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := len(Designs()) - len(tc.prewarm); st.Lanes != want {
+					t.Errorf("lane pass warmed %d lanes, want %d", st.Lanes, want)
+				}
+				lane := snaps
+				snaps = map[Design]MetricsSnapshot{}
+				for i, d := range Designs() {
+					want, err := Run(d, bench, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != want {
+						t.Errorf("%v: timed lane diverged:\nscalar %+v\nlane   %+v", d, want, got[i])
+					}
+					if !reflect.DeepEqual(lane[d], snaps[d]) {
+						t.Errorf("%v: timed lane registry differs from the restored run's", d)
+					}
+					_, marked := lane[d].Value("sim.lanes.restored")
+					if prewarmed := containsDesignT(tc.prewarm, d); marked == prewarmed {
+						t.Errorf("%v: sim.lanes.restored present=%v on a lane prewarmed=%v", d, marked, prewarmed)
+					}
+				}
+			})
+		}
+	}
+}
+
+func containsDesignT(ds []Design, d Design) bool {
+	for _, x := range ds {
+		if x == d {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRunLanesRestoresEveryLane covers the all-restored branch: with every
+// checkpoint of the group present, RunLanes warms nothing and its results
+// match the first pass's.
+func TestRunLanesRestoresEveryLane(t *testing.T) {
+	opt := laneTestOptions()
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	first, _, err := RunLanes(Designs(), "mcf", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, st, err := RunLanes(Designs(), "mcf", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Lanes != 0 || st.Batches != 0 {
+		t.Errorf("restoring pass warmed: %+v", st)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("restored lanes diverged:\nfirst %+v\nagain %+v", first, again)
+	}
+}
+
+// TestRunLanesRejectsUnsharedOptions pins that timed lanes refuse options
+// whose runs cannot share one front end, and unknown benchmarks.
+func TestRunLanesRejectsUnsharedOptions(t *testing.T) {
+	sampled := laneTestOptions()
+	sampled.SampleIntervals, sampled.SampleLength = 4, 1000
+	cmp := laneTestOptions()
+	cmp.Cores = 2
+	for name, opt := range map[string]Options{"sampled": sampled, "cmp": cmp} {
+		if _, _, err := RunLanes(Designs(), "mcf", opt); err == nil {
+			t.Errorf("%s options: want an error", name)
+		}
+	}
+	if _, _, err := RunLanes(Designs(), "nosuch", laneTestOptions()); err == nil {
+		t.Error("unknown benchmark: want an error")
+	}
+}
+
+// TestRunLanesFailsClosed pins the error contract: a cancelled pass and a
+// store whose checkpoints of one warm plan disagree on the front end both
+// return an error, with no results and no OnMetrics.
+func TestRunLanesFailsClosed(t *testing.T) {
+	fired := 0
+	stop := errors.New("stop")
+	opt := laneTestOptions()
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	opt.OnMetrics = func(MetricsEvent) { fired++ }
+	cancelled := opt
+	cancelled.Cancel = func() error { return stop }
+	if res, _, err := RunLanes(Designs(), "mcf", cancelled); !errors.Is(err, stop) || res != nil {
+		t.Errorf("cancelled pass: results %v, err %v, want none and one wrapping %v", res, err, stop)
+	}
+
+	if _, _, err := RunLanes([]Design{DesignSNUCA2, DesignTLC}, "mcf", opt); err != nil {
+		t.Fatal(err)
+	}
+	fired = 0
+	spec, _ := workload.SpecByName("mcf")
+	key := planLanes([]Design{DesignTLC}, spec, opt)[0].key
+	ckp, _ := opt.Checkpoints.Get(key)
+	moved := ckp
+	moved.Gens = []workload.CMPState{ckp.Gens[0]}
+	moved.Gens[0].Gen.StreamPtr++
+	opt.Checkpoints.Put(key, moved)
+	if res, _, err := RunLanes(Designs(), "mcf", opt); err == nil || res != nil {
+		t.Errorf("disagreeing checkpoints: results %v, err %v, want an error", res, err)
+	}
+	if fired != 0 {
+		t.Errorf("failed passes fired OnMetrics %d times", fired)
+	}
+}

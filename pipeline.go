@@ -12,7 +12,8 @@ package tlc
 //
 // The core count changes the pipeline in three places, each marked where
 // it branches: building the shared layer and naming metrics (newRig),
-// lane-warm eligibility (WarmLanes) and GREG calibration (RunSpecSampled).
+// lane eligibility (WarmLanes, RunLanes) and GREG calibration
+// (RunSpecSampled).
 
 import (
 	"errors"
@@ -218,12 +219,18 @@ func RunSpec(d Design, spec workload.Spec, opt Options) (Result, error) {
 	if err := r.m.CancelErr(); err != nil {
 		return Result{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
 	}
-	res := assemble(d, spec.Name, r.inst.Metrics(), cr.Instructions, cr.Cycles)
+	return finish(d, spec.Name, r.inst, cr, opt), nil
+}
+
+// finish assembles a full-detail run's Result from its registry and the
+// timed result, and fires OnMetrics.
+func finish(d Design, bench string, inst l2.Instrumented, cr cpu.Result, opt Options) Result {
+	res := assemble(d, bench, inst.Metrics(), cr.Instructions, cr.Cycles)
 	res.Instructions = cr.Instructions
 	res.Cycles = uint64(cr.Cycles)
 	res.IPC = cr.IPC()
-	emitMetrics(d, spec.Name, r.inst, cr.Cycles, opt)
-	return res, nil
+	emitMetrics(d, bench, inst, cr.Cycles, opt)
+	return res
 }
 
 // RunSpecSampled simulates a custom workload spec on one design in sampled
