@@ -500,6 +500,9 @@ func (c *Core) RunLanes(s Stream, n uint64, backs []*Backend) {
 	c.drive(s, n, backs)
 }
 
+// Backend returns the core's own back end, the one Run and Resume time.
+func (c *Core) Backend() *Backend { return c.be }
+
 // Result reports the back end's most recent timed call.
 func (b *Backend) Result() Result { return b.res }
 

@@ -180,22 +180,24 @@ type LaneTally struct {
 // whatever it could not warm is warmed scalar by the runs, which surface
 // their own errors.
 func WarmGrid(points []GridPoint, par int) LaneTally {
-	return laneGrid(points, par, func(g *LaneGroup) (tlc.LaneStats, error) {
-		return tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
-	})
+	p := NewLanePlanner()
+	return laneGrid(p.Plan(points), p.ScalarPoints(), par, warmPass)
 }
 
-// laneGrid plans the grid and runs pass on each shareable group from a
-// pool of par workers taking the groups in laneOrder, tallying what the
-// passes covered.
-func laneGrid(points []GridPoint, par int, pass func(*LaneGroup) (tlc.LaneStats, error)) LaneTally {
+// warmPass is the warm-only lane pass of one group.
+func warmPass(g *LaneGroup) (tlc.LaneStats, error) {
+	return tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
+}
+
+// laneGrid runs pass on each shareable group of a plan from a pool of par
+// workers taking the groups in laneOrder, tallying what the passes covered
+// with the plan's scalar points.
+func laneGrid(groups []LaneGroup, scalar, par int, pass func(*LaneGroup) (tlc.LaneStats, error)) LaneTally {
 	if par < 1 {
 		par = 1
 	}
-	p := NewLanePlanner()
-	groups := p.Plan(points)
 	order := laneOrder(groups)
-	t := LaneTally{ScalarPoints: uint64(p.ScalarPoints())}
+	t := LaneTally{ScalarPoints: uint64(scalar)}
 	var mu sync.Mutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -229,26 +231,45 @@ func laneGrid(points []GridPoint, par int, pass func(*LaneGroup) (tlc.LaneStats,
 
 // WarmGrid runs the lane phase for an explicit grid and adds its tally to
 // the suite's metrics; NoLanes makes it a no-op. A full-detail, one-core
-// suite runs each shareable group of its own points end to end through
-// tlc.RunLanes — warm-up and timed region — and completes the group's
-// cells with the results, so the suite's later requests for them are
-// cache hits. Other suites, and groups of points under other options, get
-// the warm-only pass of the package-level WarmGrid: callers that then run
-// the same points — through this suite or any executor sharing the points'
-// checkpoint stores — restore the pre-paid warm states instead of
-// re-warming.
+// suite whose own shareable groups number at least par runs each of them
+// end to end through tlc.RunLanes — warm-up and timed region — and
+// completes the group's cells with the results, so the suite's later
+// requests for them are cache hits. Other suites, and groups of points
+// under other options, get the warm-only pass of the package-level
+// WarmGrid: callers that then run the same points — through this suite or
+// any executor sharing the points' checkpoint stores — restore the
+// pre-paid warm states instead of re-warming.
+//
+// The par rule keeps the grid's width. A timed group runs its designs one
+// after another on one worker, so fewer groups than workers would leave
+// workers idle that the per-cell runs after a warm-only pass keep busy
+// (tlcsim -ckptdir d -design all -bench gcc: one group, six cells).
 func (s *Suite) WarmGrid(points []GridPoint, par int) {
 	if s.NoLanes {
 		return
 	}
-	timed := !s.Sampled() && s.Opt.Cores <= 1
 	content := s.Opt.ContentKey()
-	t := laneGrid(points, par, func(g *LaneGroup) (tlc.LaneStats, error) {
-		if !timed || g.Opt.Checkpoints != s.Opt.Checkpoints || g.Opt.ContentKey() != content {
-			return tlc.WarmLanes(g.Designs, g.Bench, g.Opt)
+	own := func(g *LaneGroup) bool {
+		return len(g.Designs) > 1 && g.Opt.Checkpoints == s.Opt.Checkpoints && g.Opt.ContentKey() == content
+	}
+	p := NewLanePlanner()
+	groups := p.Plan(points)
+	owned := 0
+	for i := range groups {
+		if own(&groups[i]) {
+			owned++
 		}
-		return s.runLanes(g)
-	})
+	}
+	pass := warmPass
+	if !s.Sampled() && s.Opt.Cores <= 1 && owned >= max(par, 1) {
+		pass = func(g *LaneGroup) (tlc.LaneStats, error) {
+			if !own(g) {
+				return warmPass(g)
+			}
+			return s.runLanes(g)
+		}
+	}
+	t := laneGrid(groups, p.ScalarPoints(), par, pass)
 	s.mu.Lock()
 	s.m.LaneGroups += t.Groups
 	s.m.LanesWarmed += t.Lanes

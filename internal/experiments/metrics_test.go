@@ -176,3 +176,39 @@ func TestSuiteLaneAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestSuiteTimesLanesOnlyWithAGroupPerWorker pins the width rule of the
+// lane phase: a full-detail grid with fewer benchmark groups than workers
+// keeps the warm-only pass and runs its cells one by one across the
+// workers, and with a group per worker it times the groups as lanes and
+// leaves every cell cached. Both give the scalar results.
+func TestSuiteTimesLanesOnlyWithAGroupPerWorker(t *testing.T) {
+	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignDNUCA, tlc.DesignTLC}
+	benches := []string{"perl"}
+	cells := uint64(len(designs) * len(benches))
+	newSuite := func() *Suite {
+		opt := tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1}
+		opt.Checkpoints = tlc.NewCheckpointStore(0, "")
+		return NewSuite(opt)
+	}
+	for _, tc := range []struct {
+		par  int
+		hits uint64
+	}{{2, 0}, {1, cells}} {
+		s := newSuite()
+		if err := s.RunAll(designs, benches, tc.par); err != nil {
+			t.Fatal(err)
+		}
+		m := s.Metrics()
+		if m.Simulated != cells || m.CacheHits != tc.hits || m.LanesWarmed != cells {
+			t.Errorf("par %d: simulated %d, cache hits %d, lanes warmed %d; want %d, %d, %d",
+				tc.par, m.Simulated, m.CacheHits, m.LanesWarmed, cells, tc.hits, cells)
+		}
+		scalar := NewSuite(tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1})
+		for _, d := range designs {
+			if got, want := s.Run(d, benches[0]), scalar.Run(d, benches[0]); got != want {
+				t.Errorf("par %d, %v: %+v, scalar %+v", tc.par, d, got, want)
+			}
+		}
+	}
+}

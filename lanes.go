@@ -211,16 +211,12 @@ func RunLanes(designs []Design, benchmark string, opt Options) ([]Result, LaneSt
 	for i, l := range lanes {
 		reg := l.inst.Metrics()
 		backs[i] = core.NewBackend(l.inst)
-		backs[i].RegisterMetricsPrefixed(reg, "")
-		gen.RegisterMetrics(reg)
+		registerOneCore(reg, backs[i], gen.Generator)
 		if l.shared {
-			reg.CounterFunc("sim.lanes.restored", func() uint64 { return 1 })
+			markLaneRestored(reg)
 		}
 	}
-	if opt.Seed != warmSeed {
-		gen.Reseed(opt.Seed)
-	}
-	gen.ResetCounters()
+	startTimed(gen.Generator, warmSeed, opt)
 	core.SetCancel(opt.Cancel)
 	core.RunLanes(gen.Generator, opt.RunInstructions, backs)
 	if err := core.CancelErr(); err != nil {
@@ -292,12 +288,11 @@ func restoreLane(l *lane, opt Options) (snapshot.Checkpoint, bool) {
 		return snapshot.Checkpoint{}, false
 	}
 	ckp, ok := opt.Checkpoints.Get(l.key)
-	if !ok || len(ckp.Cores) != 1 || len(ckp.Gens) != 1 || len(ckp.Dir) != 0 {
+	if !ok {
 		return snapshot.Checkpoint{}, false
 	}
 	inst := Build(l.design, opt)
-	snap, ok := inst.(l2.Snapshotter)
-	if !ok || snap.RestoreState(ckp.L2) != nil {
+	if restoreDesign(inst, ckp, 1) != nil {
 		return snapshot.Checkpoint{}, false
 	}
 	l.inst, l.shared = inst, ckp.Lanes

@@ -83,8 +83,7 @@ func newRig(d Design, spec workload.Spec, warmSeed int64, opt Options) *rig {
 	if n == 1 {
 		gen := workload.New(spec, warmSeed)
 		r.cores[0] = cpu.New(sys, r.inst)
-		r.cores[0].RegisterMetrics(reg)
-		gen.RegisterMetrics(reg)
+		registerOneCore(reg, r.cores[0].Backend(), gen)
 		r.streams[0], ss[0] = gen, gen
 	} else {
 		shd = machine.NewShared(r.inst, n)
@@ -109,24 +108,61 @@ func newRig(d Design, spec workload.Spec, warmSeed int64, opt Options) *rig {
 	return r
 }
 
+// registerOneCore publishes a one-core run's counters in reg under the
+// plain names: the timed back end's cpu.* set, its front end's L1 counts
+// included, and the stream's workload.* set. A rig's one core and every
+// timed lane (RunLanes) register through it, so a lane's registry carries
+// the names a restored Run's does.
+func registerOneCore(reg *metrics.Registry, be *cpu.Backend, gen *workload.Generator) {
+	be.RegisterMetricsPrefixed(reg, "")
+	gen.RegisterMetrics(reg)
+}
+
+// markLaneRestored registers the provenance marker of a run whose warm
+// state came from a lane-parallel pass. Only such runs carry it, so scalar
+// and lane artifacts diff clean on shared names.
+func markLaneRestored(reg *metrics.Registry) {
+	reg.CounterFunc("sim.lanes.restored", func() uint64 { return 1 })
+}
+
+// startTimed positions a warmed stream for the timed interval. The
+// interval measures its own stream, decorrelated from the (shared) warm-up
+// stream when the seeds differ, and the stream's counters, like every
+// other metric, cover only the interval — whether warm-up ran or a
+// checkpoint skipped it.
+func startTimed(s stream, warmSeed int64, opt Options) {
+	if opt.Seed != warmSeed {
+		s.Reseed(opt.Seed)
+	}
+	s.ResetCounters()
+}
+
 // errCheckpointShape rejects a checkpoint whose width does not match the
 // machine, or a design that cannot snapshot.
 var errCheckpointShape = errors.New("tlc: checkpoint does not fit this machine")
 
+// restoreDesign checks that ckp fits a machine of n cores — one core state
+// and one stream state per core, and no coherence directory on one core —
+// and restores the design's half of it into inst. Any error leaves inst
+// partly restored; the caller must discard it.
+func restoreDesign(inst l2.Instrumented, ckp snapshot.Checkpoint, n int) error {
+	snap, ok := inst.(l2.Snapshotter)
+	if !ok || len(ckp.Cores) != n || len(ckp.Gens) != n || (n == 1 && len(ckp.Dir) != 0) {
+		return errCheckpointShape
+	}
+	return snap.RestoreState(ckp.L2)
+}
+
 // restore applies a stored checkpoint to a freshly built rig. Any error
 // leaves the rig partly restored; the caller must discard it.
 func (r *rig) restore(ckp snapshot.Checkpoint) error {
-	snap, ok := r.inst.(l2.Snapshotter)
-	if !ok || len(ckp.Cores) != len(r.cores) || len(ckp.Gens) != len(r.streams) {
-		return errCheckpointShape
+	if err := restoreDesign(r.inst, ckp, len(r.cores)); err != nil {
+		return err
 	}
 	for i, c := range r.cores {
 		if err := c.Restore(ckp.Cores[i]); err != nil {
 			return err
 		}
-	}
-	if err := snap.RestoreState(ckp.L2); err != nil {
-		return err
 	}
 	for i, s := range r.streams {
 		setStreamState(s, ckp.Gens[i])
@@ -163,10 +199,7 @@ func prepare(d Design, spec workload.Spec, opt Options) (*rig, error) {
 			if r.restore(ckp) != nil {
 				r = nil
 			} else if ckp.Lanes {
-				// Provenance marker: this run skipped warm-up thanks to a
-				// lane-parallel pass. Registered only on lane-restored runs,
-				// so scalar and lane artifacts diff clean on shared names.
-				r.inst.Metrics().CounterFunc("sim.lanes.restored", func() uint64 { return 1 })
+				markLaneRestored(r.inst.Metrics())
 			}
 		}
 	}
@@ -187,14 +220,7 @@ func prepare(d Design, spec workload.Spec, opt Options) (*rig, error) {
 		}
 	}
 	for _, s := range r.streams {
-		if opt.Seed != warmSeed {
-			// The timed interval measures its own stream: decorrelate it
-			// from the (shared) warm-up stream.
-			s.Reseed(opt.Seed)
-		}
-		// Stream counters, like every other metric, cover only the timed
-		// interval — whether warm-up ran or a checkpoint skipped it.
-		s.ResetCounters()
+		startTimed(s, warmSeed, opt)
 	}
 	return r, nil
 }
