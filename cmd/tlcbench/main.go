@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,8 +27,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -80,11 +77,6 @@ type laneStatsJSON struct {
 	// is sim_wall_ms + warm_wall_ms — the figure to hold against a scalar
 	// artifact's sim_wall_ms.
 	WarmWallMS float64 `json:"warm_wall_ms"`
-	// BenchSpeedups carries BenchmarkLaneSweep's measured lane-vs-scalar
-	// warm speedup per calibration workload, parsed from a go-test log via
-	// -lane-bench-log: the kernel-level number the sweep-level wall ratio
-	// dilutes with the timed phase and the per-design L2 installs.
-	BenchSpeedups map[string]float64 `json:"bench_speedup,omitempty"`
 }
 
 func main() {
@@ -112,9 +104,6 @@ func main() {
 			"warm-up and (full-detail, one-core runs) timed region alike (an "+
 			"in-memory checkpoint store is used when -ckptdir is unset); "+
 			"-lanes=false measures the scalar baseline")
-	laneBenchLog := flag.String("lane-bench-log", "",
-		"go-test output of BenchmarkLaneSweep to embed in the lanes block "+
-			"(bench_speedup per workload)")
 	cpuprofile := flag.String("cpuprofile", "",
 		"write a CPU profile of the simulation region to this file "+
 			"(covers only the run sweep — setup, JSON encoding, and metric diffing are excluded)")
@@ -206,14 +195,6 @@ func main() {
 			BatchesShared: m.LaneBatches,
 			ScalarPoints:  m.LaneScalarPoints,
 			WarmWallMS:    float64(m.LaneWall.Microseconds()) / 1000,
-		}
-		if *laneBenchLog != "" {
-			sp, err := parseLaneBench(*laneBenchLog)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			doc.Lanes.BenchSpeedups = sp
 		}
 	}
 
@@ -454,56 +435,6 @@ func readArtifact(path string) (*document, error) {
 		return nil, fmt.Errorf("tlcbench: -diff-against: %s is not a tlcbench artifact: %v", path, err)
 	}
 	return &prev, nil
-}
-
-// parseLaneBench extracts the lane_speedup metric per workload from a
-// `go test -bench BenchmarkLaneSweep` log. Each result line looks like
-//
-//	BenchmarkLaneSweep/bzip-4  3  279292635 ns/op  4.064 lane_speedup  ...
-//
-// (custom metrics in value-then-unit pairs; order among them is not
-// guaranteed, so the value is found as the field preceding the
-// "lane_speedup" token). The sub-benchmark name, stripped of the
-// BenchmarkLaneSweep/ prefix and the -GOMAXPROCS suffix, keys the map.
-func parseLaneBench(path string) (map[string]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tlcbench: -lane-bench-log: cannot read %s: %v", path, err)
-	}
-	defer f.Close()
-	const prefix = "BenchmarkLaneSweep/"
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 2 || !strings.HasPrefix(fields[0], prefix) {
-			continue
-		}
-		name := strings.TrimPrefix(fields[0], prefix)
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		for i := 1; i < len(fields); i++ {
-			if fields[i] != "lane_speedup" {
-				continue
-			}
-			v, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("tlcbench: -lane-bench-log: %s: bad lane_speedup for %s: %v", path, name, err)
-			}
-			out[name] = v
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tlcbench: -lane-bench-log: reading %s: %v", path, err)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("tlcbench: -lane-bench-log: %s has no BenchmarkLaneSweep results with a lane_speedup metric", path)
-	}
-	return out, nil
 }
 
 // sortRecords keeps the emitted order stable regardless of execution order.

@@ -120,50 +120,6 @@ func TestDiffMetricsTolerance(t *testing.T) {
 	}
 }
 
-// TestParseLaneBench: the -lane-bench-log parser must pull lane_speedup
-// per workload out of real `go test -bench` output — tab-separated fields,
-// -GOMAXPROCS suffix on sub-benchmark names, unrelated benchmark and
-// chatter lines interleaved — and fail loudly on a log with no results.
-func TestParseLaneBench(t *testing.T) {
-	log := strings.Join([]string{
-		"goos: linux",
-		"goarch: amd64",
-		"pkg: tlc",
-		"BenchmarkWarmThroughput/gcc-4 \t 5\t 1000 ns/op",
-		"BenchmarkLaneSweep/bzip-4         \t       3\t 279292635 ns/op\t       387.6 lane_Minstr_per_s\t         4.064 lane_speedup\t        95.38 scalar_Minstr_per_s",
-		"BenchmarkLaneSweep/gcc            \t       3\t 471834522 ns/op\t       229.4 lane_Minstr_per_s\t         2.403 lane_speedup\t        95.45 scalar_Minstr_per_s",
-		"PASS",
-	}, "\n")
-	path := filepath.Join(t.TempDir(), "bench.txt")
-	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := parseLaneBench(path)
-	if err != nil {
-		t.Fatalf("parseLaneBench: %v", err)
-	}
-	want := map[string]float64{"bzip": 4.064, "gcc": 2.403}
-	if len(got) != len(want) {
-		t.Fatalf("parsed %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("speedup[%q] = %g, want %g", k, got[k], v)
-		}
-	}
-
-	empty := filepath.Join(t.TempDir(), "empty.txt")
-	if err := os.WriteFile(empty, []byte("PASS\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseLaneBench(empty); err == nil {
-		t.Error("parseLaneBench on a log without results = nil, want error")
-	}
-	if _, err := parseLaneBench(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
-		t.Error("parseLaneBench on a missing file = nil, want error")
-	}
-}
-
 // TestDiffMetricsOrderIndependent is the regression test for the
 // reordered-artifact bug: a previous artifact with the same values but
 // different run ordering AND unsorted per-run metric arrays (a tlcd-served

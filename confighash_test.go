@@ -166,3 +166,29 @@ func TestConfigHashDistinctPerDesign(t *testing.T) {
 		hashes[h] = d
 	}
 }
+
+// TestRunKey pins the result cache's content address: deterministic, and
+// distinct for runs that differ in design, benchmark or any content field
+// of the options.
+func TestRunKey(t *testing.T) {
+	base := DefaultOptions()
+	k := RunKey(DesignTLC, "gcc", base)
+	if RunKey(DesignTLC, "gcc", base) != k {
+		t.Fatal("RunKey is not deterministic")
+	}
+	seed, dram, short := base, base, base
+	seed.Seed = 2
+	dram.UseDRAM = true
+	short.RunInstructions = 100
+	for name, other := range map[string]string{
+		"design":           RunKey(DesignDNUCA, "gcc", base),
+		"benchmark":        RunKey(DesignTLC, "mcf", base),
+		"seed":             RunKey(DesignTLC, "gcc", seed),
+		"DRAM":             RunKey(DesignTLC, "gcc", dram),
+		"run instructions": RunKey(DesignTLC, "gcc", short),
+	} {
+		if other == k {
+			t.Errorf("a run with another %s aliases the base key", name)
+		}
+	}
+}

@@ -142,18 +142,6 @@ func (r RunRequest) Validate() (tlc.Design, error) {
 	return d, nil
 }
 
-// Key is the run's content address: equal keys name bit-identical results.
-// It is also the record ID the service returns and GET /v1/runs/{id} looks
-// up — the result cache is content-addressed, so the ID of a configuration
-// is known before (and independent of) any execution.
-func (r RunRequest) Key() (string, error) {
-	d, err := r.Validate()
-	if err != nil {
-		return "", err
-	}
-	return tlc.RunKey(d, r.Benchmark, r.Options.Options()), nil
-}
-
 // ParseDesign resolves a design by its String name ("SNUCA2", "DNUCA",
 // "TLC", "TLC-opt1000", ...).
 func ParseDesign(name string) (tlc.Design, error) {
@@ -169,7 +157,7 @@ func ParseDesign(name string) (tlc.Design, error) {
 // run records, extended with service-only fields (ID, Cached, Coalesced,
 // Result) that the CLI artifacts simply omit.
 type RunRecord struct {
-	// ID is the run's content address (RunRequest.Key); set by the service.
+	// ID is the run's content address (tlc.RunKey); set by the service.
 	ID        string  `json:"id,omitempty"`
 	Design    string  `json:"design"`
 	Benchmark string  `json:"benchmark"`

@@ -27,39 +27,6 @@ func TestRunOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestRunRequestKey(t *testing.T) {
-	base := RunRequest{Design: "TLC", Benchmark: "gcc"}
-	k1, err := base.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, _ := base.Key()
-	if k1 != k2 {
-		t.Fatal("Key is not deterministic")
-	}
-	for _, req := range []RunRequest{
-		{Design: "DNUCA", Benchmark: "gcc"},
-		{Design: "TLC", Benchmark: "mcf"},
-		{Design: "TLC", Benchmark: "gcc", Options: RunOptions{Seed: 2}},
-		{Design: "TLC", Benchmark: "gcc", Options: RunOptions{UseDRAM: true}},
-		{Design: "TLC", Benchmark: "gcc", Options: RunOptions{RunInstructions: 100}},
-	} {
-		k, err := req.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k == k1 {
-			t.Fatalf("distinct config %+v aliases the base key", req)
-		}
-	}
-	if _, err := (RunRequest{Design: "NOPE", Benchmark: "gcc"}).Key(); err == nil {
-		t.Fatal("unknown design accepted")
-	}
-	if _, err := (RunRequest{Design: "TLC", Benchmark: "nope"}).Key(); err == nil {
-		t.Fatal("unknown benchmark accepted")
-	}
-}
-
 func TestParseDesignRoundTrip(t *testing.T) {
 	for _, d := range tlc.Designs() {
 		got, err := ParseDesign(d.String())
@@ -134,9 +101,6 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if _, err := req.Validate(); err != nil {
 			return
-		}
-		if _, err := req.Key(); err != nil {
-			t.Fatalf("validated request does not key: %v", err)
 		}
 		opt := req.Options.Options()
 		if err := opt.Validate(); err != nil {

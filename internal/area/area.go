@@ -16,22 +16,6 @@ import (
 	"tlc/internal/wire"
 )
 
-// BankAccessCycles models bank access time at 10 GHz as a function of
-// capacity: latency grows with the logarithm of size (deeper decoders,
-// longer word/bit lines). Anchored exactly on the paper's three bank
-// sizes.
-func BankAccessCycles(bytes int) int {
-	if bytes <= 0 {
-		panic(fmt.Sprintf("area: non-positive bank size %d", bytes))
-	}
-	kb := float64(bytes) / 1024
-	cycles := -7 + (5.0/3.0)*math.Log2(kb)
-	if cycles < 1 {
-		cycles = 1
-	}
-	return int(math.Round(cycles))
-}
-
 // BankAreaMM2 models bank substrate area: cell area plus periphery
 // (decoders, sense amplifiers) whose relative cost shrinks with bank size.
 // Fit to Table 7: 256 x 64 KB = 92 mm^2, 32 x 512 KB = 77 mm^2.

@@ -8,34 +8,6 @@ import (
 	"tlc/internal/config"
 )
 
-func TestBankAccessCyclesMatchesTable2(t *testing.T) {
-	// The three anchor points of Table 2.
-	cases := map[int]int{
-		64 * 1024:   3,
-		512 * 1024:  8,
-		1024 * 1024: 10,
-	}
-	for bytes, want := range cases {
-		if got := BankAccessCycles(bytes); got != want {
-			t.Errorf("BankAccessCycles(%dKB)=%d, want %d", bytes/1024, got, want)
-		}
-	}
-}
-
-func TestBankAccessMonotone(t *testing.T) {
-	prev := 0
-	for kb := 16; kb <= 4096; kb *= 2 {
-		got := BankAccessCycles(kb * 1024)
-		if got < prev {
-			t.Fatalf("access time decreased at %dKB", kb)
-		}
-		prev = got
-	}
-	if BankAccessCycles(64) < 1 {
-		t.Fatal("access time floor violated")
-	}
-}
-
 func TestBankAreaMatchesTable7Anchors(t *testing.T) {
 	// 256 x 64 KB ~ 92 mm^2; 32 x 512 KB = 77 mm^2.
 	dnuca := 256 * BankAreaMM2(64*1024)
@@ -58,7 +30,6 @@ func TestSmallBanksAreLessDense(t *testing.T) {
 
 func TestBankModelsPanicOnBadSize(t *testing.T) {
 	for _, fn := range []func(){
-		func() { BankAccessCycles(0) },
 		func() { BankAreaMM2(-1) },
 	} {
 		func() {

@@ -183,10 +183,6 @@ func (p *PartialTags) Verify(bank int, arr *SetAssoc) error {
 	return nil
 }
 
-// Entries reports the total capacity, used for the area model: DNUCA's
-// partial tag structure covers every line in the cache.
-func (p *PartialTags) Entries() int { return p.sets * p.banks * p.assoc }
-
 func (p *PartialTags) index(set, bank, way int) int {
 	if bank < 0 || bank >= p.banks || way < 0 || way >= p.assoc {
 		panic(fmt.Sprintf("cache: partial tag index bank=%d way=%d out of range", bank, way))

@@ -66,13 +66,6 @@ func TestPartialTagMatchCount(t *testing.T) {
 	}
 }
 
-func TestPartialTagEntries(t *testing.T) {
-	p := NewPartialTags(512, 16, 2)
-	if p.Entries() != 512*16*2 {
-		t.Fatalf("entries %d", p.Entries())
-	}
-}
-
 func TestPartialTagIndexPanics(t *testing.T) {
 	p := NewPartialTags(16, 2, 2)
 	defer func() {

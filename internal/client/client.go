@@ -250,21 +250,6 @@ func (c *Client) Sweep(ctx context.Context, sreq api.SweepRequest, fn func(api.S
 	}
 }
 
-// GetRun looks up a completed run by its content address. A 404 maps to
-// ok=false rather than an error.
-func (c *Client) GetRun(ctx context.Context, id string) (api.RunRecord, bool, error) {
-	var rec api.RunRecord
-	err := c.do(ctx, http.MethodGet, "/v1/runs/"+id, nil, &rec)
-	if err != nil {
-		var serr *StatusError
-		if errors.As(err, &serr) && serr.Status == http.StatusNotFound {
-			return api.RunRecord{}, false, nil
-		}
-		return api.RunRecord{}, false, err
-	}
-	return rec, true, nil
-}
-
 // Health probes /healthz; nil means the server is up and not draining.
 func (c *Client) Health(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)

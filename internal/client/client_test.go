@@ -252,17 +252,3 @@ func TestContextCancelsRetryLoop(t *testing.T) {
 		t.Fatal("retry loop ignored the context and slept through Retry-After")
 	}
 }
-
-// TestGetRunNotFound maps 404 to ok=false.
-func TestGetRunNotFound(t *testing.T) {
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(api.Error{Error: "no such run"})
-	}))
-	defer hs.Close()
-
-	_, ok, err := fastClient(hs.URL).GetRun(context.Background(), "abc")
-	if err != nil || ok {
-		t.Fatalf("GetRun on 404 = ok=%v err=%v, want false, nil", ok, err)
-	}
-}

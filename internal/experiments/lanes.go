@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"tlc"
-	"tlc/internal/workload"
 )
 
 // GridPoint is one point of an explicit sweep grid: the full configuration
-// of one run. The lane planner consumes grids in this shape; executors keep
-// running points however they already do (suites, server submits) — the
-// plan only decides which warm-ups can be paid once, together.
+// of one run. The lane plan (planLanes) consumes grids in this shape;
+// executors keep running points however they already do (suites, server
+// submits) — the plan only decides which warm-ups can be paid once,
+// together.
 type GridPoint struct {
 	Design tlc.Design
 	Bench  string
@@ -24,8 +24,8 @@ type GridPoint struct {
 // share a workload stream — same benchmark, same effective warm seed, same
 // warm length, same checkpoint store — so one lane-parallel pass
 // (tlc.WarmLanes) warms all of them off a single generator traversal.
-// Groups with fewer than two designs gain nothing from sharing; planners
-// report them and executors leave those points to scalar warm-up.
+// Groups with fewer than two designs gain nothing from sharing; the plan
+// counts them as scalar and executors leave those points to scalar warm-up.
 type LaneGroup struct {
 	Bench   string
 	Designs []tlc.Design
@@ -37,10 +37,10 @@ type LaneGroup struct {
 }
 
 // laneKey is the grouping key: everything that determines whether two grid
-// points would consume the identical warm stream into the same store.
-// The warm length is keyed raw (zero means per-benchmark automatic, which
-// is equal within a benchmark anyway); the store pointer keys identity, so
-// grids spanning stores never share a pass.
+// points would consume the identical warm stream into the same store — the
+// benchmark and tlc's warm plan for it (effective warm seed and length)
+// under a one-core run. The store pointer keys identity, so grids spanning
+// stores never share a pass.
 type laneKey struct {
 	bench    string
 	warmSeed int64
@@ -48,77 +48,42 @@ type laneKey struct {
 	store    *tlc.CheckpointStore
 }
 
-// LanePlanner groups grid points for lane-parallel warm-up. A planner
-// reuses its internal index and group storage across Plan calls, so
-// steady-state planning allocates nothing (the alloc pin covers this); it
-// is not safe for concurrent use — give each goroutine its own, or lock.
-type LanePlanner struct {
-	idx    map[laneKey]int
-	groups []LaneGroup
-	scalar int
-}
-
-// NewLanePlanner returns an empty planner.
-func NewLanePlanner() *LanePlanner {
-	return &LanePlanner{idx: make(map[laneKey]int)}
-}
-
-// Plan groups points by shared workload stream, in first-occurrence order
-// (deterministic for a deterministic grid). Points without a checkpoint
-// store cannot carry a warm-up to their run and are counted straight to
-// scalar fallback. The returned slice and its groups are valid until the
-// next Plan call.
-func (p *LanePlanner) Plan(points []GridPoint) []LaneGroup {
-	for k := range p.idx {
-		delete(p.idx, k)
-	}
-	p.groups = p.groups[:0]
-	p.scalar = 0
+// planLanes groups points by shared workload stream, in first-occurrence
+// order (deterministic for a deterministic grid), and counts the points
+// left to scalar warm-up: points that cannot carry a warm-up to their run
+// (no checkpoint store) or share none (a CMP machine, which warms one
+// stream per core; an unknown benchmark), plus one per group too small to
+// share.
+func planLanes(points []GridPoint) (groups []LaneGroup, scalar int) {
+	idx := make(map[laneKey]int)
 	for i := range points {
 		pt := &points[i]
-		if pt.Opt.Checkpoints == nil {
-			p.scalar++
+		warmSeed, warm, shared := tlc.WarmStream(pt.Bench, pt.Opt)
+		if pt.Opt.Checkpoints == nil || !shared {
+			scalar++
 			continue
 		}
-		warmSeed := pt.Opt.WarmSeed
-		if warmSeed == 0 {
-			warmSeed = pt.Opt.Seed
-		}
-		k := laneKey{pt.Bench, warmSeed, pt.Opt.WarmInstructions, pt.Opt.Checkpoints}
-		gi, ok := p.idx[k]
+		k := laneKey{pt.Bench, warmSeed, warm, pt.Opt.Checkpoints}
+		gi, ok := idx[k]
 		if !ok {
-			gi = len(p.groups)
-			if gi < cap(p.groups) {
-				// Reuse the retired group's Designs backing array.
-				p.groups = p.groups[:gi+1]
-				g := &p.groups[gi]
-				g.Bench = pt.Bench
-				g.Opt = pt.Opt
-				g.Designs = g.Designs[:0]
-			} else {
-				p.groups = append(p.groups, LaneGroup{Bench: pt.Bench, Opt: pt.Opt})
-			}
-			p.idx[k] = gi
+			gi = len(groups)
+			groups = append(groups, LaneGroup{Bench: pt.Bench, Opt: pt.Opt})
+			idx[k] = gi
 		}
-		g := &p.groups[gi]
+		g := &groups[gi]
 		if !containsDesign(g.Designs, pt.Design) {
 			g.Designs = append(g.Designs, pt.Design)
 		}
 	}
 	// Lone designs share nothing: their points fall back to scalar
 	// warm-up inside their own runs.
-	for i := range p.groups {
-		if len(p.groups[i].Designs) < 2 {
-			p.scalar++
+	for i := range groups {
+		if len(groups[i].Designs) < 2 {
+			scalar++
 		}
 	}
-	return p.groups
+	return groups, scalar
 }
-
-// ScalarPoints reports how many points of the last Plan were left to
-// scalar execution: points with no checkpoint store, plus one per group
-// too small to share.
-func (p *LanePlanner) ScalarPoints() int { return p.scalar }
 
 func containsDesign(ds []tlc.Design, d tlc.Design) bool {
 	for _, x := range ds {
@@ -142,11 +107,7 @@ func laneOrder(groups []LaneGroup) []int {
 			continue
 		}
 		order = append(order, i)
-		warm[i] = g.Opt.WarmInstructions
-		if warm[i] == 0 {
-			spec, _ := workload.SpecByName(g.Bench)
-			warm[i] = spec.AutoWarmInstructions()
-		}
+		_, warm[i], _ = tlc.WarmStream(g.Bench, g.Opt)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return warm[order[a]] > warm[order[b]] })
 	return order
@@ -180,8 +141,8 @@ type LaneTally struct {
 // whatever it could not warm is warmed scalar by the runs, which surface
 // their own errors.
 func WarmGrid(points []GridPoint, par int) LaneTally {
-	p := NewLanePlanner()
-	return laneGrid(p.Plan(points), p.ScalarPoints(), par, warmPass)
+	groups, scalar := planLanes(points)
+	return laneGrid(groups, scalar, par, warmPass)
 }
 
 // warmPass is the warm-only lane pass of one group.
@@ -252,8 +213,7 @@ func (s *Suite) WarmGrid(points []GridPoint, par int) {
 	own := func(g *LaneGroup) bool {
 		return len(g.Designs) > 1 && g.Opt.Checkpoints == s.Opt.Checkpoints && g.Opt.ContentKey() == content
 	}
-	p := NewLanePlanner()
-	groups := p.Plan(points)
+	groups, scalar := planLanes(points)
 	owned := 0
 	for i := range groups {
 		if own(&groups[i]) {
@@ -269,7 +229,7 @@ func (s *Suite) WarmGrid(points []GridPoint, par int) {
 			return s.runLanes(g)
 		}
 	}
-	t := laneGrid(groups, p.ScalarPoints(), par, pass)
+	t := laneGrid(groups, scalar, par, pass)
 	s.mu.Lock()
 	s.m.LaneGroups += t.Groups
 	s.m.LanesWarmed += t.Lanes

@@ -23,8 +23,7 @@ func TestLanePlannerGroupsByStream(t *testing.T) {
 	opt.Checkpoints = store
 	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignDNUCA, tlc.DesignTLC}
 
-	p := NewLanePlanner()
-	groups := p.Plan(planPoints(designs, []string{"mcf", "gcc"}, opt))
+	groups, scalar := planLanes(planPoints(designs, []string{"mcf", "gcc"}, opt))
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2 (one per benchmark)", len(groups))
 	}
@@ -33,8 +32,8 @@ func TestLanePlannerGroupsByStream(t *testing.T) {
 			t.Errorf("bench %s: got %d designs, want 3", g.Bench, len(g.Designs))
 		}
 	}
-	if p.ScalarPoints() != 0 {
-		t.Errorf("got %d scalar points, want 0", p.ScalarPoints())
+	if scalar != 0 {
+		t.Errorf("got %d scalar points, want 0", scalar)
 	}
 }
 
@@ -55,8 +54,7 @@ func TestLanePlannerScalarFallbacks(t *testing.T) {
 		// ...and a point that cannot carry a warm-up at all.
 		{Design: tlc.DesignDNUCA, Bench: "mcf", Opt: noStore},
 	}
-	p := NewLanePlanner()
-	groups := p.Plan(pts)
+	groups, scalar := planLanes(pts)
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
@@ -67,8 +65,8 @@ func TestLanePlannerScalarFallbacks(t *testing.T) {
 		t.Errorf("group 1 = %s/%d designs, want gcc/1", groups[1].Bench, len(groups[1].Designs))
 	}
 	// One storeless point plus one singleton group.
-	if p.ScalarPoints() != 2 {
-		t.Errorf("got %d scalar points, want 2", p.ScalarPoints())
+	if scalar != 2 {
+		t.Errorf("got %d scalar points, want 2", scalar)
 	}
 }
 
@@ -90,8 +88,7 @@ func TestLanePlannerSplitsDistinctStreams(t *testing.T) {
 		{Design: tlc.DesignSNUCA2, Bench: "mcf", Opt: opt3},
 		{Design: tlc.DesignTLC, Bench: "mcf", Opt: opt3},
 	}
-	p := NewLanePlanner()
-	groups := p.Plan(pts)
+	groups, _ := planLanes(pts)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3 (per store and warm seed)", len(groups))
 	}
@@ -119,26 +116,37 @@ func TestLanePlannerSeedEquivalentKeys(t *testing.T) {
 		{Design: tlc.DesignSNUCA2, Bench: "mcf", Opt: a},
 		{Design: tlc.DesignTLC, Bench: "mcf", Opt: b},
 	}
-	p := NewLanePlanner()
-	groups := p.Plan(pts)
+	groups, _ := planLanes(pts)
 	if len(groups) != 1 || len(groups[0].Designs) != 2 {
 		t.Fatalf("seed-equivalent points did not group: %d groups", len(groups))
 	}
 }
 
-// TestLanePlannerDoesNotAllocate pins steady-state planning at zero
-// allocations: after the first Plan sizes the index and group storage,
-// replanning a grid of the same shape reuses it all.
-func TestLanePlannerDoesNotAllocate(t *testing.T) {
-	store := tlc.NewCheckpointStore(0, "")
-	opt := tlc.DefaultOptions()
-	opt.Checkpoints = store
-	pts := planPoints(tlc.Designs(), []string{"mcf", "gcc", "art", "oltp"}, opt)
+// TestLanePlannerCountsCMPPointsScalar: a CMP point warms one stream per
+// core, so it joins no group and counts as scalar; one-core points of the
+// same benchmark still group among themselves, whichever kind of point
+// comes first, and keep their shared warm-up.
+func TestLanePlannerCountsCMPPointsScalar(t *testing.T) {
+	one := tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1,
+		Checkpoints: tlc.NewCheckpointStore(0, "")}
+	cmp := one
+	cmp.Cores = 2
+	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignTLC}
+	pts := append(planPoints(designs, []string{"gcc"}, cmp), planPoints(designs, []string{"gcc"}, one)...)
 
-	p := NewLanePlanner()
-	p.Plan(pts) // size the storage
-	if allocs := testing.AllocsPerRun(10, func() { p.Plan(pts) }); allocs != 0 {
-		t.Errorf("Plan allocates %.2f per call, want 0", allocs)
+	groups, scalar := planLanes(pts)
+	if len(groups) != 1 || len(groups[0].Designs) != 2 || groups[0].Opt.Cores > 1 {
+		t.Fatalf("got groups %+v, want one one-core group of 2 designs", groups)
+	}
+	if scalar != 2 {
+		t.Errorf("got %d scalar points, want the 2 CMP points", scalar)
+	}
+	tally := WarmGrid(pts, 1)
+	if tally.Groups != 1 || tally.Lanes != 2 || tally.ScalarPoints != 2 {
+		t.Errorf("lane phase %+v, want 1 group / 2 lanes / 2 scalar points", tally)
+	}
+	if tally := WarmGrid(planPoints(designs, []string{"mcf", "art"}, cmp), 1); tally.Groups != 0 || tally.ScalarPoints != 4 {
+		t.Errorf("all-CMP lane phase %+v, want 0 groups / 4 scalar points", tally)
 	}
 }
 
@@ -158,7 +166,7 @@ func TestLaneOrderLongestWarmFirst(t *testing.T) {
 	pts = append(pts, planPoints(designs, []string{"bzip"}, fixed)...)
 	pts = append(pts, GridPoint{Design: tlc.DesignTLC, Bench: "applu", Opt: opt})
 
-	groups := NewLanePlanner().Plan(pts)
+	groups, _ := planLanes(pts)
 	var got []string
 	for _, i := range laneOrder(groups) {
 		got = append(got, groups[i].Bench)

@@ -47,16 +47,6 @@ func TLCDynamicPowerW(c *tlcache.Cache, cycles sim.Time) float64 {
 	return c.NetworkEnergyJ() / (float64(cycles) * CyclePeriodS)
 }
 
-// LeakageProxy compares static power via total transistor gate width, the
-// paper's Table 8 argument: leakage is proportional to width, so the
-// network with an order of magnitude less gate width leaks an order of
-// magnitude less.
-func LeakageProxy(gateWidthLambda float64) float64 {
-	// Normalized leakage units per lambda of gate width.
-	const leakPerLambda = 1.0
-	return gateWidthLambda * leakPerLambda
-}
-
 // RCWireEnergyPerBitJ is the conventional-wire energy to move one bit one
 // segment: exposed for the crossover analysis in cmd/tlcphys.
 func RCWireEnergyPerBitJ(segMM float64) float64 {

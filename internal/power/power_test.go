@@ -57,12 +57,6 @@ func TestTLCPowerBelowDNUCAForSameTraffic(t *testing.T) {
 	}
 }
 
-func TestLeakageProxyLinear(t *testing.T) {
-	if LeakageProxy(200) != 2*LeakageProxy(100) {
-		t.Fatal("leakage proxy should be linear in gate width")
-	}
-}
-
 func TestRCWireEnergyScalesWithLength(t *testing.T) {
 	if RCWireEnergyPerBitJ(10) <= RCWireEnergyPerBitJ(1) {
 		t.Fatal("longer wires should cost more per bit")

@@ -151,31 +151,3 @@ func (f *Figure) String() string {
 	}
 	return t.String()
 }
-
-// Bars renders one series as labeled ASCII bars scaled to maxWidth.
-func Bars(title string, labels []string, values []float64, maxWidth int) string {
-	var max float64
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(v / max * float64(maxWidth))
-		}
-		fmt.Fprintf(&b, "%-*s |%s %s\n", labelW, labels[i], strings.Repeat("#", n), FormatFloat(v))
-	}
-	return b.String()
-}

@@ -74,24 +74,3 @@ func TestFigureWithUnit(t *testing.T) {
 		t.Fatal("unit annotation missing")
 	}
 }
-
-func TestBars(t *testing.T) {
-	out := Bars("util", []string{"a", "bb"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines, want title + 2 bars", len(lines))
-	}
-	if strings.Count(lines[2], "#") != 10 {
-		t.Fatalf("max bar should reach full width: %q", lines[2])
-	}
-	if strings.Count(lines[1], "#") != 5 {
-		t.Fatalf("half bar should reach half width: %q", lines[1])
-	}
-}
-
-func TestBarsAllZero(t *testing.T) {
-	out := Bars("", []string{"a"}, []float64{0}, 10)
-	if strings.Contains(out, "#") {
-		t.Fatal("zero values should render empty bars")
-	}
-}

@@ -168,13 +168,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGetRun is GET /v1/runs/{id}: a pure result-cache lookup. IDs are
-// content addresses (api.RunRequest.Key), so a configuration's ID is known
-// before any execution; absent simply means "not run yet (or evicted)".
+// content addresses (tlc.RunKey), so a configuration's ID is known before
+// any execution; absent simply means "not run yet (or evicted)".
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	rec, ok := s.cache.get(id)
-	s.mu.Unlock()
+	rec, ok := s.cache.Get(id)
 	if !ok {
 		writeError(w, &httpError{status: 404, msg: "no completed run with id " + id})
 		return

@@ -36,6 +36,7 @@ import (
 	"tlc/internal/experiments"
 	"tlc/internal/metrics"
 	"tlc/internal/sim"
+	"tlc/internal/snapshot"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field has
@@ -79,9 +80,12 @@ type Server struct {
 	reg   *metrics.Registry
 	start time.Time
 
-	mu       sync.Mutex
-	flights  map[string]*runFlight // in-flight runs by RunKey
-	cache    *lru                  // RunKey -> api.RunRecord
+	mu      sync.Mutex
+	flights map[string]*runFlight // in-flight runs by RunKey
+	// cache holds completed records by RunKey, in memory only. It locks
+	// itself; submitKeyed and runOne still use it under mu so that a
+	// flight's record is stored in the same step that removes the flight.
+	cache    *snapshot.Cache[string, api.RunRecord]
 	draining bool
 
 	queue   chan *runFlight
@@ -195,7 +199,7 @@ func New(cfg Config) *Server {
 		reg:     metrics.New(),
 		start:   time.Now(),
 		flights: make(map[string]*runFlight),
-		cache:   newLRU(cfg.CacheSize),
+		cache:   snapshot.NewCache[string, api.RunRecord](cfg.CacheSize, "", nil),
 		queue:   make(chan *runFlight, cfg.QueueDepth),
 		drain:   make(chan struct{}),
 		settled: make(chan struct{}),
@@ -292,7 +296,7 @@ func (s *Server) submitKeyed(ctx context.Context, d tlc.Design, bench string, op
 	key := tlc.RunKey(d, bench, opt)
 
 	s.mu.Lock()
-	if rec, ok := s.cache.get(key); ok {
+	if rec, ok := s.cache.Get(key); ok {
 		s.mu.Unlock()
 		s.nCacheHits.Add(1)
 		rec.Cached = true
@@ -450,7 +454,7 @@ func (s *Server) runOne(f *runFlight) {
 	}
 	s.mu.Lock()
 	if err == nil {
-		s.cache.add(f.key, f.rec)
+		s.cache.Put(f.key, f.rec)
 	}
 	if s.flights[f.key] == f {
 		delete(s.flights, f.key)

@@ -87,6 +87,17 @@ func counter(t *testing.T, s *Server, name string) uint64 {
 }
 
 // stubRecord is what the stub executor returns for (d, bench).
+// recordID is the ID the server gives req's record: the run's content
+// address, tlc.RunKey.
+func recordID(t *testing.T, req api.RunRequest) string {
+	t.Helper()
+	d, err := req.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tlc.RunKey(d, req.Benchmark, req.Options.Options())
+}
+
 func stubRecord(d tlc.Design, bench string) api.RunRecord {
 	return api.RunRecord{Design: d.String(), Benchmark: bench, Cycles: 42}
 }
@@ -189,11 +200,8 @@ func TestDeadlineCancelsRun(t *testing.T) {
 		t.Errorf("deadline counter = %d, want 1", got)
 	}
 	// The cancelled run must not be cached as a result.
-	s.mu.Lock()
-	n := len(s.cache.items)
-	s.mu.Unlock()
-	if n != 0 {
-		t.Errorf("cancelled run landed in the result cache (%d entries)", n)
+	if n := s.cache.Stats().Puts; n != 0 {
+		t.Errorf("cancelled run landed in the result cache (%d records stored)", n)
 	}
 }
 
@@ -271,10 +279,7 @@ func TestCoalescing(t *testing.T) {
 	}
 
 	// GET by content address finds the same record.
-	id, err := req.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := recordID(t, req)
 	if rec.ID != id {
 		t.Errorf("record ID %q != content address %q", rec.ID, id)
 	}
@@ -368,16 +373,9 @@ func TestDeadlineCancelsRealRun(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tiny run after the cancelled one: status %d (%s)", resp.StatusCode, data)
 	}
-	id, err := tiny.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	n := len(s.cache.items)
-	_, ok := s.cache.get(id)
-	s.mu.Unlock()
-	if n != 1 || !ok {
-		t.Errorf("result cache holds %d entries (tiny run cached: %v), want only the tiny run", n, ok)
+	_, ok := s.cache.Get(recordID(t, tiny))
+	if n := s.cache.Stats().Puts; n != 1 || !ok {
+		t.Errorf("result cache stored %d records (tiny run cached: %v), want only the tiny run", n, ok)
 	}
 	if got := counter(t, s, "server.runs.executed"); got != 1 {
 		t.Errorf("executed counter = %d, want 1", got)

@@ -88,19 +88,5 @@ func (r *Resource) Waits() uint64 { return r.waits }
 // WaitCycles reports the total cycles reservations spent queued.
 func (r *Resource) WaitCycles() Time { return r.waitCycles }
 
-// Utilization reports busy cycles as a fraction of the elapsed window
-// [0, now]. It returns 0 for an empty window and clamps at 1 (a
-// reservation extending past `now` can push occupancy beyond the window).
-func (r *Resource) Utilization(now Time) float64 {
-	if now == 0 {
-		return 0
-	}
-	u := float64(r.busy) / float64(now)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Reset clears all bookkeeping, returning the resource to idle at cycle 0.
 func (r *Resource) Reset() { *r = Resource{} }

@@ -251,24 +251,6 @@ func TestResourceBackToBackReservations(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	var r Resource
-	r.Reserve(0, 10)
-	r.Reserve(50, 10)
-	if got := r.Utilization(100); got != 0.2 {
-		t.Fatalf("utilization %.3f, want 0.200", got)
-	}
-	if got := r.Utilization(0); got != 0 {
-		t.Fatalf("utilization over empty window %.3f, want 0", got)
-	}
-	// Busy beyond the window clamps to 1.
-	var r2 Resource
-	r2.Reserve(0, 100)
-	if got := r2.Utilization(10); got != 1 {
-		t.Fatalf("clamped utilization %.3f, want 1", got)
-	}
-}
-
 func TestResourceReset(t *testing.T) {
 	var r Resource
 	r.Reserve(5, 10)

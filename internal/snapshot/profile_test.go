@@ -125,9 +125,10 @@ func TestProfileStoreTruncatedFileIsAMiss(t *testing.T) {
 // FuzzProfileStoreLoad writes arbitrary bytes where the disk tier keeps
 // key's profile and reads it back through a fresh store. Get must never
 // panic. It must either miss, with DiskErr set whenever the bytes do not
-// decode, or return exactly the profile of an envelope stored under key.
-// The seeds are one real saved profile, the same bytes truncated, and the
-// real profile read back under another key.
+// decode, or return exactly the profile of a record stored under key.
+// The seeds are one real saved profile, the same bytes truncated, the real
+// profile read back under another key, and a profile in the layout of the
+// store's first on-disk format.
 func FuzzProfileStoreLoad(f *testing.F) {
 	dir := f.TempDir()
 	NewProfileStore(4, dir).Put("a", testProfile("a", 0))
@@ -138,6 +139,11 @@ func FuzzProfileStoreLoad(f *testing.F) {
 	f.Add("a", saved)
 	f.Add("a", saved[:len(saved)/2])
 	f.Add("b", saved)
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(profileEnvelope{"a", testProfile("a", 0)}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add("a", old.Bytes())
 
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
 		dir := t.TempDir()
@@ -147,20 +153,21 @@ func FuzzProfileStoreLoad(f *testing.F) {
 		s := NewProfileStore(4, dir)
 		got, ok := s.Get(key)
 
-		var env profileEnvelope
-		decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&env)
+		var rec record[string, sample.Profile]
+		decErr := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec)
 		if !ok {
 			if decErr != nil && s.DiskErr() == nil {
 				t.Fatalf("undecodable profile (%v) missed without a DiskErr", decErr)
 			}
 			return
 		}
-		if decErr != nil || env.Key != key {
-			t.Fatalf("hit on bytes that decode to key %q (err %v), want key %q", env.Key, decErr, key)
+		if decErr != nil || rec.Key != key || rec.Value == nil {
+			t.Fatalf("hit on bytes that decode to key %q (err %v, value %v), want key %q",
+				rec.Key, decErr, rec.Value != nil, key)
 		}
 		// Compare encodings, not values: fuzzed features can hold NaNs,
 		// which reflect.DeepEqual never equates.
-		if !bytes.Equal(gobBytes(t, got), gobBytes(t, env.Profile)) {
+		if !bytes.Equal(gobBytes(t, got), gobBytes(t, *rec.Value)) {
 			t.Fatal("hit returned a profile other than the one stored under key")
 		}
 	})

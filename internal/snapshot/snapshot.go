@@ -20,19 +20,17 @@
 // restores all of it or none, so a checkpoint that fails any layer's
 // validation is a miss.
 //
-// The store is an in-process LRU with an optional on-disk tier. Disk
-// persistence uses encoding/gob with atomic temp-file + rename writes, so
-// concurrent processes sharing a directory never observe torn checkpoints.
+// The store is a Cache: an in-process LRU with an optional on-disk tier.
+// Disk persistence uses encoding/gob with atomic temp-file + rename writes,
+// so concurrent processes sharing a directory never observe torn
+// checkpoints. The same Cache type holds phase profiles (ProfileStore) and
+// tlcd's result records (memory only).
 package snapshot
 
 import (
-	"container/list"
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
@@ -97,44 +95,9 @@ type Checkpoint struct {
 	Lanes bool
 }
 
-// Stats counts store traffic, for tests and the experiment harness's
-// cache-effectiveness reporting.
-type Stats struct {
-	// Hits counts Get calls satisfied from memory or disk.
-	Hits uint64
-	// DiskHits counts the subset of Hits served by reading the disk tier.
-	DiskHits uint64
-	// Misses counts Get calls that found nothing.
-	Misses uint64
-	// Puts counts checkpoints stored.
-	Puts uint64
-}
-
-// Store is a bounded in-process LRU of checkpoints with an optional disk
-// tier. All methods are safe for concurrent use.
-type Store struct {
-	mu      sync.Mutex
-	cap     int
-	dir     string
-	order   *list.List // front = most recently used; values are *entry
-	items   map[Key]*list.Element
-	stats   Stats
-	diskErr error // first disk failure, reported once via DiskErr
-}
-
-// entry is one resident checkpoint.
-type entry struct {
-	key Key
-	ckp Checkpoint
-}
-
-// diskEnvelope is the on-disk record: the key rides along so a load
-// verifies it got the checkpoint it asked for (hash-named files could
-// collide in principle).
-type diskEnvelope struct {
-	Key        Key
-	Checkpoint Checkpoint
-}
+// Store is the checkpoint cache: a bounded in-process LRU of checkpoints
+// with an optional disk tier.
+type Store = Cache[Key, Checkpoint]
 
 // DefaultCapacity bounds the in-process tier. Checkpoints are megabytes
 // each (L2 arrays dominate); a sweep touches one per (design, bench, warm),
@@ -149,140 +112,5 @@ func NewStore(capacity int, dir string) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Store{
-		cap:   capacity,
-		dir:   dir,
-		order: list.New(),
-		items: make(map[Key]*list.Element),
-	}
-}
-
-// Get returns the checkpoint for k. The returned checkpoint's state values
-// are shared with the store but treated as read-only by every consumer
-// (Restore methods copy out of them), so concurrent Gets of the same key
-// are safe.
-func (s *Store) Get(k Key) (Checkpoint, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		s.order.MoveToFront(el)
-		s.stats.Hits++
-		return el.Value.(*entry).ckp, true
-	}
-	if s.dir != "" {
-		if ckp, ok := s.load(k); ok {
-			s.insertLocked(k, ckp)
-			s.stats.Hits++
-			s.stats.DiskHits++
-			return ckp, true
-		}
-	}
-	s.stats.Misses++
-	return Checkpoint{}, false
-}
-
-// Has reports whether a checkpoint for k is resident in memory or present
-// on the disk tier. Unlike Get it moves no LRU state, reads no disk
-// payload, and leaves the traffic stats untouched — the lane planner
-// probes with it to decide which lanes still need warming without
-// perturbing the hit/miss accounting of the runs themselves.
-func (s *Store) Has(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.items[k]; ok {
-		return true
-	}
-	if s.dir == "" {
-		return false
-	}
-	_, err := os.Stat(filepath.Join(s.dir, k.filename()))
-	return err == nil
-}
-
-// Put stores the checkpoint for k, evicting the least-recently-used entry
-// if the memory tier is full, and writes it to the disk tier if configured.
-// The caller must not mutate ckp's state values after Put.
-func (s *Store) Put(k Key, ckp Checkpoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(k, ckp)
-	s.stats.Puts++
-	if s.dir != "" {
-		s.save(k, ckp)
-	}
-}
-
-// Stats returns a snapshot of the traffic counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// DiskErr reports the first disk-tier failure, if any. Disk problems
-// degrade the store to memory-only rather than failing runs; callers that
-// care (the CLIs) surface this as a warning.
-func (s *Store) DiskErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.diskErr
-}
-
-// insertLocked adds or refreshes a memory-tier entry. Caller holds mu.
-func (s *Store) insertLocked(k Key, ckp Checkpoint) {
-	if el, ok := s.items[k]; ok {
-		el.Value.(*entry).ckp = ckp
-		s.order.MoveToFront(el)
-		return
-	}
-	s.items[k] = s.order.PushFront(&entry{key: k, ckp: ckp})
-	for len(s.items) > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*entry).key)
-	}
-}
-
-// save writes the checkpoint to the disk tier atomically. Caller holds mu.
-func (s *Store) save(k Key, ckp Checkpoint) {
-	err := func() error {
-		if err := os.MkdirAll(s.dir, 0o755); err != nil {
-			return err
-		}
-		tmp, err := os.CreateTemp(s.dir, "ckpt-*.tmp")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if err := gob.NewEncoder(tmp).Encode(diskEnvelope{Key: k, Checkpoint: ckp}); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), filepath.Join(s.dir, k.filename()))
-	}()
-	if err != nil && s.diskErr == nil {
-		s.diskErr = fmt.Errorf("snapshot: writing %s: %w", k, err)
-	}
-}
-
-// load reads a checkpoint from the disk tier. Caller holds mu.
-func (s *Store) load(k Key) (Checkpoint, bool) {
-	f, err := os.Open(filepath.Join(s.dir, k.filename()))
-	if err != nil {
-		return Checkpoint{}, false // absent: a plain miss, not an error
-	}
-	defer f.Close()
-	var env diskEnvelope
-	if err := gob.NewDecoder(f).Decode(&env); err != nil || env.Key != k {
-		// A torn or foreign file cannot happen via save's atomic rename,
-		// but a truncated disk or hash collision could; treat as a miss.
-		if err != nil && s.diskErr == nil {
-			s.diskErr = fmt.Errorf("snapshot: reading %s: %w", k, err)
-		}
-		return Checkpoint{}, false
-	}
-	return env.Checkpoint, true
+	return NewCache[Key, Checkpoint](capacity, dir, Key.filename)
 }

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count.
@@ -348,15 +347,4 @@ func (s *Weighted) CI95() float64 {
 		return 0
 	}
 	return 1.96 * s.StdDev() / math.Sqrt(neff)
-}
-
-// SortedKeys returns the keys of m in sorted order; a helper for rendering
-// deterministic tables from map-shaped results.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -192,17 +192,6 @@ func TestSeriesDegenerate(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"zeus": 1, "apache": 2, "mcf": 3}
-	keys := SortedKeys(m)
-	want := []string{"apache", "mcf", "zeus"}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys %v, want %v", keys, want)
-		}
-	}
-}
-
 func TestPercentileClampsP(t *testing.T) {
 	// All samples in bucket 0 with a large cap: an unclamped p > 1 used to
 	// walk past the distribution and report cap-1.

@@ -88,39 +88,6 @@ func AnalyzeNoise(g Geometry) SignalWithNoise {
 	}
 }
 
-// ReturnPathResistanceOhms estimates the effective return-path resistance
-// seen by a line: the paper's second argument for shields is that each
-// line gets its own low-resistance return, keeping inductive noise down.
-// With shields, the two adjacent shield lines and the planes conduct in
-// parallel; without, only the (more distant) reference planes serve.
-func ReturnPathResistanceOhms(g Geometry, shielded bool) float64 {
-	lenM := g.LengthCM * 1e-2
-	// A shield line has the signal conductor's cross-section.
-	shieldR := rho / (g.WidthUM * 1e-6 * g.ThicknessUM * 1e-6) * lenM
-	// The reference planes present a wide but thin sheet: model the
-	// effective return as a strip a few line-widths wide.
-	planeT := 0.8e-6
-	planeW := 8 * g.WidthUM * 1e-6
-	planeR := rho / (planeW * planeT) * lenM
-	planes := planeR / 2 // one above, one below
-	if !shielded {
-		return planes
-	}
-	shields := shieldR / 2 // one each side
-	return 1 / (1/planes + 1/shields)
-}
-
-// DispersionPenaltyPs quantifies how much extra edge degradation an
-// unshielded layout suffers from the higher return-path impedance: a
-// first-order L/R penalty added to the received edge.
-func DispersionPenaltyPs(g Geometry, shielded bool) float64 {
-	p := Extract(g)
-	lenM := g.LengthCM * 1e-2
-	lTot := p.LPerM * lenM
-	rRet := ReturnPathResistanceOhms(g, shielded)
-	return lTot / (2 * (p.Z0 + rRet)) * 1e12 * (rRet / p.Z0)
-}
-
 // MaxUnshieldedLengthCM searches for the longest run of this cross-section
 // that would still pass the noise criterion without shields — the
 // quantitative version of the paper's claim that shields are what make

@@ -52,27 +52,6 @@ func TestTighterSpacingCouplesMore(t *testing.T) {
 	}
 }
 
-func TestReturnPathResistance(t *testing.T) {
-	g := Table1()[1]
-	sh := ReturnPathResistanceOhms(g, true)
-	un := ReturnPathResistanceOhms(g, false)
-	if sh >= un {
-		t.Fatalf("shields should lower return resistance: %0.2f vs %0.2f", sh, un)
-	}
-	if sh <= 0 || un <= 0 {
-		t.Fatal("resistances must be positive")
-	}
-}
-
-func TestDispersionPenalty(t *testing.T) {
-	g := Table1()[2]
-	sh := DispersionPenaltyPs(g, true)
-	un := DispersionPenaltyPs(g, false)
-	if sh >= un {
-		t.Fatalf("unshielded return path should cost more edge: %0.2f vs %0.2f ps", sh, un)
-	}
-}
-
 func TestMaxUnshieldedLength(t *testing.T) {
 	g := Table1()[2]
 	max := MaxUnshieldedLengthCM(g)

@@ -22,9 +22,6 @@ const (
 	ClockHz = 10e9
 	// CyclePs is the clock period in picoseconds.
 	CyclePs = 100.0
-	// LambdaNM is the layout half-pitch unit used for transistor gate
-	// widths in Table 8 (lambda = half the drawn feature size).
-	LambdaNM = 22.5
 )
 
 // Params describes one conventional wiring layer.
@@ -75,9 +72,6 @@ const (
 	invR0 = 9000.0
 	// invC0 is the input capacitance of a minimum inverter, farads.
 	invC0 = 0.33e-15
-	// invMinWidthLambda is the summed gate width (N+P) of a minimum
-	// inverter in lambda.
-	invMinWidthLambda = 12.0
 	// repeaterDerate folds in the non-idealities the paper's sources
 	// charge real repeated wiring with — via resistance up to the
 	// repeater, repeater placement constrained by floorplan, and the
@@ -138,37 +132,6 @@ func UnrepeatedDelayPs(p Params, lengthMM float64) float64 {
 func EnergyPerTransitionJ(p Params, lengthMM float64) float64 {
 	return p.CPerMM * lengthMM * Vdd * Vdd
 }
-
-// RepeaterTransistors reports the transistor count and total gate width (in
-// lambda) of the repeaters on one repeated wire — the Table 8 inputs.
-func (w RepeatedWire) RepeaterTransistors() (count int, gateWidthLambda float64) {
-	// One inverter (2 transistors) per segment boundary.
-	n := w.Segments
-	return 2 * n, float64(n) * w.RepeaterSize * invMinWidthLambda
-}
-
-// RepeaterAreaMM2 estimates the substrate area consumed by the repeaters of
-// one wire. Large repeaters dominate; use gate width times a fixed device
-// pitch, plus well spacing overhead.
-func (w RepeaterAreaModel) RepeaterAreaMM2(rw RepeatedWire) float64 {
-	_, widthLambda := rw.RepeaterTransistors()
-	widthMM := widthLambda * LambdaNM * 1e-6
-	return widthMM * w.DeviceDepthMM * w.Overhead
-}
-
-// RepeaterAreaModel captures the substrate footprint per unit of repeater
-// gate width.
-type RepeaterAreaModel struct {
-	// DeviceDepthMM is the diffusion depth of a repeater row.
-	DeviceDepthMM float64
-	// Overhead multiplies for wells, taps, and the disciplined
-	// floorplanning slack the paper notes repeaters demand.
-	Overhead float64
-}
-
-// DefaultRepeaterArea is the repeater footprint model used by the Table 7
-// roll-up.
-var DefaultRepeaterArea = RepeaterAreaModel{DeviceDepthMM: 0.5e-3, Overhead: 2.0}
 
 // TrackPitchMM reports the layout pitch of one wire track (width+spacing).
 func (p Params) TrackPitchMM() float64 { return (p.WidthUM + p.SpacingUM) * 1e-3 }

@@ -84,25 +84,6 @@ func TestEnergyPerTransition(t *testing.T) {
 	}
 }
 
-func TestRepeaterTransistors(t *testing.T) {
-	w := Repeat(Global45(), 10)
-	count, width := w.RepeaterTransistors()
-	if count != 2*w.Segments {
-		t.Fatalf("transistor count %d, want 2 per segment", count)
-	}
-	if width <= 0 {
-		t.Fatal("gate width must be positive")
-	}
-}
-
-func TestRepeaterArea(t *testing.T) {
-	short := DefaultRepeaterArea.RepeaterAreaMM2(Repeat(Global45(), 2))
-	long := DefaultRepeaterArea.RepeaterAreaMM2(Repeat(Global45(), 20))
-	if long <= short {
-		t.Fatal("longer wires need more repeater area")
-	}
-}
-
 func TestChannelArea(t *testing.T) {
 	p := Global45()
 	// 128 tracks over 10 mm at 0.4 um pitch: 0.512 mm^2.

@@ -31,6 +31,20 @@ func warmPlan(spec workload.Spec, opt Options) (warmSeed int64, warm uint64) {
 	return warmSeed, warm
 }
 
+// WarmStream reports the warm plan of a run of benchmark under opt — the
+// seed its warm stream runs under and the warm length — and whether a lane
+// pass can share that stream with other designs: only a one-core run of a
+// known benchmark can (a CMP machine warms one stream per core; see
+// WarmLanes). Grid planners group points by it.
+func WarmStream(benchmark string, opt Options) (warmSeed int64, warm uint64, shared bool) {
+	spec, ok := workload.SpecByName(benchmark)
+	if !ok || opt.cmpConfig().Cores > 1 {
+		return 0, 0, false
+	}
+	warmSeed, warm = warmPlan(spec, opt)
+	return warmSeed, warm, true
+}
+
 // LaneStats reports what one lane-parallel pass covered.
 type LaneStats struct {
 	// Lanes is the number of distinct configurations the shared pass

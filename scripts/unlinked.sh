@@ -24,13 +24,16 @@ trap 'rm -rf "$tmp"' EXIT
 
 # Linked symbols, normalised to "importpath.Func" or "importpath.Recv.Method":
 # generic instantiation brackets and pointer-receiver parentheses dropped,
-# and each binary's "main." prefix replaced by its import path.
+# and each binary's "main." prefix replaced by its import path. The name is
+# everything after the address and type fields, since a generic symbol's
+# shape can hold spaces ("go.shape.struct { ... }").
 build_and_list() { # dir importpath
     local bin="$tmp/bin"
     (cd "$1" && go build -gcflags=all=-l -o "$bin" .)
     go tool nm "$bin" | awk -v main="$2" '
         $2 == "T" || $2 == "t" {
-            s = $3
+            s = $0
+            sub(/^[ \t]*[^ \t]+[ \t]+[^ \t]+[ \t]+/, "", s)
             while (match(s, /\[[^][]*\]/)) s = substr(s, 1, RSTART-1) substr(s, RSTART+RLENGTH)
             gsub(/\(\*/, "", s); gsub(/\)/, "", s)
             if (substr(s, 1, 5) == "main.") s = main substr(s, 5)
@@ -57,10 +60,12 @@ go list -f '{{$d := .Dir}}{{$p := .ImportPath}}{{range .GoFiles}}{{$p}} {{$d}}/{
                     r = substr(line, 2, index(line, ")") - 2)
                     line = substr(line, index(line, ")") + 1)
                     sub(/^ +/, "", line)
+                    # A generic receiver "c *Cache[K, V]" has spaces
+                    # inside its brackets: drop them before splitting.
+                    sub(/\[.*$/, "", r)
                     n = split(r, parts, " ")
                     recv = parts[n]
                     sub(/^\*/, "", recv)
-                    sub(/\[.*$/, "", recv)
                     recv = recv "."
                 }
                 match(line, /^[A-Za-z_][A-Za-z0-9_]*/)
