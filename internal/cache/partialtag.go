@@ -136,21 +136,6 @@ func (p *PartialTags) MatchCount(b mem.Block, bank int) int {
 	return n
 }
 
-// SyncSet makes bank's shadow of one set exactly match the given resident
-// lines, the resynchronization the DNUCA controller performs when a fill or
-// migration mutates a set.
-func (p *PartialTags) SyncSet(set, bank int, lines []Line) {
-	for way := 0; way < p.assoc; way++ {
-		p.entry[p.index(set, bank, way)] = 0
-	}
-	for _, ln := range lines {
-		if ln.Block.SetIndex(p.sets) != set {
-			panic("cache: SyncSet line from a different set")
-		}
-		p.entry[p.index(set, bank, ln.Way)] = p.key(ln.Block)
-	}
-}
-
 // Verify reports an error unless bank's shadow holds exactly the partial
 // tags of arr's valid lines, way for way, and no entry where arr's way is
 // invalid. Restoring a checkpoint calls it: the shadow decides which rows
@@ -164,16 +149,17 @@ func (p *PartialTags) Verify(bank int, arr *SetAssoc) error {
 	if bank < 0 || bank >= p.banks {
 		return fmt.Errorf("cache: partial-tag bank %d out of range", bank)
 	}
-	// Branch-free: OR together every entry's difference from what its line
-	// implies. A valid byte is 1 or 0, so its negation keeps a valid line's
-	// key and masks an invalid (sentinel) line's to the 0 its entry holds.
+	// OR together every entry's difference from what its line implies: a
+	// valid line's key, or 0 for an invalid (sentinel) line.
 	var diff uint8
-	shift := uint(p.setBits)
 	k, stride := bank*p.assoc, p.banks*p.assoc
-	for line := 0; line < len(arr.valid); line += p.assoc {
-		for way := 0; way < p.assoc; way++ {
-			want := ptagValid | uint8(uint64(arr.lines[line+way])>>shift&0x3f)
-			diff |= p.entry[k+way] ^ want&-arr.valid[line+way]
+	for line := 0; line < len(arr.lines); line += p.assoc {
+		for way, b := range arr.lines[line : line+p.assoc] {
+			var want uint8
+			if b != invalidLine {
+				want = p.key(b)
+			}
+			diff |= p.entry[k+way] ^ want
 		}
 		k += stride
 	}

@@ -43,7 +43,7 @@ func TestPartialTagClear(t *testing.T) {
 	p := NewPartialTags(sets, 2, 2)
 	b := blk(5, 3, sets)
 	p.Install(b, 1, 0)
-	p.SyncSet(b.SetIndex(sets), 1, nil) // the set's last line left bank 1
+	p.Clear(b, 1, 0) // the block left bank 1's way 0
 	if match, _ := p.Masks(b); match != 0 {
 		t.Fatal("cleared entry still matches")
 	}
@@ -76,9 +76,9 @@ func TestPartialTagIndexPanics(t *testing.T) {
 	p.Install(blk(1, 0, 16), 5, 0)
 }
 
-// Property: a partial tag structure kept in sync with a SetAssoc bank never
-// produces a false negative — any resident block is always a candidate in
-// its bank.
+// Property: a partial tag structure that records the way each insert
+// fills, as TLCopt's fills do, stays exact and never produces a false
+// negative — any resident block is always a candidate in its bank.
 func TestQuickPartialTagConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,22 +88,14 @@ func TestQuickPartialTagConsistency(t *testing.T) {
 		resident := map[mem.Block]bool{}
 		for step := 0; step < 200; step++ {
 			b := blk(uint64(rng.Intn(64)), rng.Intn(sets), sets)
-			victim, ev := bank.Insert(b)
+			idx, victim, ev := bank.InsertAt(b)
 			if ev {
 				delete(resident, victim)
 			}
 			resident[b] = true
-			// Rebuild the shadow entries for this set from the bank, as the
-			// DNUCA controller does on migration completion.
-			p.SyncSet(b.SetIndex(sets), 0, nil)
-			for rb := range resident {
-				if rb.SetIndex(sets) == b.SetIndex(sets) {
-					w, ok := bank.WayOf(rb)
-					if !ok {
-						return false
-					}
-					p.Install(rb, 0, w)
-				}
+			p.Install(b, 0, idx%assoc)
+			if p.Verify(0, bank) != nil {
+				return false
 			}
 			// No false negatives for any resident block.
 			for rb := range resident {
@@ -152,7 +144,7 @@ func TestMasksMatchesNaiveScan(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			b, bank, way := block(), rng.Intn(g.banks), rng.Intn(g.assoc)
 			if rng.Intn(3) == 0 {
-				p.SyncSet(b.SetIndex(g.sets), bank, nil)
+				p.Clear(b, bank, way)
 			} else {
 				p.Install(b, bank, way)
 			}
@@ -185,8 +177,8 @@ func TestVerifyRejectsInconsistentShadow(t *testing.T) {
 	p := NewPartialTags(sets, 2, assoc)
 	for i := 0; i < 12; i++ {
 		b := blk(uint64(i), i%sets, sets)
-		arr.Insert(b)
-		p.SyncSet(b.SetIndex(sets), 1, arr.AppendLinesIn(nil, b.SetIndex(sets)))
+		idx, _, _ := arr.InsertAt(b)
+		p.Install(b, 1, idx%assoc)
 	}
 	if err := p.Verify(1, arr); err != nil {
 		t.Fatalf("synced shadow rejected: %v", err)
@@ -200,13 +192,7 @@ func TestVerifyRejectsInconsistentShadow(t *testing.T) {
 	if err := p.Verify(1, arr); err == nil {
 		t.Fatal("shadow with a wrong tag accepted")
 	}
-	var missing []Line
-	for _, ln := range arr.AppendLinesIn(nil, 3) {
-		if ln.Block != b {
-			missing = append(missing, ln)
-		}
-	}
-	p.SyncSet(3, 1, missing)
+	p.Clear(b, 1, way)
 	if err := p.Verify(1, arr); err == nil {
 		t.Fatal("shadow missing a valid line accepted")
 	}

@@ -17,22 +17,20 @@ import (
 type SetAssoc struct {
 	sets  int
 	assoc int
-	// lines[set*assoc+way] holds the block in that line; valid gates it.
-	// Invariant: an invalid line always holds invalidLine, so the hot
-	// 2-way probes can decide a hit from the tag compare alone without
-	// loading the valid bytes. Snapshot normalizes the sentinel away, so
-	// the exported state (and old checkpoints) keep zeros there.
+	// lines[set*assoc+way] holds the block in that line, or invalidLine
+	// when the way is empty: the sentinel is the array's only validity
+	// mark, so one tag compare decides a hit. Snapshot exports it as a
+	// cleared Valid bit over a zero line, the layout checkpoints keep.
 	lines []mem.Block
-	valid []uint8
 	// lru[set*assoc+way] is the recency rank of the line: 0 = MRU,
 	// assoc-1 = LRU. Ranks within a set are always a permutation.
 	lru []uint8
 }
 
-// invalidLine marks an invalid way in the lines array. No real block takes
-// this value (the workload's address layout spans well under 2⁶⁴); the one
-// pathological caller — a hand-built trace referencing block ^0 — is routed
-// to the valid-checked generic paths instead.
+// invalidLine marks an invalid way in the lines array. No block reaches an
+// array with this value: the generator's blocks stay below 2⁵⁰, and the two
+// boundaries where outside input names blocks — trace.NewReader and the
+// restore of a SetAssocState — reject it.
 const invalidLine = ^mem.Block(0)
 
 // NewSetAssoc returns an empty array with the given geometry. Sets must be
@@ -49,7 +47,6 @@ func NewSetAssoc(sets, assoc int) *SetAssoc {
 		sets:  sets,
 		assoc: assoc,
 		lines: make([]mem.Block, n),
-		valid: make([]uint8, n),
 		lru:   make([]uint8, n),
 	}
 	for i := range c.lines {
@@ -121,7 +118,7 @@ func (c *SetAssoc) InsertAt(b mem.Block) (idx int, victim mem.Block, evicted boo
 	// Prefer an invalid way; otherwise evict the LRU way.
 	way := -1
 	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] == 0 {
+		if c.lines[base+w] == invalidLine {
 			way = w
 			break
 		}
@@ -137,7 +134,6 @@ func (c *SetAssoc) InsertAt(b mem.Block) (idx int, victim mem.Block, evicted boo
 		evicted = true
 	}
 	c.lines[base+way] = b
-	c.valid[base+way] = 1
 	c.promote(set, base+way)
 	return base + way, victim, evicted
 }
@@ -148,7 +144,7 @@ func (c *SetAssoc) InsertAt(b mem.Block) (idx int, victim mem.Block, evicted boo
 // State evolution is identical to TouchAt followed by InsertAt on miss — the
 // warm fast path uses it to halve the set searches of the scalar sequence.
 func (c *SetAssoc) TouchOrInsertAt(b mem.Block) (idx int, hit bool, victim mem.Block, evicted bool) {
-	if c.assoc == 2 && b != invalidLine {
+	if c.assoc == 2 {
 		// The split L1s are 2-way; a direct two-line compare with one-bit
 		// recency beats the generic way loop on the warm fast path. Which
 		// way holds a block is data-random, so the way select is arranged
@@ -157,8 +153,7 @@ func (c *SetAssoc) TouchOrInsertAt(b mem.Block) (idx int, hit bool, victim mem.B
 		// the hot case pays one call, not two.
 		base := b.SetIndex(c.sets) * 2
 		lines := c.lines[base : base+2]
-		// y is zero iff the way holds b; the invalidLine invariant makes
-		// the tag compare alone authoritative.
+		// y is zero iff the way holds b.
 		y0 := uint64(lines[0]) ^ uint64(b)
 		y1 := uint64(lines[1]) ^ uint64(b)
 		ymin := y0
@@ -186,17 +181,15 @@ func (c *SetAssoc) TouchOrInsertAt(b mem.Block) (idx int, hit bool, victim mem.B
 	// One pass finds b, the first invalid way, and the LRU way together.
 	invalid, lruWay := -1, -1
 	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] == 0 {
+		switch l := c.lines[base+w]; {
+		case l == b:
+			c.promote(set, base+w)
+			return base + w, true, 0, false
+		case l == invalidLine:
 			if invalid == -1 {
 				invalid = w
 			}
-			continue
-		}
-		if c.lines[base+w] == b {
-			c.promote(set, base+w)
-			return base + w, true, 0, false
-		}
-		if c.lru[base+w] == uint8(c.assoc-1) {
+		case c.lru[base+w] == uint8(c.assoc-1):
 			lruWay = w
 		}
 	}
@@ -207,7 +200,6 @@ func (c *SetAssoc) TouchOrInsertAt(b mem.Block) (idx int, hit bool, victim mem.B
 		evicted = true
 	}
 	c.lines[base+way] = b
-	c.valid[base+way] = 1
 	c.promote(set, base+way)
 	return base + way, false, victim, evicted
 }
@@ -218,8 +210,8 @@ func (c *SetAssoc) TouchOrInsertAt(b mem.Block) (idx int, hit bool, victim mem.B
 // is identical to the generic path.
 func (c *SetAssoc) insert2(b mem.Block, base int) (idx int, hit bool, victim mem.Block, evicted bool) {
 	way := base
-	if c.valid[base] != 0 {
-		if c.valid[base+1] == 0 {
+	if c.lines[base] != invalidLine {
+		if c.lines[base+1] == invalidLine {
 			way = base + 1
 		} else {
 			if c.lru[base] != 1 {
@@ -230,7 +222,6 @@ func (c *SetAssoc) insert2(b mem.Block, base int) (idx int, hit bool, victim mem
 		}
 	}
 	c.lines[way] = b
-	c.valid[way] = 1
 	if way == base {
 		c.lru[base], c.lru[base+1] = 0, 1
 	} else {
@@ -256,7 +247,6 @@ func (c *SetAssoc) Remove(b mem.Block) bool {
 		}
 	}
 	c.lru[idx] = uint8(c.assoc - 1)
-	c.valid[idx] = 0
 	c.lines[idx] = invalidLine
 	return true
 }
@@ -271,7 +261,7 @@ func (c *SetAssoc) VictimOf(b mem.Block) (victim mem.Block, ok bool) {
 	set := b.SetIndex(c.sets)
 	base := set * c.assoc
 	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] == 0 {
+		if c.lines[base+w] == invalidLine {
 			return 0, false
 		}
 	}
@@ -287,7 +277,7 @@ func (c *SetAssoc) VictimOf(b mem.Block) (victim mem.Block, ok bool) {
 func (c *SetAssoc) find(b mem.Block) (int, bool) {
 	base := b.SetIndex(c.sets) * c.assoc
 	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] != 0 && c.lines[base+w] == b {
+		if c.lines[base+w] == b {
 			return base + w, true
 		}
 	}
@@ -320,15 +310,14 @@ type Line struct {
 
 // AppendLinesIn appends the valid lines of a set to dst, in way order, and
 // returns the extended slice. Passing a reused buffer (dst[:0] with capacity
-// >= assoc) keeps the resynchronization path allocation-free — it is the
-// hottest call on the fill/migration path.
+// >= assoc) keeps a walk over every set allocation-free.
 func (c *SetAssoc) AppendLinesIn(dst []Line, set int) []Line {
 	if set < 0 || set >= c.sets {
 		panic(fmt.Sprintf("cache: set %d out of range", set))
 	}
 	base := set * c.assoc
 	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] != 0 {
+		if c.lines[base+w] != invalidLine {
 			dst = append(dst, Line{Way: w, Block: c.lines[base+w]})
 		}
 	}

@@ -6,10 +6,10 @@ import (
 	"tlc/internal/mem"
 )
 
-// SetAssocState is a deep copy of a SetAssoc's contents: lines, valid bits,
-// and LRU ranks, in the array's own (set*assoc+way) layout. Geometry is
-// carried so Restore can reject a state captured from a differently shaped
-// array. Fields are exported for gob encoding by the on-disk checkpoint
+// SetAssocState is a deep copy of a SetAssoc's contents: lines, valid bits
+// (derived from the array's invalid-line sentinel), and LRU ranks, in the
+// array's own (set*assoc+way) layout. Geometry is carried so Restore can
+// reject a state captured from a differently shaped array. Fields are exported for gob encoding by the on-disk checkpoint
 // store; the block type is an integer, so the copy is bit-exact.
 type SetAssocState struct {
 	Sets  int
@@ -27,17 +27,14 @@ func (c *SetAssoc) Snapshot() SetAssocState {
 		Sets:  c.sets,
 		Assoc: c.assoc,
 		Lines: make([]mem.Block, len(c.lines)),
-		Valid: make([]bool, len(c.valid)),
+		Valid: make([]bool, len(c.lines)),
 		LRU:   make([]uint8, len(c.lru)),
 	}
-	copy(st.Lines, c.lines)
-	for i, v := range c.valid {
-		st.Valid[i] = v != 0
-		if v == 0 {
-			// Normalize the internal invalid-line sentinel away: exported
-			// states (and the on-disk checkpoints built from them) keep
-			// zeros in invalid ways, as they always have.
-			st.Lines[i] = 0
+	// The exported layout carries validity apart: an invalid way exports
+	// a cleared Valid bit over a zero line, as checkpoints always have.
+	for i, b := range c.lines {
+		if b != invalidLine {
+			st.Lines[i], st.Valid[i] = b, true
 		}
 	}
 	copy(st.LRU, c.lru)
@@ -61,14 +58,9 @@ func (c *SetAssoc) Restore(st SetAssocState) error {
 	if err := st.checkContents(); err != nil {
 		return err
 	}
-	copy(c.lines, st.Lines)
 	for i, v := range st.Valid {
-		if v {
-			c.valid[i] = 1
-		} else {
-			// Re-establish the invalid-line sentinel the exported form
-			// (and any checkpoint written before it existed) stores as 0.
-			c.valid[i] = 0
+		c.lines[i] = st.Lines[i]
+		if !v {
 			c.lines[i] = invalidLine
 		}
 	}
@@ -79,8 +71,8 @@ func (c *SetAssoc) Restore(st SetAssocState) error {
 // checkContents verifies what the access paths assume of a restored
 // array, so a corrupt checkpoint is rejected instead of panicking later:
 // each set's recency ranks are a permutation of 0..assoc-1 (victim
-// selection looks for rank assoc-1), and every valid line sits in the set
-// its block maps to.
+// selection looks for rank assoc-1), and every valid line holds a block
+// other than the invalidLine sentinel, in the set that block maps to.
 func (st SetAssocState) checkContents() error {
 	seen := make([]bool, st.Assoc)
 	for s := 0; s < st.Sets; s++ {
@@ -92,7 +84,13 @@ func (st SetAssocState) checkContents() error {
 				return fmt.Errorf("cache: set %d recency ranks are not a permutation", s)
 			}
 			seen[r] = true
-			if st.Valid[i] && st.Lines[i].SetIndex(st.Sets) != s {
+			if !st.Valid[i] {
+				continue
+			}
+			if st.Lines[i] == invalidLine {
+				return fmt.Errorf("cache: set %d holds the reserved block %#x", s, st.Lines[i])
+			}
+			if st.Lines[i].SetIndex(st.Sets) != s {
 				return fmt.Errorf("cache: block %#x stored in set %d", st.Lines[i], s)
 			}
 		}
@@ -122,10 +120,10 @@ func (p *PartialTags) Snapshot() PartialTagsState {
 		Tags:  make([]uint8, len(p.entry)),
 		Valid: make([]bool, len(p.entry)),
 	}
-	tags, valid := st.Tags[:len(p.entry)], st.Valid[:len(p.entry)]
+	tags, live := st.Tags[:len(p.entry)], st.Valid[:len(p.entry)]
 	for i, e := range p.entry {
 		tags[i] = e &^ ptagValid
-		valid[i] = e != 0
+		live[i] = e != 0
 	}
 	return st
 }

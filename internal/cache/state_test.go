@@ -106,8 +106,9 @@ func TestSetAssocRestoreRejectsGeometryMismatch(t *testing.T) {
 
 // TestSetAssocRestoreRejectsCorruptContents pins the content checks a
 // checkpoint read from disk must pass: recency ranks that are not a
-// permutation would leave victim selection without an LRU way, and a line
-// stored outside its set would never be found. Either fails the restore
+// permutation would leave victim selection without an LRU way, a line
+// stored outside its set would never be found, and a valid line holding the
+// invalid-line sentinel would read as an empty way. Each fails the restore
 // before the array changes.
 func TestSetAssocRestoreRejectsCorruptContents(t *testing.T) {
 	c := NewSetAssoc(64, 8)
@@ -127,7 +128,13 @@ func TestSetAssocRestoreRejectsCorruptContents(t *testing.T) {
 	bigRank.LRU[0] = 8
 	misplaced := clone()
 	misplaced.Lines[0] = 1 // set 0 holds a set-1 block
-	for name, st := range map[string]SetAssocState{"duplicate rank": dupRank, "rank >= assoc": bigRank, "misplaced line": misplaced} {
+	// A valid line naming the block the array reserves as its empty-way
+	// mark, in the set that block maps to.
+	reserved := clone()
+	reserved.Lines[63*8] = ^mem.Block(0)
+	for name, st := range map[string]SetAssocState{
+		"duplicate rank": dupRank, "rank >= assoc": bigRank, "misplaced line": misplaced, "reserved block": reserved,
+	} {
 		dst := NewSetAssoc(64, 8)
 		if err := dst.Restore(st); err == nil {
 			t.Errorf("%s: restore accepted a corrupt state", name)
@@ -149,7 +156,7 @@ func TestPartialTagsSnapshotRestoreRoundTrip(t *testing.T) {
 		bank := rng.Intn(4)
 		way := rng.Intn(8)
 		if rng.Intn(5) == 0 {
-			p.SyncSet(b.SetIndex(32), bank, nil)
+			p.Clear(b, bank, way)
 		} else {
 			p.Install(b, bank, way)
 		}

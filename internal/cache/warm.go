@@ -55,12 +55,12 @@ func (c *SetAssoc) WarmSweep(refs []WarmRef, dirty []uint8, spill []mem.Block) [
 // decisions is arranged as a conditional move or a masked increment rather
 // than a branch. A hit degenerates to re-installing the same block over
 // itself and a no-op spill store that the length counter never admits; a
-// miss picks the first invalid way (the invalidLine sentinel identifies
-// them without loading valid bytes), else the LRU way — the same choice the
-// generic path makes. The caller guarantees spill headroom of two slots per
-// reference, so the spill writes are plain indexed stores.
+// miss picks the first invalid way (one holding the invalidLine sentinel),
+// else the LRU way — the same choice the generic path makes. The caller
+// guarantees spill headroom of two slots per reference, so the spill writes
+// are plain indexed stores.
 func (c *SetAssoc) warmSweep2(refs []WarmRef, dirty []uint8, spill []mem.Block) []mem.Block {
-	lines, valid, lru := c.lines, c.valid, c.lru
+	lines, lru := c.lines, c.lru
 	sets := c.sets
 	sp := spill[:cap(spill)]
 	sl := len(spill)
@@ -69,25 +69,6 @@ func (c *SetAssoc) warmSweep2(refs []WarmRef, dirty []uint8, spill []mem.Block) 
 		var st uint8
 		if refs[i].Store {
 			st = 1
-		}
-		if b == invalidLine {
-			// The sentinel value cannot use the tag-only probe; route it
-			// through the valid-checked generic paths.
-			idx, hit, victim, evicted := c.TouchOrInsertAt(b)
-			if hit {
-				dirty[idx] |= st
-				continue
-			}
-			if evicted && dirty[idx] != 0 {
-				sp[sl] = victim
-				sl++
-			}
-			dirty[idx] = st
-			if st == 0 {
-				sp[sl] = b
-				sl++
-			}
-			continue
 		}
 		base := b.SetIndex(sets) * 2
 		l0 := lines[base]
@@ -112,7 +93,6 @@ func (c *SetAssoc) warmSweep2(refs []WarmRef, dirty []uint8, spill []mem.Block) 
 		w := base + int(wBit)
 		victim := lines[w]
 		lines[w] = b
-		valid[w] = 1
 		lru[base] = uint8(wBit)
 		lru[base+1] = 1 - uint8(wBit)
 		// The victim's dirty bit is read before the line's new state

@@ -116,12 +116,6 @@ type Snapshotter interface {
 	RestoreState(State) error
 }
 
-// LookupLatency reports the lookup portion of an outcome relative to its
-// issue time.
-func LookupLatency(at sim.Time, o Outcome) uint64 {
-	return uint64(o.ResolveAt - at)
-}
-
 // Memory abstracts the main memory behind the L2: Fetch returns when a
 // missed block's data is back at the cache controller. The default is
 // FlatMemory (the paper's Table 3 fixed latency); internal/dram provides a

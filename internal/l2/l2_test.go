@@ -70,13 +70,6 @@ func TestEmptyStats(t *testing.T) {
 	}
 }
 
-func TestLookupLatency(t *testing.T) {
-	o := Outcome{ResolveAt: 113}
-	if got := LookupLatency(100, o); got != 13 {
-		t.Fatalf("lookup latency %d, want 13", got)
-	}
-}
-
 func TestMemLatencyJitterProperties(t *testing.T) {
 	// Jitter stays within +/-16 of the base and is deterministic.
 	for b := mem.Block(0); b < 10000; b++ {

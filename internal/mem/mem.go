@@ -8,22 +8,10 @@ import "fmt"
 // BlockBytes is the cache block size used throughout the paper (Table 3).
 const BlockBytes = 64
 
-// blockShift is log2(BlockBytes).
-const blockShift = 6
-
-// Addr is a physical byte address.
-type Addr uint64
-
 // Block is a block-aligned address identifier: the address with the
 // block-offset bits removed. Two addresses in the same 64-byte block map to
 // the same Block.
 type Block uint64
-
-// BlockOf reports the block containing a.
-func BlockOf(a Addr) Block { return Block(a >> blockShift) }
-
-// Addr reports the first byte address of the block.
-func (b Block) Addr() Addr { return Addr(b) << blockShift }
 
 // SetIndex reports the cache-set index for this block in a cache with the
 // given number of sets. Sets must be a power of two.

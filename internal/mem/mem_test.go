@@ -5,29 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestBlockOf(t *testing.T) {
-	if BlockOf(0) != 0 {
-		t.Fatal("address 0 not in block 0")
-	}
-	if BlockOf(63) != 0 {
-		t.Fatal("address 63 should still be block 0")
-	}
-	if BlockOf(64) != 1 {
-		t.Fatal("address 64 should be block 1")
-	}
-	if BlockOf(0x1000) != 0x40 {
-		t.Fatalf("BlockOf(0x1000)=%#x, want 0x40", BlockOf(0x1000))
-	}
-}
-
-func TestBlockAddrRoundTrip(t *testing.T) {
-	for _, b := range []Block{0, 1, 7, 1 << 20} {
-		if BlockOf(b.Addr()) != b {
-			t.Fatalf("round trip failed for block %d", b)
-		}
-	}
-}
-
 func TestSetIndexAndTag(t *testing.T) {
 	const sets = 1024
 	b := Block(0x12345)

@@ -153,11 +153,16 @@ const kmeansIters = 64
 // feats holds one row per window (equal lengths, CPI proxy last); instr
 // the per-window instruction counts (summing to total). opt must have
 // passed Validate. The result is bit-deterministic in (key, inputs).
-func BuildProfile(key string, total uint64, opt Options, feats [][]float64, instr []uint64) Profile {
+// cancel, when non-nil, is polled once per clustering iteration; its first
+// non-nil error abandons the clustering and is returned.
+func BuildProfile(key string, total uint64, opt Options, feats [][]float64, instr []uint64, cancel func() error) (Profile, error) {
 	w := opt.PhaseWindows
 	k := opt.PhaseClusters
 	norm := normalize(feats)
-	assign := kmeans(norm, k, newPhaseRNG(key))
+	assign, err := kmeans(norm, k, newPhaseRNG(key), cancel)
+	if err != nil {
+		return Profile{}, err
+	}
 
 	// Compact away empty clusters and pick each survivor's representative:
 	// the member window closest to the cluster's feature mean (lowest
@@ -219,7 +224,7 @@ func BuildProfile(key string, total uint64, opt Options, feats [][]float64, inst
 		Assign:   assign,
 		Reps:     reps,
 		Weights:  weights,
-	}
+	}, nil
 }
 
 // normalize z-scores each feature column (population moments); a constant
@@ -255,8 +260,10 @@ func normalize(feats [][]float64) [][]float64 {
 
 // kmeans runs k-means++ seeding plus bounded Lloyd iterations. Every
 // data-dependent choice is deterministic: the rng is the caller's seeded
-// stream and ties break toward the lowest index.
-func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
+// stream and ties break toward the lowest index. Each seeding round and
+// each Lloyd iteration first polls cancel (when non-nil) and stops with
+// its error.
+func kmeans(points [][]float64, k int, rng *phaseRNG, cancel func() error) ([]int, error) {
 	n := len(points)
 	cols := len(points[0])
 	centroids := make([][]float64, 0, k)
@@ -272,6 +279,9 @@ func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
 		d2[i] = math.Inf(1)
 	}
 	for len(centroids) < k {
+		if err := poll(cancel); err != nil {
+			return nil, err
+		}
 		newest := centroids[len(centroids)-1]
 		var totalD float64
 		for i, p := range points {
@@ -315,6 +325,9 @@ func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
 		sums[c] = make([]float64, cols)
 	}
 	for iter := 0; iter < kmeansIters; iter++ {
+		if err := poll(cancel); err != nil {
+			return nil, err
+		}
 		changed := false
 		for i, p := range points {
 			best, bestD := 0, math.Inf(1)
@@ -353,7 +366,15 @@ func kmeans(points [][]float64, k int, rng *phaseRNG) []int {
 			}
 		}
 	}
-	return assign
+	return assign, nil
+}
+
+// poll reports cancel's verdict, or nil when there is no cancel func.
+func poll(cancel func() error) error {
+	if cancel == nil {
+		return nil
+	}
+	return cancel()
 }
 
 func sqDist(a, b []float64) float64 {

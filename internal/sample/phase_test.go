@@ -105,8 +105,8 @@ func phaseFixture(windows int) ([][]float64, []uint64, uint64) {
 func TestBuildProfileDeterministicAndValid(t *testing.T) {
 	feats, instr, total := phaseFixture(40)
 	opt := Options{PhaseWindows: 40, PhaseClusters: 14}
-	a := BuildProfile("content-key", total, opt, feats, instr)
-	b := BuildProfile("content-key", total, opt, feats, instr)
+	a, _ := BuildProfile("content-key", total, opt, feats, instr, nil)
+	b, _ := BuildProfile("content-key", total, opt, feats, instr, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("BuildProfile is not deterministic for a fixed key")
 	}
@@ -135,7 +135,7 @@ func TestBuildProfileDeterministicAndValid(t *testing.T) {
 func TestProfileCheckRejects(t *testing.T) {
 	feats, instr, total := phaseFixture(40)
 	opt := Options{PhaseWindows: 40, PhaseClusters: 14}
-	good := BuildProfile("k", total, opt, feats, instr)
+	good, _ := BuildProfile("k", total, opt, feats, instr, nil)
 
 	mutate := func(f func(*Profile)) Profile {
 		p := good
@@ -191,7 +191,7 @@ func (f *scriptedTarget) Interval(i int, n uint64) cpu.Result {
 func TestPhasePlanTimesRepresentativesOnly(t *testing.T) {
 	feats, instr, total := phaseFixture(12)
 	opt := Options{PhaseWindows: 12, PhaseClusters: 4}
-	p := BuildProfile("k", total, opt, feats, instr)
+	p, _ := BuildProfile("k", total, opt, feats, instr, nil)
 
 	ft := &scriptedTarget{}
 	for w := 0; w < 12; w++ {

@@ -243,7 +243,10 @@ func FuzzSamplePlan(f *testing.F) {
 				x := float64((uint64(w)*2654435761 ^ total) % 7)
 				feats[w] = []float64{x, float64(w % 3), 1 + x/4}
 			}
-			p := BuildProfile("fuzz", total, opt, feats, WindowLengths(total, windows))
+			p, err := BuildProfile("fuzz", total, opt, feats, WindowLengths(total, windows), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := p.Check(total, opt); err != nil {
 				t.Fatalf("built profile fails its own Check: %v", err)
 			}

@@ -44,11 +44,9 @@ func PerKilo(events, units uint64) float64 {
 
 // Histogram is an exact integer-valued histogram. Cache lookup latencies
 // span a small range (a few to a few hundred cycles), so dense bucketing up
-// to a cap with an overflow bucket is both exact and cheap.
+// to a cap is both exact and cheap.
 type Histogram struct {
 	buckets  []uint64 // buckets[v] = count of samples with value v, v < cap
-	overflow uint64   // samples >= len(buckets)
-	ovSum    uint64   // sum of overflow sample values
 	count    uint64
 	sum      uint64
 	min, max uint64
@@ -76,9 +74,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	if v < uint64(len(h.buckets)) {
 		h.buckets[v]++
-	} else {
-		h.overflow++
-		h.ovSum += v
 	}
 }
 
@@ -106,28 +101,6 @@ func (h *Histogram) Min() uint64 {
 
 // Max reports the largest sample, or 0 with no samples.
 func (h *Histogram) Max() uint64 { return h.max }
-
-// CountAtMost reports how many samples were <= v. Overflow samples (values
-// at or above the bucket cap) are tracked only in aggregate, so they are
-// counted once v reaches the observed maximum — every sample is <= Max by
-// definition. For cap <= v < Max the overflow samples' individual values
-// are unknown and none are counted, making the result an exact lower bound
-// that is monotone in v and exact at both extremes:
-// CountAtMost(Max()) == Count().
-func (h *Histogram) CountAtMost(v uint64) uint64 {
-	var n uint64
-	limit := v
-	if limit >= uint64(len(h.buckets)) {
-		limit = uint64(len(h.buckets)) - 1
-	}
-	for i := uint64(0); i <= limit; i++ {
-		n += h.buckets[i]
-	}
-	if v >= h.max {
-		n += h.overflow
-	}
-	return n
-}
 
 // Percentile reports the smallest value v such that at least p (0..1) of
 // the samples are <= v. p is clamped to [0,1] (and NaN treated as 0), so an
@@ -158,34 +131,11 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	return h.max
 }
 
-// StdDev reports the sample standard deviation. Overflow samples fold in
-// at their exact mean (ovSum/overflow) rather than the cap value, so a few
-// far outliers no longer bias the spread low; only their within-overflow
-// variance is approximated away.
-func (h *Histogram) StdDev() float64 {
-	if h.count < 2 {
-		return 0
-	}
-	mean := h.Mean()
-	var ss float64
-	for v, c := range h.buckets {
-		d := float64(v) - mean
-		ss += d * d * float64(c)
-	}
-	if h.overflow > 0 {
-		d := float64(h.ovSum)/float64(h.overflow) - mean
-		ss += d * d * float64(h.overflow)
-	}
-	return math.Sqrt(ss / float64(h.count))
-}
-
 // Reset clears all samples.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i] = 0
 	}
-	h.overflow = 0
-	h.ovSum = 0
 	h.count = 0
 	h.sum = 0
 	h.min = math.MaxUint64

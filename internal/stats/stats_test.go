@@ -57,8 +57,12 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Min() != 10 || h.Max() != 16 {
 		t.Fatalf("min/max %d/%d, want 10/16", h.Min(), h.Max())
 	}
-	if h.CountAtMost(13) != 4 {
-		t.Fatalf("CountAtMost(13)=%d, want 4", h.CountAtMost(13))
+	// Four of the six samples are <= 13, three are <= 10.
+	if got := h.Percentile(0.6); got != 13 {
+		t.Fatalf("p60 %d, want 13", got)
+	}
+	if got := h.Percentile(0.5); got != 10 {
+		t.Fatalf("p50 %d, want 10", got)
 	}
 }
 
@@ -82,8 +86,13 @@ func TestHistogramOverflowKeepsExactMean(t *testing.T) {
 	if h.Max() != 1000 {
 		t.Fatalf("max %d, want 1000", h.Max())
 	}
-	if h.CountAtMost(999) != 1 {
-		t.Fatal("overflow values must not appear in exact buckets")
+	// The overflow sample sits in no exact bucket: the median is the one
+	// in-range sample, and the top percentile reports the observed max.
+	if got := h.Percentile(0.5); got != 5 {
+		t.Fatalf("p50 %d, want 5", got)
+	}
+	if got := h.Percentile(1); got != 1000 {
+		t.Fatalf("p100 %d, want 1000", got)
 	}
 }
 
@@ -117,23 +126,8 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestHistogramStdDev(t *testing.T) {
-	h := NewHistogram(32)
-	for _, v := range []uint64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Observe(v)
-	}
-	if got := h.StdDev(); math.Abs(got-2.0) > 1e-9 {
-		t.Fatalf("stddev %v, want 2.0", got)
-	}
-	single := NewHistogram(8)
-	single.Observe(3)
-	if single.StdDev() != 0 {
-		t.Fatal("single-sample stddev should be 0")
-	}
-}
-
 // Property: for any sample set, mean is sum/count exactly, min <= p50 <= max
-// for in-range data, and CountAtMost is monotone.
+// for in-range data, p100 is the max, and Percentile is monotone in p.
 func TestQuickHistogramInvariants(t *testing.T) {
 	f := func(raw []uint8) bool {
 		h := NewHistogram(256)
@@ -149,17 +143,17 @@ func TestQuickHistogramInvariants(t *testing.T) {
 			if p := h.Percentile(0.5); p < h.Min() || p > h.Max() {
 				return false
 			}
-			if h.CountAtMost(h.Max()) != h.Count() {
+			if h.Percentile(1) != h.Max() {
 				return false
 			}
 		}
 		var prev uint64
-		for v := uint64(0); v < 256; v += 17 {
-			c := h.CountAtMost(v)
-			if c < prev {
+		for p := 0.0; p <= 1; p += 0.0625 {
+			v := h.Percentile(p)
+			if v < prev {
 				return false
 			}
-			prev = c
+			prev = v
 		}
 		return true
 	}
@@ -229,45 +223,31 @@ func TestPercentileClampsP(t *testing.T) {
 	}
 }
 
-func TestCountAtMostIncludesOverflow(t *testing.T) {
-	// Samples 2, 50, 80 with cap 10: 50 and 80 land in the overflow bucket.
-	// CountAtMost used to drop them entirely, so CountAtMost(Max()) < Count().
+func TestPercentileCountsOverflow(t *testing.T) {
+	// Samples 2, 50, 80 with cap 10: 50 and 80 land in no exact bucket but
+	// still count toward every percentile's target, so the in-range sample
+	// covers only the first third of the distribution.
 	h := NewHistogram(10)
 	h.Observe(2)
 	h.Observe(50)
 	h.Observe(80)
-
 	cases := []struct {
-		v    uint64
+		p    float64
 		want uint64
 	}{
-		{1, 0},   // below the only in-range sample
-		{2, 1},   // exact in-range count
-		{9, 1},   // top in-range bucket: overflow values unknown, excluded
-		{50, 1},  // cap <= v < max: still a lower bound, overflow excluded
-		{79, 1},  // one below max
-		{80, 3},  // at the observed max every sample qualifies
-		{100, 3}, // beyond max
+		{0, 2},
+		{0.3, 2},   // within the in-range third
+		{0.34, 80}, // past it: among the overflow samples, reported as max
+		{0.5, 80},
+		{1, 80},
 	}
 	for _, c := range cases {
-		if got := h.CountAtMost(c.v); got != c.want {
-			t.Errorf("CountAtMost(%d) = %d, want %d", c.v, got, c.want)
+		if got := h.Percentile(c.p); got != c.want {
+			t.Errorf("Percentile(%v) = %d, want %d", c.p, got, c.want)
 		}
 	}
-	if h.CountAtMost(h.Max()) != h.Count() {
-		t.Error("CountAtMost(Max()) must equal Count() even with overflow")
-	}
-}
-
-func TestCountAtMostAllOverflow(t *testing.T) {
-	h := NewHistogram(4)
-	h.Observe(100)
-	h.Observe(200)
-	if got := h.CountAtMost(99); got != 0 {
-		t.Errorf("CountAtMost(99) = %d, want 0", got)
-	}
-	if got := h.CountAtMost(200); got != 2 {
-		t.Errorf("CountAtMost(200) = %d, want 2", got)
+	if got := h.Mean(); got != 44 {
+		t.Errorf("mean %v, want 44 (overflow samples at their exact values)", got)
 	}
 }
 
@@ -289,42 +269,33 @@ func TestPercentileReachesOverflow(t *testing.T) {
 	h2 := NewHistogram(4)
 	h2.Observe(70)
 	h2.Observe(90)
-	for _, p := range []float64{0.01, 0.5, 1.0} {
+	for _, p := range []float64{0, 0.01, 0.5, 1.0} {
 		if got := h2.Percentile(p); got != 90 {
 			t.Errorf("all-overflow Percentile(%v) = %d, want 90", p, got)
 		}
 	}
+	if h2.Min() != 70 || h2.Mean() != 80 {
+		t.Errorf("all-overflow min/mean %d/%v, want 70/80", h2.Min(), h2.Mean())
+	}
 }
 
-func TestStdDevUsesOverflowMean(t *testing.T) {
-	// Two samples: 0 and 1000, cap 10. The exact stddev is 500. Folding
-	// the overflow sample in at the cap value (10) used to report ~5.
-	h := NewHistogram(10)
-	h.Observe(0)
-	h.Observe(1000)
-	if got, want := h.StdDev(), 500.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("StdDev = %v, want %v (overflow folded at its exact mean)", got, want)
+func TestPercentileAllOverflow(t *testing.T) {
+	// Samples 100 and 200 with cap 4: no sample lands in an exact bucket,
+	// yet every sample is counted, and every percentile reports the
+	// observed max rather than a value below the smallest sample.
+	h := NewHistogram(4)
+	h.Observe(100)
+	h.Observe(200)
+	if h.Count() != 2 {
+		t.Fatalf("count %d, want 2", h.Count())
 	}
-
-	// Several overflow samples fold in at their mean, not individually:
-	// samples 0, 90, 110 with cap 10 -> overflow mean 100, exact stddev of
-	// {0,100,100} model.
-	h2 := NewHistogram(10)
-	h2.Observe(0)
-	h2.Observe(90)
-	h2.Observe(110)
-	mean := h2.Mean() // 200/3
-	want := math.Sqrt((mean*mean + 2*(100-mean)*(100-mean)) / 3)
-	if got := h2.StdDev(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("StdDev = %v, want %v", got, want)
+	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
+		if got := h.Percentile(p); got != 200 {
+			t.Errorf("Percentile(%v) = %d, want 200", p, got)
+		}
 	}
-
-	// In-range-only histograms are unaffected.
-	h3 := NewHistogram(100)
-	h3.Observe(4)
-	h3.Observe(6)
-	if got := h3.StdDev(); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("in-range StdDev = %v, want 1", got)
+	if h.Min() != 100 || h.Max() != 200 || h.Mean() != 150 {
+		t.Errorf("min/max/mean %d/%d/%v, want 100/200/150", h.Min(), h.Max(), h.Mean())
 	}
 }
 

@@ -62,15 +62,12 @@ type Cache struct {
 	// bankPorts[b] is the contended port of physical bank b.
 	bankPorts []*cache.Bank
 	pairs     []*pairLinks
-	sets      int
 	// groupBits is log2 of the group count: the width of the group hash.
 	groupBits int
 
-	// bankScratch is the reused buffer banksOf writes into; lineScratch is
-	// the reused buffer for partial-tag resyncs. Both keep the per-access
-	// path allocation-free.
+	// bankScratch is the reused buffer banksOf writes into, keeping the
+	// per-access path allocation-free.
 	bankScratch []int
-	lineScratch []cache.Line
 
 	// noise, when set, injects line errors checked by end-to-end ECC.
 	noise *Noise
@@ -108,10 +105,8 @@ func New(d config.Design, memLat sim.Time) *Cache {
 		Stats:       l2.NewStats(),
 		p:           p,
 		memory:      l2.FlatMemory{Latency: memLat},
-		sets:        sets,
 		groupBits:   mem.Log2(groups),
 		bankScratch: make([]int, 0, p.BanksPerBlock),
-		lineScratch: make([]cache.Line, 0, 4),
 	}
 	for g := 0; g < groups; g++ {
 		c.groups = append(c.groups, cache.NewSetAssoc(sets, 4))
@@ -382,11 +377,9 @@ func (c *Cache) write(at sim.Time, g int, local mem.Block) {
 		arrive := start + c.p.TLCycles + (flits - 1)
 		c.bankPorts[b].Reserve(arrive)
 	}
-	victim, evicted := c.groups[g].Insert(local)
-	if evicted {
+	if victim, evicted := c.install(g, local); evicted {
 		c.writeback(at, g, victim)
 	}
-	c.syncPTag(g, local)
 }
 
 // fill installs a memory fill, reusing the write path.
@@ -405,28 +398,27 @@ func (c *Cache) writeback(at sim.Time, g int, victim mem.Block) {
 		pr.up.Reserve(at, flits)
 		pr.upFlits += uint64(flits)
 	}
-	c.syncPTag(g, victim)
 }
 
-// syncPTag resynchronizes the partial-tag shadow of the set holding local.
-func (c *Cache) syncPTag(g int, local mem.Block) {
-	if !c.p.PartialTagInBank {
-		return
+// install places local in group g's array and, in the optimized designs,
+// records the way it now holds in the partial-tag shadow. A fill changes
+// that one way (a victim leaves the way the new block takes) and a hit
+// rewrites the way's own tag, so the shadow stays exact without a rescan.
+func (c *Cache) install(g int, local mem.Block) (victim mem.Block, evicted bool) {
+	idx, victim, evicted := c.groups[g].InsertAt(local)
+	if c.p.PartialTagInBank {
+		c.ptags[g].Install(local, 0, idx%c.groups[g].Assoc())
 	}
-	set := local.SetIndex(c.sets)
-	c.lineScratch = c.groups[g].AppendLinesIn(c.lineScratch[:0], set)
-	c.ptags[g].SyncSet(set, 0, c.lineScratch)
+	return victim, evicted
 }
 
 // Warm implements l2.Cache.
 func (c *Cache) Warm(b mem.Block) {
-	g, local := c.groupOf(b)
-	c.groups[g].Insert(local)
-	c.syncPTag(g, local)
+	c.install(c.groupOf(b))
 }
 
 // WarmBulk implements l2.Warmer: the fused warm kernel. Each block's
-// install and partial-tag resync match Warm exactly, so state evolution is
+// install and partial-tag update match Warm exactly, so state evolution is
 // identical to per-block Warm calls in slice order.
 func (c *Cache) WarmBulk(blocks []mem.Block) {
 	sync := c.p.PartialTagInBank
@@ -442,8 +434,7 @@ func (c *Cache) WarmBulk(blocks []mem.Block) {
 			continue
 		}
 		// A warm install mutates exactly one way, the one TouchOrInsertAt
-		// filled, so rewriting that way's shadow entry leaves the partial
-		// tags in the state a full SyncSet of the set would.
+		// filled; its shadow entry is the only one to rewrite.
 		c.ptags[g].Install(local, 0, idx%assoc)
 	}
 }

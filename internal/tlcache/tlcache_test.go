@@ -187,10 +187,11 @@ func TestMultiMatchSecondRoundTrip(t *testing.T) {
 	c.Warm(b)
 	ga, la := c.groupOf(a)
 	gb, lb := c.groupOf(b)
-	if ga != gb || la.SetIndex(c.sets) != lb.SetIndex(c.sets) {
+	sets := c.groups[0].Sets()
+	if ga != gb || la.SetIndex(sets) != lb.SetIndex(sets) {
 		t.Fatal("test blocks must share a group and set")
 	}
-	if la.PartialTag(c.sets) != lb.PartialTag(c.sets) {
+	if la.PartialTag(sets) != lb.PartialTag(sets) {
 		t.Fatal("test blocks must share a partial tag")
 	}
 	out := c.Access(0, mem.Request{Block: a, Type: mem.Load})
@@ -226,7 +227,7 @@ func TestPartialTagFalsePositiveStillMisses(t *testing.T) {
 	c := New(config.TLCOpt500, testMemLat)
 	// Resident block whose partial tag matches an absent block: the banks
 	// respond with data+tag, the controller's full comparison misses.
-	setBits := mem.Log2(c.sets)
+	setBits := mem.Log2(c.groups[0].Sets())
 	a := mkBlock(0, mem.Block(1)<<uint(setBits), 2)    // group 0, set 0, tag 1
 	b := mkBlock(0, mem.Block(0x41)<<uint(setBits), 2) // tag 0x41: same partial
 	c.Warm(a)
@@ -413,6 +414,70 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 		access() // warm-up burst, outside the measurement
 		if allocs := testing.AllocsPerRun(50, access); allocs != 0 {
 			t.Errorf("%v: %.2f allocs per access burst, want 0", d, allocs)
+		}
+	}
+}
+
+// verifyShadow checks the listed groups' partial-tag shadows against their
+// arrays.
+func verifyShadow(c *Cache, groups []int) error {
+	for _, g := range groups {
+		if err := c.ptags[g].Verify(0, c.groups[g]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestTLCShadowStaysConsistent drives a random mix of scalar and bulk warm
+// installs and timed loads and stores through a few crowded sets of the
+// optimized designs — warm and timed fills, evictions with write-backs,
+// and store hits — and checks after every operation that each group's
+// partial-tag shadow equals its array, way for way. It then plants one
+// stale entry, the trace a skipped Install leaves, and requires the check
+// to see it.
+func TestTLCShadowStaysConsistent(t *testing.T) {
+	for _, d := range []config.Design{config.TLCOpt1000, config.TLCOpt500, config.TLCOpt350} {
+		c := New(d, testMemLat)
+		rng := rand.New(rand.NewSource(int64(d)))
+		groups := []int{1, len(c.groups) - 1}
+		// Four sets per group and twelve tags per set overflow the 4-way
+		// sets, so fills evict and hits promote.
+		block := func() mem.Block {
+			local := mem.Block(rng.Intn(12)*c.groups[0].Sets() + rng.Intn(4))
+			return mkBlock(groups[rng.Intn(len(groups))], local, c.groupBits)
+		}
+		var bulk [3]mem.Block
+		at := sim.Time(0)
+		for i := 0; i < 1500; i++ {
+			switch rng.Intn(4) {
+			case 0:
+				c.Warm(block())
+			case 1:
+				for j := range bulk {
+					bulk[j] = block()
+				}
+				c.WarmBulk(bulk[:])
+			case 2:
+				c.Access(at, mem.Request{Block: block(), Type: mem.Load})
+			default:
+				c.Access(at, mem.Request{Block: block(), Type: mem.Store})
+			}
+			at += 50
+			if err := verifyShadow(c, groups); err != nil {
+				t.Fatalf("%v operation %d: %v", d, i, err)
+			}
+		}
+		if c.Writebacks == 0 || c.FillsApplied == 0 {
+			t.Fatalf("%v: mix exercised %d fills and %d write-backs, want both", d, c.FillsApplied, c.Writebacks)
+		}
+		b := block()
+		c.Warm(b)
+		g, local := c.groupOf(b)
+		way, _ := c.groups[g].WayOf(local)
+		c.ptags[g].Clear(local, 0, way)
+		if verifyShadow(c, groups) == nil {
+			t.Fatalf("%v: a stale partial-tag entry passed the shadow check", d)
 		}
 	}
 }

@@ -220,12 +220,6 @@ func EnergyPerBitJ(z0 float64) float64 {
 	return tb * Vdd * Vdd / (2 * z0)
 }
 
-// DynamicPowerW is the paper's transmission-line dynamic power equation:
-// alpha * t_b * V^2/(R_D+Z0) * f, for a single line with activity alpha.
-func DynamicPowerW(z0, alpha float64) float64 {
-	return alpha * EnergyPerBitJ(z0) * ClockHz
-}
-
 // CheaperThanRC reports the paper's crossover condition: a matched
 // voltage-mode transmission line consumes less dynamic power than a
 // conventional wire of total capacitance cWire when t_b/(2*Z0) < C.

@@ -98,18 +98,6 @@ func TestEnergyPerBit(t *testing.T) {
 	}
 }
 
-func TestDynamicPowerScalesWithActivity(t *testing.T) {
-	full := DynamicPowerW(50, 1.0)
-	half := DynamicPowerW(50, 0.5)
-	if math.Abs(full-2*half) > 1e-15 {
-		t.Fatal("dynamic power should be linear in activity")
-	}
-	// alpha=1 at 10 GHz on a 50-ohm line: 1 pJ * 10 GHz = 10 mW.
-	if math.Abs(full-0.01) > 1e-9 {
-		t.Fatalf("full-activity power %v W, want 0.01", full)
-	}
-}
-
 func TestCheaperThanRCCrossover(t *testing.T) {
 	// t_b/(2 Z0) = 100ps/140ohm = 0.71 pF. Wires longer than ~3-4 mm of
 	// conventional capacitance clear the bar; short wires do not.

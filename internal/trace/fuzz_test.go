@@ -16,6 +16,22 @@ func hugeCountHeader() []byte {
 	return binary.LittleEndian.AppendUint64([]byte("TLC1"), 1<<40)
 }
 
+// reservedBlockTrace is a one-record trace whose memory reference names
+// block ^0 (a zigzag delta of -1 from block 0), the block every cache array
+// reserves as its empty-way mark.
+func reservedBlockTrace() []byte {
+	data := binary.LittleEndian.AppendUint64([]byte("TLC1"), 1)
+	data = append(data, flagMem)
+	return binary.AppendVarint(data, -1)
+}
+
+func TestReservedBlockRejected(t *testing.T) {
+	_, err := NewReader(bytes.NewReader(reservedBlockTrace()))
+	if !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("NewReader on a trace naming block ^0: err %v, want ErrBadTrace", err)
+	}
+}
+
 func TestHugeHeaderCountRejected(t *testing.T) {
 	_, err := NewReader(bytes.NewReader(hugeCountHeader()))
 	if !errors.Is(err, ErrBadTrace) {
@@ -39,6 +55,7 @@ func FuzzTraceReader(f *testing.F) {
 	}
 	f.Add(ws.data)
 	f.Add(hugeCountHeader())
+	f.Add(reservedBlockTrace())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next, err := NewReader(bytes.NewReader(data))
 		if err != nil {

@@ -192,6 +192,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 			}
 			prev = uint64(int64(prev) + delta)
 			in.Block = mem.Block(prev)
+			if in.Block == ^mem.Block(0) {
+				// The cache arrays reserve this block as their empty-way mark.
+				return nil, fmt.Errorf("%w: reserved block %#x at record %d", ErrBadTrace, prev, i)
+			}
 		}
 		records = append(records, in)
 	}

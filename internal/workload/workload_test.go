@@ -301,9 +301,9 @@ func TestQuickGeneratorWellFormed(t *testing.T) {
 	spec, _ := SpecByName("apache")
 	f := func(seed int64) bool {
 		g := New(spec, seed)
-		valid := map[mem.Block]bool{}
+		laidOut := map[mem.Block]bool{}
 		for id := uint64(0); id < g.l1Blocks+g.hotBlocks+g.coldBlocks; id++ {
-			valid[layout(id)] = true
+			laidOut[layout(id)] = true
 		}
 		for i := 0; i < 5000; i++ {
 			in := g.Next()
@@ -313,7 +313,7 @@ func TestQuickGeneratorWellFormed(t *testing.T) {
 			if in.IsStore && in.Dep {
 				return false
 			}
-			if !valid[in.Block] {
+			if !laidOut[in.Block] {
 				return false
 			}
 		}

@@ -49,20 +49,23 @@ func phaseProfileKey(spec workload.Spec, opt Options) string {
 // to compute, whose result is stored for the next run. cached reports
 // whether the store supplied the profile; because clustering is
 // bit-deterministic in the key, a cached profile selects exactly the
-// intervals a recompute would.
-func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compute func(key string) sample.Profile) (sample.Profile, bool) {
+// intervals a recompute would. A compute that fails (opt.Cancel tripped)
+// stores nothing and returns its error.
+func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compute func(key string) (sample.Profile, error)) (prof sample.Profile, cached bool, err error) {
 	key := phaseProfileKey(spec, opt)
 	if opt.PhaseProfiles != nil {
 		if prof, ok := opt.PhaseProfiles.Get(key); ok &&
 			prof.Key == key && prof.Check(opt.RunInstructions, sopt) == nil {
-			return prof, true
+			return prof, true, nil
 		}
 	}
-	prof := compute(key)
+	if prof, err = compute(key); err != nil {
+		return sample.Profile{}, false, err
+	}
 	if opt.PhaseProfiles != nil {
 		opt.PhaseProfiles.Put(key, prof)
 	}
-	return prof, false
+	return prof, false, nil
 }
 
 // computePhaseProfile runs the profiling pass over the prepared streams:
@@ -72,8 +75,10 @@ func phaseProfileFor(spec workload.Spec, opt Options, sopt sample.Options, compu
 // match the phase plan's per-core accounting. The rewound streams are
 // bit-identical to streams that never profiled (the counters the pass
 // dirtied reset, matching prepare's contract that metrics cover only the
-// timed interval).
-func computePhaseProfile(key string, streams []stream, opt Options) sample.Profile {
+// timed interval). opt.Cancel is polled once per window and once per
+// clustering iteration; a cancelled pass returns its error and leaves the
+// streams mid-profile, so the caller must discard the run.
+func computePhaseProfile(key string, streams []stream, opt Options) (sample.Profile, error) {
 	states := make([]workload.CMPState, len(streams))
 	profs := make([]*cpu.PhaseProfiler, len(streams))
 	for i, s := range streams {
@@ -83,6 +88,11 @@ func computePhaseProfile(key string, streams []stream, opt Options) sample.Profi
 	lens := sample.WindowLengths(opt.RunInstructions, opt.PhaseWindows)
 	feats := make([][]float64, len(lens))
 	for w, n := range lens {
+		if opt.Cancel != nil {
+			if err := opt.Cancel(); err != nil {
+				return sample.Profile{}, err
+			}
+		}
 		var f cpu.PhaseFeatures
 		for i, s := range streams {
 			f.Add(profs[i].Window(s, n))
@@ -93,7 +103,7 @@ func computePhaseProfile(key string, streams []stream, opt Options) sample.Profi
 		setStreamState(s, states[i])
 		s.ResetCounters()
 	}
-	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, lens)
+	return sample.BuildProfile(key, opt.RunInstructions, opt.SampleOptions(), feats, lens, opt.Cancel)
 }
 
 // registerPhaseMetrics publishes phase-sampling provenance. The counters

@@ -1,8 +1,10 @@
 package tlc
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tlc/internal/workload"
@@ -148,6 +150,49 @@ func TestPhaseProfileCacheEquivalence(t *testing.T) {
 	}
 	if !hasMarker(warm) {
 		t.Error("cache-hit run missing the sample.phase.profile_cached marker")
+	}
+}
+
+// TestPhaseProfileCancelled pins the profiling pass's cancellation
+// contract: opt.Cancel is polled once per profiling window and once per
+// clustering iteration, a poll that trips in either returns an error
+// wrapping its cause, and a cancelled profile is never stored. The runs
+// restore their warm state from a checkpoint, which polls nothing, so the
+// profiling pass makes the first polls.
+func TestPhaseProfileCancelled(t *testing.T) {
+	opt := phaseOptions()
+	opt.WarmInstructions = 200_000
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	b := Benchmarks()[0]
+	if _, err := RunSampled(DesignTLC, b, opt); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	// Poll 1 and poll 40 fall in the window pass; poll 41 is the first
+	// one past it, in the clustering.
+	for _, trip := range []int{1, opt.PhaseWindows, opt.PhaseWindows + 1} {
+		polls := 0
+		o := opt
+		o.Cancel = func() error {
+			if polls++; polls >= trip {
+				return stop
+			}
+			return nil
+		}
+		o.PhaseProfiles = NewPhaseProfileStore(0, "")
+		_, err := RunSampled(DesignTLC, b, o)
+		if !errors.Is(err, stop) || !strings.Contains(err.Error(), "phase profile") {
+			t.Fatalf("trip at poll %d: err %v, want the phase profile's cancellation", trip, err)
+		}
+		if polls != trip {
+			t.Errorf("trip at poll %d: %d polls, want none after the trip", trip, polls)
+		}
+		if st := o.PhaseProfiles.Stats(); st.Puts != 0 {
+			t.Errorf("trip at poll %d: profile store stats %+v, want 0 puts", trip, st)
+		}
+	}
+	if st := opt.Checkpoints.Stats(); st.Hits != 3 {
+		t.Fatalf("checkpoint store stats %+v, want every cancelled run restored", st)
 	}
 }
 

@@ -284,9 +284,12 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 	var plan sample.Plan
 	if sopt.Phase() {
 		var cached bool
-		prof, cached = phaseProfileFor(spec, opt, sopt, func(key string) sample.Profile {
+		prof, cached, err = phaseProfileFor(spec, opt, sopt, func(key string) (sample.Profile, error) {
 			return computePhaseProfile(key, r.streams, opt)
 		})
+		if err != nil {
+			return SampledResult{}, fmt.Errorf("tlc: %v %s phase profile cancelled: %w", d, spec.Name, err)
+		}
 		registerPhaseMetrics(reg, prof, cached)
 		plan = prof.Plan()
 	} else {
