@@ -185,7 +185,7 @@ func TestSampledBatchedEquivalence(t *testing.T) {
 					gen.PreWarm(cacheArm)
 					core.Warm(streamArm, 100_000)
 					m := machine.New([]*cpu.Core{core}, []cpu.Stream{streamArm}, nil)
-					est := sample.Run(m, plan, nil)
+					est := sample.Run(m, plan, nil)[0]
 					return est, core.Snapshot(), inst.(l2.Snapshotter).SnapshotState()
 				}
 				sEst, sCore, sL2 := run(true)

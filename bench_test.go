@@ -335,7 +335,7 @@ func BenchmarkLaneSweep(b *testing.B) {
 			laneL2s := make([]l2.Snapshotter, len(designs))
 			for i, d := range designs {
 				inst := Build(d, Options{})
-				fan[i] = inst
+				fan[i] = &lane{design: d, inst: inst}
 				laneL2s[i] = inst.(l2.Snapshotter)
 			}
 			laneGen.PreWarm(fan)

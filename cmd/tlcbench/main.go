@@ -101,7 +101,7 @@ func main() {
 			"detailed fraction, so they are not comparable against a full run's)")
 	lanes := flag.Bool("lanes", true,
 		"lane phase: share each benchmark's stream and L1 across all designs, "+
-			"warm-up and (full-detail, one-core runs) timed region alike (an "+
+			"warm-up and (one-core runs) timed region alike (an "+
 			"in-memory checkpoint store is used when -ckptdir is unset); "+
 			"-lanes=false measures the scalar baseline")
 	cpuprofile := flag.String("cpuprofile", "",
@@ -127,15 +127,6 @@ func main() {
 		designs = tlc.Designs()
 	}
 	benches := tlc.Benchmarks()
-
-	if *lanes && opt.Checkpoints == nil {
-		// The lane phase carries warm state to the runs through a checkpoint
-		// store; without -ckptdir an in-memory one scoped to this invocation
-		// serves. Sized to the grid: the default capacity (64) is smaller
-		// than the full 6x12 grid, and LRU eviction between the warm phase
-		// and the runs would silently re-warm the evicted points scalar.
-		opt.Checkpoints = tlc.NewCheckpointStore(len(designs)*len(benches), "")
-	}
 
 	s := experiments.NewSuite(opt)
 	s.NoLanes = !*lanes

@@ -145,18 +145,6 @@ type Core struct {
 	cancel    func() error
 	cancelErr error
 
-	// countWarmMisses gates functional L2-miss counting in the warm paths:
-	// when set, every warm-path L2 install is preceded by a read-only
-	// Contains probe and warmL2Misses counts the absent blocks — the misses
-	// a detailed run over the same stretch would have charged. Off by
-	// default so bulk warming (the 2M-instruction warm phase, uniform
-	// fast-forward, lane sweeps) pays nothing; the phase-sampled runner
-	// enables it across the timed region to total its L2-miss covariate
-	// exactly. The probe never mutates cache state, so counting cannot
-	// perturb a run.
-	countWarmMisses bool
-	warmL2Misses    uint64
-
 	// hits and misses count the current timed call's L1 outcomes; every
 	// back end books them when the call ends.
 	hits, misses uint64
@@ -395,14 +383,6 @@ const (
 	l2WarmCap   = 2 * memBatch
 )
 
-// SetWarmMissCounting gates functional L2-miss counting during Warm; see
-// the countWarmMisses field. The count is read with WarmL2Misses.
-func (c *Core) SetWarmMissCounting(on bool) { c.countWarmMisses = on }
-
-// WarmL2Misses returns the L2 misses counted by warm-path probing since the
-// core was built (only stretches with SetWarmMissCounting(true) count).
-func (c *Core) WarmL2Misses() uint64 { return c.warmL2Misses }
-
 // Warm advances the stream n instructions functionally: L1 state and L2
 // contents update with no timing, so the measured interval starts from a
 // steady-state cache.
@@ -431,18 +411,6 @@ func (c *Core) Warm(s Stream, n uint64) {
 		}
 		remaining -= consumed
 		spill := c.l1.WarmSweep(c.memBuf[:m], c.dirty, c.l2Warm[:0])
-		if c.countWarmMisses {
-			// Probe before the batch installs. A block repeated within one
-			// spill (victim refilled in the same sweep) counts once per
-			// probe rather than once per true miss; at a few hundred
-			// references per sweep the double-count is noise against the
-			// covariate total it feeds.
-			for _, b := range spill {
-				if !c.be.l2.Contains(b) {
-					c.warmL2Misses++
-				}
-			}
-		}
 		l2.WarmAll(c.be.l2, spill)
 	}
 }
@@ -491,13 +459,28 @@ func (c *Core) run(s Stream, n uint64) Result {
 // Run. The back ends' results are read with Result.
 func (c *Core) RunLanes(s Stream, n uint64, backs []*Backend) {
 	c.cancelErr = nil
+	for _, b := range c.lanes(backs) {
+		b.resetTiming()
+	}
+	c.drive(s, n, backs)
+}
+
+// ResumeLanes is RunLanes continuing every back end's current timing epoch,
+// as Resume continues the core's own: sampled lanes time their first
+// detailed interval with RunLanes and every later one with ResumeLanes.
+func (c *Core) ResumeLanes(s Stream, n uint64, backs []*Backend) {
+	c.drive(s, n, c.lanes(backs))
+}
+
+// lanes returns backs after checking that each is a back end of this
+// core's.
+func (c *Core) lanes(backs []*Backend) []*Backend {
 	for _, b := range backs {
 		if b.fe != c {
 			panic("cpu: back end of another core")
 		}
-		b.resetTiming()
 	}
-	c.drive(s, n, backs)
+	return backs
 }
 
 // Backend returns the core's own back end, the one Run and Resume time.

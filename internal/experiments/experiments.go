@@ -45,6 +45,9 @@ type Suite struct {
 	mu    sync.Mutex
 	cache map[runKey]*flight
 	m     Metrics
+	// gridStore is the in-memory checkpoint store RunAll makes for the
+	// lane phase when Opt has none; runs use it from then on (options).
+	gridStore *tlc.CheckpointStore
 
 	// runMetrics holds each executed run's full registry snapshot, fed by
 	// the OnMetrics hook NewSuite installs, which fires from RunAll's worker
@@ -221,14 +224,26 @@ func (s *Suite) claim(key runKey) (f *flight, owner bool) {
 	return f, true
 }
 
+// options returns the options the suite's runs take: Opt, with the grid
+// store RunAll made when Opt has no checkpoint store.
+func (s *Suite) options() tlc.Options {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	opt := s.Opt
+	if opt.Checkpoints == nil {
+		opt.Checkpoints = s.gridStore
+	}
+	return opt
+}
+
 // execute simulates a claimed flight on its own and completes it.
 func (s *Suite) execute(key runKey, f *flight) {
 	start := time.Now()
 	if s.Sampled() {
-		f.sres, f.err = tlc.RunSampled(key.d, key.bench, s.Opt)
+		f.sres, f.err = tlc.RunSampled(key.d, key.bench, s.options())
 		f.res = f.sres.Result
 	} else {
-		f.res, f.err = tlc.Run(key.d, key.bench, s.Opt)
+		f.res, f.err = tlc.Run(key.d, key.bench, s.options())
 	}
 	s.finish(key, f, time.Since(start))
 }
@@ -277,21 +292,35 @@ func (s *Suite) Metrics() Metrics {
 // workers, and returns the first error encountered (concurrently failing
 // runs report one of them). Results land in the cache, so subsequent table
 // builds are pure lookups; on error the remaining grid is still attempted,
-// keeping the cache state independent of error ordering.
+// keeping the cache state independent of error ordering. Unless NoLanes is
+// set, a suite whose options hold no checkpoint store gains an in-memory
+// one, sized to its first multi-design grid, for this and later runs.
 func (s *Suite) RunAll(designs []tlc.Design, benches []string, par int) error {
 	if par < 1 {
 		par = 1
 	}
+	if !s.NoLanes && len(designs) > 1 {
+		// The lane phase carries warm state to the runs through a
+		// checkpoint store, so a storeless suite gets an in-memory one.
+		// Sized to the grid: the default capacity (64) is smaller than the
+		// full 6x12 grid, and LRU eviction between the warm phase and the
+		// runs would silently re-warm the evicted points scalar.
+		s.mu.Lock()
+		if s.Opt.Checkpoints == nil && s.gridStore == nil {
+			s.gridStore = tlc.NewCheckpointStore(len(designs)*len(benches), "")
+		}
+		s.mu.Unlock()
+	}
+	opt := s.options()
 	// Lane phase: pay each benchmark's warm-up once for all designs through
-	// a shared stream — and, for full-detail one-core suites, time them
-	// together too — so the workers below restore checkpoints or find
-	// cached results instead of re-warming per point. Purely an
-	// accelerator — results are pinned bit-identical to scalar runs — and
-	// a no-op without a checkpoint store.
+	// a shared stream — and, for one-core suites, time them together too —
+	// so the workers below restore checkpoints or find cached results
+	// instead of re-warming per point. Purely an accelerator — results are
+	// pinned bit-identical to scalar runs.
 	points := make([]GridPoint, 0, len(designs)*len(benches))
 	for _, d := range designs {
 		for _, b := range benches {
-			points = append(points, GridPoint{Design: d, Bench: b, Opt: s.Opt})
+			points = append(points, GridPoint{Design: d, Bench: b, Opt: opt})
 		}
 	}
 	s.WarmGrid(points, par)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tlc"
+	"tlc/internal/workload"
 )
 
 // GridPoint is one point of an explicit sweep grid: the full configuration
@@ -95,22 +96,68 @@ func containsDesign(ds []tlc.Design, d tlc.Design) bool {
 }
 
 // laneOrder lists the indices of the shareable groups (two or more
-// designs) in dispatch order: longest effective warm-up first, ties in plan
-// order. A pass's time grows with its warm length, so a long pass started
-// last would trail the rest of the lane phase.
-func laneOrder(groups []LaneGroup) []int {
+// designs) in dispatch order: costliest first by laneCost, ties in plan
+// order. timed reports the groups whose pass also times them (nil: none).
+// The workers take groups as they free up, so a costly group started last
+// would trail the rest of the lane phase.
+func laneOrder(groups []LaneGroup, timed func(*LaneGroup) bool) []int {
 	order := make([]int, 0, len(groups))
-	warm := make([]uint64, len(groups))
+	cost := make([]float64, len(groups))
 	for i := range groups {
 		g := &groups[i]
 		if len(g.Designs) < 2 {
 			continue
 		}
 		order = append(order, i)
-		_, warm[i], _ = tlc.WarmStream(g.Bench, g.Opt)
+		cost[i] = laneCost(g, timed != nil && timed(g))
 	}
-	sort.SliceStable(order, func(a, b int) bool { return warm[order[a]] > warm[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
 	return order
+}
+
+// Host time per instruction of a lane pass, in nanoseconds, fitted to
+// serially timed paper-scale groups of six designs on a 2-vCPU Xeon, with r
+// the benchmark's L2 request rate: the shared front end of a warm or
+// fast-forward instruction costs warmNS plus installNS·r per lane for the
+// spill each lane installs, and a detailed instruction costs timedNS plus
+// l2NS·r on each design's back end.
+const (
+	warmNS    = 22
+	installNS = 165
+	timedNS   = 19
+	l2NS      = 1540
+)
+
+// laneCost estimates a group's pass in host nanoseconds: its shared
+// warm-up, and for a timed group the timed region too — the fast-forward
+// stretches once for all designs and the detailed instructions once per
+// design.
+func laneCost(g *LaneGroup, timed bool) float64 {
+	spec, _ := workload.SpecByName(g.Bench) // planLanes groups known benchmarks only
+	r := spec.L2RequestRate()
+	k := float64(len(g.Designs))
+	_, warm, _ := tlc.WarmStream(g.Bench, g.Opt)
+	perWarm := warmNS + installNS*k*r
+	cost := float64(warm) * perWarm
+	if timed {
+		run := g.Opt.RunInstructions
+		detailed := min(detailedInstructions(g.Opt), run)
+		cost += float64(run-detailed)*perWarm + k*float64(detailed)*(timedNS+l2NS*r)
+	}
+	return cost
+}
+
+// detailedInstructions is how many instructions a run under opt times in
+// detail: all of them at full detail, every interval of a uniform plan, and
+// at most one window per cluster of a phase plan.
+func detailedInstructions(opt tlc.Options) uint64 {
+	switch {
+	case opt.PhaseWindows > 0:
+		return opt.RunInstructions / uint64(opt.PhaseWindows) * uint64(max(opt.PhaseClusters, 0))
+	case opt.SampleIntervals > 0:
+		return uint64(opt.SampleIntervals) * opt.SampleLength
+	}
+	return opt.RunInstructions
 }
 
 // LaneTally counts what one lane phase absorbed (the sim.lanes.* spine).
@@ -142,7 +189,7 @@ type LaneTally struct {
 // their own errors.
 func WarmGrid(points []GridPoint, par int) LaneTally {
 	groups, scalar := planLanes(points)
-	return laneGrid(groups, scalar, par, warmPass)
+	return laneGrid(groups, scalar, par, nil, warmPass)
 }
 
 // warmPass is the warm-only lane pass of one group.
@@ -152,12 +199,13 @@ func warmPass(g *LaneGroup) (tlc.LaneStats, error) {
 
 // laneGrid runs pass on each shareable group of a plan from a pool of par
 // workers taking the groups in laneOrder, tallying what the passes covered
-// with the plan's scalar points.
-func laneGrid(groups []LaneGroup, scalar, par int, pass func(*LaneGroup) (tlc.LaneStats, error)) LaneTally {
+// with the plan's scalar points. timed reports the groups pass times (nil:
+// none).
+func laneGrid(groups []LaneGroup, scalar, par int, timed func(*LaneGroup) bool, pass func(*LaneGroup) (tlc.LaneStats, error)) LaneTally {
 	if par < 1 {
 		par = 1
 	}
-	order := laneOrder(groups)
+	order := laneOrder(groups, timed)
 	t := LaneTally{ScalarPoints: uint64(scalar)}
 	var mu sync.Mutex
 	var next atomic.Int64
@@ -191,10 +239,10 @@ func laneGrid(groups []LaneGroup, scalar, par int, pass func(*LaneGroup) (tlc.La
 }
 
 // WarmGrid runs the lane phase for an explicit grid and adds its tally to
-// the suite's metrics; NoLanes makes it a no-op. A full-detail, one-core
-// suite whose own shareable groups number at least par runs each of them
-// end to end through tlc.RunLanes — warm-up and timed region — and
-// completes the group's cells with the results, so the suite's later
+// the suite's metrics; NoLanes makes it a no-op. A one-core suite, full
+// detail or sampled, whose own shareable groups number at least par runs
+// each of them end to end through tlc.RunLanes — warm-up and timed region
+// — and completes the group's cells with the results, so the suite's later
 // requests for them are cache hits. Other suites, and groups of points
 // under other options, get the warm-only pass of the package-level
 // WarmGrid: callers that then run the same points — through this suite or
@@ -204,14 +252,15 @@ func laneGrid(groups []LaneGroup, scalar, par int, pass func(*LaneGroup) (tlc.La
 // The par rule keeps the grid's width. A timed group runs its designs one
 // after another on one worker, so fewer groups than workers would leave
 // workers idle that the per-cell runs after a warm-only pass keep busy
-// (tlcsim -ckptdir d -design all -bench gcc: one group, six cells).
+// (tlcsim -design all -bench gcc: one group, six cells).
 func (s *Suite) WarmGrid(points []GridPoint, par int) {
 	if s.NoLanes {
 		return
 	}
-	content := s.Opt.ContentKey()
+	opt := s.options()
+	content := opt.ContentKey()
 	own := func(g *LaneGroup) bool {
-		return len(g.Designs) > 1 && g.Opt.Checkpoints == s.Opt.Checkpoints && g.Opt.ContentKey() == content
+		return len(g.Designs) > 1 && g.Opt.Checkpoints == opt.Checkpoints && g.Opt.ContentKey() == content
 	}
 	groups, scalar := planLanes(points)
 	owned := 0
@@ -221,15 +270,17 @@ func (s *Suite) WarmGrid(points []GridPoint, par int) {
 		}
 	}
 	pass := warmPass
-	if !s.Sampled() && s.Opt.Cores <= 1 && owned >= max(par, 1) {
+	var timed func(*LaneGroup) bool
+	if opt.Cores <= 1 && owned >= max(par, 1) {
+		timed = own
 		pass = func(g *LaneGroup) (tlc.LaneStats, error) {
 			if !own(g) {
 				return warmPass(g)
 			}
-			return s.runLanes(g)
+			return s.runLanes(g, opt)
 		}
 	}
-	t := laneGrid(groups, scalar, par, pass)
+	t := laneGrid(groups, scalar, par, timed, pass)
 	s.mu.Lock()
 	s.m.LaneGroups += t.Groups
 	s.m.LanesWarmed += t.Lanes
@@ -240,9 +291,10 @@ func (s *Suite) WarmGrid(points []GridPoint, par int) {
 }
 
 // runLanes runs one group's cells that no request has claimed yet as
-// timed lanes and completes their flights. When the pass fails, the
-// claimed cells run on their own, as they would have without it.
-func (s *Suite) runLanes(g *LaneGroup) (tlc.LaneStats, error) {
+// timed lanes under opt, the suite's run options, and completes their
+// flights. When the pass fails, the claimed cells run on their own, as
+// they would have without it.
+func (s *Suite) runLanes(g *LaneGroup, opt tlc.Options) (tlc.LaneStats, error) {
 	var designs []tlc.Design
 	var flights []*flight
 	for _, d := range g.Designs {
@@ -255,7 +307,7 @@ func (s *Suite) runLanes(g *LaneGroup) (tlc.LaneStats, error) {
 		return tlc.LaneStats{}, nil
 	}
 	start := time.Now()
-	res, st, err := tlc.RunLanes(designs, g.Bench, s.Opt)
+	res, st, err := tlc.RunLanes(designs, g.Bench, opt)
 	if err != nil {
 		for i, d := range designs {
 			s.execute(runKey{d, g.Bench}, flights[i])
@@ -264,7 +316,10 @@ func (s *Suite) runLanes(g *LaneGroup) (tlc.LaneStats, error) {
 	}
 	share := (time.Since(start) - st.Warm) / time.Duration(len(designs))
 	for i, d := range designs {
-		flights[i].res = res[i]
+		flights[i].res = res[i].Result
+		if s.Sampled() {
+			flights[i].sres = res[i]
+		}
 		s.finish(runKey{d, g.Bench}, flights[i], share)
 	}
 	return st, nil

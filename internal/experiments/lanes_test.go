@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"tlc"
@@ -151,10 +152,14 @@ func TestLanePlannerCountsCMPPointsScalar(t *testing.T) {
 }
 
 // TestLaneOrderLongestWarmFirst pins the lane phase's dispatch order:
-// shareable groups by effective warm length, longest first, ties in plan
-// order, singleton groups left out. Automatic warm lengths resolve per
-// benchmark (swim and equake clamp at 24 M, oltp ≈20.6 M, gcc and mcf at
-// the 4 M floor); an explicit length overrides them.
+// shareable groups by estimated cost, costliest first, ties in plan order,
+// singleton groups left out. A warm-only group costs its effective warm
+// length weighted by the benchmark's L2 request rate: automatic warm
+// lengths resolve per benchmark (swim and equake clamp at 24 M, oltp
+// ≈20.6 M, gcc and mcf at the 4 M floor, where mcf's higher rate ranks it
+// first), and an explicit length overrides them. A timed group adds its
+// designs' timed regions, which lift mcf and gcc, the dearest to time,
+// past the groups with long warm-ups and cheap timed regions.
 func TestLaneOrderLongestWarmFirst(t *testing.T) {
 	store := tlc.NewCheckpointStore(0, "")
 	opt := tlc.DefaultOptions()
@@ -167,18 +172,19 @@ func TestLaneOrderLongestWarmFirst(t *testing.T) {
 	pts = append(pts, GridPoint{Design: tlc.DesignTLC, Bench: "applu", Opt: opt})
 
 	groups, _ := planLanes(pts)
-	var got []string
-	for _, i := range laneOrder(groups) {
-		got = append(got, groups[i].Bench)
-	}
-	want := []string{"swim", "equake", "bzip", "oltp", "gcc", "mcf"}
-	if len(got) != len(want) {
-		t.Fatalf("dispatch order %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch order %v, want %v", got, want)
+	order := func(timed func(*LaneGroup) bool) []string {
+		var got []string
+		for _, i := range laneOrder(groups, timed) {
+			got = append(got, groups[i].Bench)
 		}
+		return got
+	}
+	if got, want := order(nil), []string{"swim", "equake", "bzip", "oltp", "mcf", "gcc"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("warm-only dispatch order %v, want %v", got, want)
+	}
+	timed := func(g *LaneGroup) bool { return g.Opt.WarmInstructions == 0 }
+	if got, want := order(timed), []string{"swim", "mcf", "equake", "gcc", "oltp", "bzip"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("timed dispatch order %v, want %v", got, want)
 	}
 }
 

@@ -178,37 +178,101 @@ func TestSuiteLaneAccounting(t *testing.T) {
 }
 
 // TestSuiteTimesLanesOnlyWithAGroupPerWorker pins the width rule of the
-// lane phase: a full-detail grid with fewer benchmark groups than workers
-// keeps the warm-only pass and runs its cells one by one across the
-// workers, and with a group per worker it times the groups as lanes and
-// leaves every cell cached. Both give the scalar results.
+// lane phase, full detail and phase-sampled alike: a grid with fewer
+// benchmark groups than workers keeps the warm-only pass and runs its cells
+// one by one across the workers, and with a group per worker it times the
+// groups as lanes and leaves every cell cached. Both give the scalar
+// results.
 func TestSuiteTimesLanesOnlyWithAGroupPerWorker(t *testing.T) {
 	designs := []tlc.Design{tlc.DesignSNUCA2, tlc.DesignDNUCA, tlc.DesignTLC}
 	benches := []string{"perl"}
 	cells := uint64(len(designs) * len(benches))
-	newSuite := func() *Suite {
-		opt := tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1}
-		opt.Checkpoints = tlc.NewCheckpointStore(0, "")
-		return NewSuite(opt)
-	}
-	for _, tc := range []struct {
-		par  int
-		hits uint64
-	}{{2, 0}, {1, cells}} {
-		s := newSuite()
-		if err := s.RunAll(designs, benches, tc.par); err != nil {
-			t.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		set  func(*tlc.Options)
+	}{
+		{"full", func(*tlc.Options) {}},
+		{"phase", func(o *tlc.Options) {
+			o.PhaseWindows, o.PhaseClusters = 10, 4
+			o.PhaseProfiles = tlc.NewPhaseProfileStore(0, "")
+		}},
+	} {
+		options := func() tlc.Options {
+			opt := tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1}
+			mode.set(&opt)
+			return opt
 		}
-		m := s.Metrics()
-		if m.Simulated != cells || m.CacheHits != tc.hits || m.LanesWarmed != cells {
-			t.Errorf("par %d: simulated %d, cache hits %d, lanes warmed %d; want %d, %d, %d",
-				tc.par, m.Simulated, m.CacheHits, m.LanesWarmed, cells, tc.hits, cells)
-		}
-		scalar := NewSuite(tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1})
-		for _, d := range designs {
-			if got, want := s.Run(d, benches[0]), scalar.Run(d, benches[0]); got != want {
-				t.Errorf("par %d, %v: %+v, scalar %+v", tc.par, d, got, want)
+		for _, tc := range []struct {
+			par  int
+			hits uint64
+		}{{2, 0}, {1, cells}} {
+			opt := options()
+			opt.Checkpoints = tlc.NewCheckpointStore(0, "")
+			s := NewSuite(opt)
+			if err := s.RunAll(designs, benches, tc.par); err != nil {
+				t.Fatal(err)
+			}
+			m := s.Metrics()
+			if m.Simulated != cells || m.CacheHits != tc.hits || m.LanesWarmed != cells {
+				t.Errorf("%s, par %d: simulated %d, cache hits %d, lanes warmed %d; want %d, %d, %d",
+					mode.name, tc.par, m.Simulated, m.CacheHits, m.LanesWarmed, cells, tc.hits, cells)
+			}
+			scalar := NewSuite(options())
+			for _, d := range designs {
+				if !s.Sampled() {
+					if got, want := s.Run(d, benches[0]), scalar.Run(d, benches[0]); got != want {
+						t.Errorf("%s, par %d, %v: %+v, scalar %+v", mode.name, tc.par, d, got, want)
+					}
+					continue
+				}
+				// The provenance markers differ: the scalar suite warms
+				// every cell itself, and which per-cell run computes the
+				// phase profile depends on timing.
+				got, want := s.sampled(d, benches[0]), scalar.sampled(d, benches[0])
+				got.Metrics = dropProvenance(got.Metrics)
+				want.Metrics = dropProvenance(want.Metrics)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, par %d, %v: %+v, scalar %+v", mode.name, tc.par, d, got, want)
+				}
 			}
 		}
+	}
+}
+
+// dropProvenance drops the sim.lanes.restored and
+// sample.phase.profile_cached estimates.
+func dropProvenance(ms []tlc.MetricCI) []tlc.MetricCI {
+	var out []tlc.MetricCI
+	for _, m := range ms {
+		if m.Name != "sim.lanes.restored" && m.Name != "sample.phase.profile_cached" {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestRunAllGivesAStorelessSuiteLanes pins the one lane-store rule of the
+// grid CLIs: a suite without a checkpoint store still pays each
+// benchmark's warm-up once for all its designs, through an in-memory store
+// RunAll makes for the grid, and gets the scalar results.
+func TestRunAllGivesAStorelessSuiteLanes(t *testing.T) {
+	designs := tlc.Designs()
+	opt := tlc.Options{WarmInstructions: 20_000, RunInstructions: 5_000, Seed: 1}
+	s := NewSuite(opt)
+	if err := s.RunAll(designs, []string{"gcc"}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.LanesWarmed != uint64(len(designs)) {
+		t.Errorf("lanes warmed %d, want %d", m.LanesWarmed, len(designs))
+	}
+	scalar := NewSuite(opt)
+	scalar.NoLanes = true
+	for _, d := range designs {
+		if got, want := s.Run(d, "gcc"), scalar.Run(d, "gcc"); got != want {
+			t.Errorf("%v: %+v, scalar %+v", d, got, want)
+		}
+	}
+	if scalar.options().Checkpoints != nil {
+		t.Error("a lane-free suite gained a checkpoint store")
 	}
 }

@@ -34,6 +34,8 @@ type Machine struct {
 	// detailed quantum continues via Resume. Interval 0 clears the flags,
 	// so each core's first quantum starts its epoch at cycle zero.
 	inEpoch []bool
+	// out holds the one lane's result Interval returns.
+	out [1]cpu.Result
 }
 
 // New assembles a machine. shared must be non-nil exactly when there are
@@ -108,16 +110,25 @@ func (m *Machine) Warm(n uint64) {
 
 // Run times n instructions per core from a cold pipeline and returns the
 // machine-wide result.
-func (m *Machine) Run(n uint64) cpu.Result { return m.Interval(0, n) }
+func (m *Machine) Run(n uint64) cpu.Result { return m.interval(0, n) }
 
-// Interval implements sample.Target: n detailed instructions per core.
-// Interval 0 starts every core's timing epoch at cycle zero; later
-// intervals resume the epochs, exactly as single-core sampling resumes its
-// one core. The result aggregates all cores — Instructions and the L1/L2
-// counters sum over cores, Cycles is the machine finish time (the latest
-// core's clock), so per-interval CPI reads as machine cycles per per-core
-// instruction.
-func (m *Machine) Interval(i int, n uint64) cpu.Result {
+// Lanes implements sample.Target: a machine is one lane, however many
+// cores it has.
+func (m *Machine) Lanes() int { return 1 }
+
+// Interval implements sample.Target: n detailed instructions per core, as
+// the machine's one lane.
+func (m *Machine) Interval(i int, n uint64) []cpu.Result {
+	m.out[0] = m.interval(i, n)
+	return m.out[:]
+}
+
+// interval times n detailed instructions per core. Interval 0 starts every
+// core's timing epoch at cycle zero; later intervals resume the epochs. The
+// result aggregates all cores — Instructions and the L1/L2 counters sum
+// over cores, Cycles is the machine finish time (the latest core's clock),
+// so per-interval CPI reads as machine cycles per per-core instruction.
+func (m *Machine) interval(i int, n uint64) cpu.Result {
 	if i == 0 {
 		for j := range m.inEpoch {
 			m.inEpoch[j] = false

@@ -182,10 +182,12 @@ type scriptedTarget struct {
 
 func (f *scriptedTarget) Warm(n uint64) { f.warmed += n; f.w++ }
 
-func (f *scriptedTarget) Interval(i int, n uint64) cpu.Result {
+func (f *scriptedTarget) Lanes() int { return 1 }
+
+func (f *scriptedTarget) Interval(i int, n uint64) []cpu.Result {
 	f.clock += f.cpis[f.w] * float64(n)
 	f.w++
-	return cpu.Result{Cycles: sim.Time(f.clock), Instructions: n}
+	return []cpu.Result{{Cycles: sim.Time(f.clock), Instructions: n}}
 }
 
 func TestPhasePlanTimesRepresentativesOnly(t *testing.T) {
@@ -198,12 +200,12 @@ func TestPhasePlanTimesRepresentativesOnly(t *testing.T) {
 		ft.cpis = append(ft.cpis, 1+0.5*float64(w%3))
 	}
 	var strata []int
-	est := Run(ft, p.Plan(), func(iv Interval) {
+	est := Run(ft, p.Plan(), func(_ int, iv Interval) {
 		if iv.Stratum != iv.Index {
 			t.Errorf("interval %d measures stratum %d; clusters run in representative order", iv.Index, iv.Stratum)
 		}
 		strata = append(strata, iv.Stratum)
-	})
+	})[0]
 
 	if ft.warmed+est.Detailed != total || est.Total != total {
 		t.Errorf("warmed %d + detailed %d ≠ total %d (estimate says %d)", ft.warmed, est.Detailed, total, est.Total)

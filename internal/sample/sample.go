@@ -201,57 +201,72 @@ type Estimate struct {
 
 // Target is what a sampled measurement drives: anything that can advance
 // its instruction streams functionally (Warm) and time a detailed interval
-// (Interval). internal/machine's Machine is the target of every run: it
-// advances each of its N >= 1 cores and reports the machine-wide result
-// (Cycles = the latest core's clock). Interval i == 0 starts the timing
-// epoch at cycle zero; later intervals resume it rather than restarting
-// the pipeline, keeping the simulated clock monotone as the L2 designs
-// require and keeping per-interval refill/drain transients out of the
-// measured CPI.
+// (Interval) on each of its Lanes() back ends. internal/machine's Machine
+// is the one-lane target: it advances each of its N >= 1 cores and reports
+// the machine-wide result (Cycles = the latest core's clock). A timed lane
+// group (tlc.RunLanes) is the K-lane one: one front end — one stream, one
+// L1 — fast-forwards every lane's L2 at once and drives K back ends
+// through each interval. Interval i == 0 starts every timing epoch at
+// cycle zero; later intervals resume them rather than restarting the
+// pipeline, keeping the simulated clock monotone as the L2 designs require
+// and keeping per-interval refill/drain transients out of the measured
+// CPI.
 type Target interface {
+	Lanes() int
 	Warm(n uint64)
-	Interval(i int, n uint64) cpu.Result
+	// Interval returns one result per lane, in lane order; the slice is
+	// the target's and valid until the next call.
+	Interval(i int, n uint64) []cpu.Result
 }
 
 // Run executes a sampled measurement on a warmed target, step by step in
-// plan order. Instruction counts are per stream (per core, for a
-// multi-core machine). CPI observations are target cycles per per-stream
-// instruction, so the estimate's Cycles projects the target's clock over
-// the full run. observe, if non-nil, is called after each detailed
-// interval. The plan must come from UniformPlan or a checked
-// Profile.Plan.
+// plan order, and returns one Estimate per lane. Instruction counts are per
+// stream (per core, for a multi-core machine). CPI observations are target
+// cycles per per-stream instruction, so an estimate's Cycles projects its
+// lane's clock over the full run. observe, if non-nil, is called after each
+// detailed interval once per lane, in lane order. The plan must come from
+// UniformPlan or a checked Profile.Plan.
 //
 // Both kinds of step ride the batched cpu.Stream protocol: fast-forward
 // stretches take cpu.Core.Warm's NextMems path (non-memory instructions
 // skipped as run-length counts, bulk L2 installs), and the detailed
 // intervals consume NextBatch batches.
-func Run(t Target, p Plan, observe func(Interval)) Estimate {
-	var est Estimate
-	cpi := make([]stats.Sample, len(p.Weights))
-	var clock sim.Time
+func Run(t Target, p Plan, observe func(lane int, iv Interval)) []Estimate {
+	k := t.Lanes()
+	var total, detailed uint64
+	intervals := 0
+	cpi := make([][]stats.Sample, k)
+	for j := range cpi {
+		cpi[j] = make([]stats.Sample, len(p.Weights))
+	}
+	clocks := make([]sim.Time, k)
 	for _, s := range p.Steps {
 		for r := uint64(0); r < s.Repeat; r++ {
-			est.Total += s.Warm + s.Detail
+			total += s.Warm + s.Detail
 			if s.Warm > 0 {
 				t.Warm(s.Warm)
 			}
 			if s.Detail == 0 {
 				continue
 			}
-			res := t.Interval(est.Intervals, s.Detail)
-			dur := res.Cycles - clock
-			clock = res.Cycles
-			cpi[s.Stratum].Observe(float64(dur) / float64(s.Detail))
-			if observe != nil {
-				observe(Interval{Index: est.Intervals, Stratum: s.Stratum, Cycles: dur, Result: res})
+			for j, res := range t.Interval(intervals, s.Detail) {
+				dur := res.Cycles - clocks[j]
+				clocks[j] = res.Cycles
+				cpi[j][s.Stratum].Observe(float64(dur) / float64(s.Detail))
+				if observe != nil {
+					observe(j, Interval{Index: intervals, Stratum: s.Stratum, Cycles: dur, Result: res})
+				}
 			}
-			est.Detailed += s.Detail
-			est.Intervals++
+			detailed += s.Detail
+			intervals++
 		}
 	}
-	est.FinalClock = clock
-	est.Cycles, est.CyclesCI = p.estimate(cpi)
-	return est
+	ests := make([]Estimate, k)
+	for j := range ests {
+		ests[j] = Estimate{Total: total, Detailed: detailed, Intervals: intervals, FinalClock: clocks[j]}
+		ests[j].Cycles, ests[j].CyclesCI = p.estimate(cpi[j])
+	}
+	return ests
 }
 
 // estimate folds per-stratum CPI observations into the cycle estimate

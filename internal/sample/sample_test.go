@@ -38,7 +38,11 @@ func run(t *testing.T, core *cpu.Core, s cpu.Stream, total uint64, intervals int
 		t.Fatal(err)
 	}
 	m := machine.New([]*cpu.Core{core}, []cpu.Stream{s}, nil)
-	return Run(m, p, observe)
+	var obs func(int, Interval)
+	if observe != nil {
+		obs = func(_ int, iv Interval) { observe(iv) }
+	}
+	return Run(m, p, obs)[0]
 }
 
 func TestValidate(t *testing.T) {
@@ -168,7 +172,9 @@ func (r *recordingTarget) Warm(n uint64) {
 	r.warmed += n
 }
 
-func (r *recordingTarget) Interval(i int, n uint64) cpu.Result {
+func (r *recordingTarget) Lanes() int { return 1 }
+
+func (r *recordingTarget) Interval(i int, n uint64) []cpu.Result {
 	r.calls = append(r.calls, fmt.Sprintf("I%d:%d", i, n))
 	r.timed += n
 	cpi := 1.0
@@ -176,7 +182,61 @@ func (r *recordingTarget) Interval(i int, n uint64) cpu.Result {
 		cpi = r.cpi(i)
 	}
 	r.clock += cpi * float64(n)
-	return cpu.Result{Cycles: sim.Time(r.clock), Instructions: n}
+	return []cpu.Result{{Cycles: sim.Time(r.clock), Instructions: n}}
+}
+
+// laneTarget is K recordingTargets behind one schedule: Warm and Interval
+// reach every lane, and each lane scripts its own CPIs.
+type laneTarget []*recordingTarget
+
+func (l laneTarget) Lanes() int { return len(l) }
+
+func (l laneTarget) Warm(n uint64) {
+	for _, r := range l {
+		r.Warm(n)
+	}
+}
+
+func (l laneTarget) Interval(i int, n uint64) []cpu.Result {
+	out := make([]cpu.Result, len(l))
+	for k, r := range l {
+		out[k] = r.Interval(i, n)[0]
+	}
+	return out
+}
+
+// TestRunEstimatesEachLane pins the K-lane contract: one Run over K lanes
+// returns, for each lane, the estimate a one-lane Run of the same target
+// returns, and observes every interval once per lane in lane order.
+func TestRunEstimatesEachLane(t *testing.T) {
+	p, err := UniformPlan(10_003, 4, 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripts := []func(int) float64{
+		func(i int) float64 { return 1 + 0.25*float64(i) },
+		func(i int) float64 { return 3 - 0.5*float64(i%2) },
+		func(i int) float64 { return 2 },
+	}
+	var lanes laneTarget
+	for _, cpi := range scripts {
+		lanes = append(lanes, &recordingTarget{cpi: cpi})
+	}
+	var seen []string
+	got := Run(lanes, p, func(k int, iv Interval) { seen = append(seen, fmt.Sprintf("%d/%d", iv.Index, k)) })
+	if len(got) != len(scripts) {
+		t.Fatalf("%d estimates for %d lanes", len(got), len(scripts))
+	}
+	for k, cpi := range scripts {
+		want := Run(&recordingTarget{cpi: cpi}, p, nil)[0]
+		if got[k] != want {
+			t.Errorf("lane %d: estimate %+v, want the one-lane run's %+v", k, got[k], want)
+		}
+	}
+	want := []string{"0/0", "0/1", "0/2", "1/0", "1/1", "1/2", "2/0", "2/1", "2/2", "3/0", "3/1", "3/2"}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("observed %v, want %v", seen, want)
+	}
 }
 
 // TestUniformPlanCallSequence pins the uniform schedule: before each
@@ -191,7 +251,7 @@ func TestUniformPlanCallSequence(t *testing.T) {
 	}
 	cpis := []float64{1, 1.5, 2, 1.25}
 	tgt := &recordingTarget{cpi: func(i int) float64 { return cpis[i] }}
-	est := Run(tgt, p, nil)
+	est := Run(tgt, p, nil)[0]
 	want := []string{"W1501", "I0:1000", "W1501", "I1:1000", "W1501", "I2:1000", "W1500", "I3:1000"}
 	if !reflect.DeepEqual(tgt.calls, want) {
 		t.Errorf("calls %v, want %v", tgt.calls, want)
@@ -289,7 +349,7 @@ func FuzzSamplePlan(f *testing.F) {
 		}
 		if timed <= 1<<12 {
 			var c recordingTarget
-			est := Run(&c, plan, nil)
+			est := Run(&c, plan, nil)[0]
 			if est.Total != total || c.warmed+c.timed != total || est.Detailed != detailed || uint64(est.Intervals) != timed {
 				t.Fatalf("run advanced %d+%d instructions (estimate %d, %d detailed, %d intervals), want %d, %d detailed, %d intervals",
 					c.warmed, c.timed, est.Total, est.Detailed, est.Intervals, total, detailed, timed)

@@ -797,6 +797,20 @@ func (s Spec) AutoWarmInstructions() uint64 {
 	return warm
 }
 
+// L2RequestRate estimates the L2 requests per instruction of the spec's
+// stream behind the 64 KB L1: every memory operation outside the
+// L1-resident region, less the stream references that stay in a block
+// already fetched. The simulated L1 decides the real rate, which lies
+// within a factor of two of this on the twelve benchmarks; lane scheduling
+// weighs a benchmark's cost by it.
+func (s Spec) L2RequestRate() float64 {
+	repeat := s.StreamRepeat
+	if repeat <= 0 {
+		repeat = 8
+	}
+	return s.MemFrac * (1 - s.L1Frac - s.StreamFrac*float64(repeat-1)/float64(repeat))
+}
+
 // specIndex maps benchmark names to their specs, built once: SpecByName is
 // called per Run and per checkpoint-key computation, and rebuilding all
 // twelve specs per lookup was measurable in sweep profiles.

@@ -7,6 +7,8 @@ import (
 
 	"tlc/internal/config"
 	"tlc/internal/cpu"
+	"tlc/internal/l2"
+	"tlc/internal/mem"
 	"tlc/internal/snapshot"
 	"tlc/internal/workload"
 )
@@ -231,7 +233,7 @@ func TestWarmLanesCancelled(t *testing.T) {
 func TestLaneWarmDoesNotAllocate(t *testing.T) {
 	spec, _ := workload.SpecByName("oltp")
 	gen := &countingStream{Generator: workload.New(spec, 1)}
-	fan := laneFanout{Build(DesignSNUCA2, Options{}), Build(DesignTLC, Options{}), Build(DesignTLCOpt500, Options{})}
+	fan := laneFanout{{inst: Build(DesignSNUCA2, Options{})}, {inst: Build(DesignTLC, Options{})}, {inst: Build(DesignTLCOpt500, Options{})}}
 	gen.PreWarm(fan)
 	core := cpu.New(config.DefaultSystem(), fan)
 	core.Warm(gen, 200_000) // allocate the batch buffers
@@ -241,12 +243,23 @@ func TestLaneWarmDoesNotAllocate(t *testing.T) {
 }
 
 // TestTimedLanesMatchScalar is the timed-lane correctness gate: for all six
-// designs on three benchmarks, RunLanes returns the Result and the
-// registry snapshot of a per-point Run restored from the checkpoint the
-// lane pass stored. It covers a cold store, a store already holding some
-// of the group's checkpoints (scalar-warmed, so those lanes restore and
-// carry no sim.lanes.restored), and a warm seed apart from the timed seed.
+// designs on three benchmarks, RunLanes returns the result and the registry
+// snapshot of a per-point run restored from the checkpoint the lane pass
+// stored — Run's under full-detail options, RunSampled's under uniform and
+// phase sampling, the per-point runs taken in design order over a fresh
+// profile store as a lanes-off grid takes them. It covers a cold store, a
+// store already holding some of the group's checkpoints (scalar-warmed, so
+// those lanes restore and carry no sim.lanes.restored), and a warm seed
+// apart from the timed seed.
 func TestTimedLanesMatchScalar(t *testing.T) {
+	modes := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"", func(*Options) {}}, // full detail, under the gate's first names
+		{"uniform", func(o *Options) { o.SampleIntervals, o.SampleLength = 8, 1_000 }},
+		{"phase", func(o *Options) { o.PhaseWindows, o.PhaseClusters = 10, 4 }},
+	}
 	cases := []struct {
 		name     string
 		warmSeed int64
@@ -258,47 +271,207 @@ func TestTimedLanesMatchScalar(t *testing.T) {
 		{name: "partial", prewarm: []Design{DesignDNUCA, DesignTLCOpt500}},
 		{name: "reseeded", warmSeed: 7},
 	}
-	for _, bench := range []string{"gcc", "equake", "oltp"} {
-		for _, tc := range cases {
-			bench, tc := bench, tc
-			t.Run(bench+"/"+tc.name, func(t *testing.T) {
-				t.Parallel()
-				opt := laneTestOptions()
-				opt.WarmSeed = tc.warmSeed
-				opt.Checkpoints = NewCheckpointStore(0, "")
-				for _, d := range tc.prewarm {
-					if _, err := Run(d, bench, opt); err != nil {
-						t.Fatal(err)
+	for _, mode := range modes {
+		for _, bench := range []string{"gcc", "equake", "oltp"} {
+			for _, tc := range cases {
+				mode, bench, tc := mode, bench, tc
+				name := bench + "/" + tc.name
+				if mode.name != "" {
+					name = mode.name + "/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					opt := laneTestOptions()
+					opt.WarmSeed = tc.warmSeed
+					opt.Checkpoints = NewCheckpointStore(0, "")
+					for _, d := range tc.prewarm {
+						if _, err := Run(d, bench, opt); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				snaps := map[Design]MetricsSnapshot{}
-				opt.OnMetrics = func(ev MetricsEvent) { snaps[ev.Design] = ev.Snapshot }
-				got, st, err := RunLanes(Designs(), bench, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := len(Designs()) - len(tc.prewarm); st.Lanes != want {
-					t.Errorf("lane pass warmed %d lanes, want %d", st.Lanes, want)
-				}
-				lane := snaps
-				snaps = map[Design]MetricsSnapshot{}
-				for i, d := range Designs() {
-					want, err := Run(d, bench, opt)
+					mode.set(&opt)
+					run := func(d Design, o Options) SampledResult {
+						if !o.Sampled() {
+							res, err := Run(d, bench, o)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return SampledResult{Result: res}
+						}
+						sres, err := RunSampled(d, bench, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return sres
+					}
+					snaps := map[Design]MetricsSnapshot{}
+					opt.OnMetrics = func(ev MetricsEvent) { snaps[ev.Design] = ev.Snapshot }
+					if opt.PhaseWindows > 0 {
+						opt.PhaseProfiles = NewPhaseProfileStore(0, "")
+					}
+					got, st, err := RunLanes(Designs(), bench, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got[i] != want {
-						t.Errorf("%v: timed lane diverged:\nscalar %+v\nlane   %+v", d, want, got[i])
+					if want := len(Designs()) - len(tc.prewarm); st.Lanes != want {
+						t.Errorf("lane pass warmed %d lanes, want %d", st.Lanes, want)
 					}
-					if !reflect.DeepEqual(lane[d], snaps[d]) {
-						t.Errorf("%v: timed lane registry differs from the restored run's", d)
+					lane := snaps
+					snaps = map[Design]MetricsSnapshot{}
+					if opt.PhaseWindows > 0 {
+						opt.PhaseProfiles = NewPhaseProfileStore(0, "")
 					}
-					_, marked := lane[d].Value("sim.lanes.restored")
-					if prewarmed := containsDesignT(tc.prewarm, d); marked == prewarmed {
-						t.Errorf("%v: sim.lanes.restored present=%v on a lane prewarmed=%v", d, marked, prewarmed)
+					for i, d := range Designs() {
+						if want := run(d, opt); !reflect.DeepEqual(got[i], want) {
+							t.Errorf("%v: timed lane diverged:\nscalar %+v\nlane   %+v", d, want, got[i])
+						}
+						if !reflect.DeepEqual(lane[d], snaps[d]) {
+							t.Errorf("%v: timed lane registry differs from the restored run's", d)
+						}
+						_, marked := lane[d].Value("sim.lanes.restored")
+						if prewarmed := containsDesignT(tc.prewarm, d); marked == prewarmed {
+							t.Errorf("%v: sim.lanes.restored present=%v on a lane prewarmed=%v", d, marked, prewarmed)
+						}
+						_, cached := lane[d].Value("sample.phase.profile_cached")
+						if want := opt.PhaseWindows > 0 && i > 0; cached != want {
+							t.Errorf("%v: sample.phase.profile_cached present=%v, want %v", d, cached, want)
+						}
 					}
-				}
-			})
+				})
+			}
+		}
+	}
+}
+
+// TestSampledLanesAdvanceRunInstructions pins the stream-length invariant
+// on sampled lane groups: from the timed region's start, the plan's
+// fast-forward stretches and detailed intervals advance the shared
+// generator by exactly RunInstructions — the phase profile's pass rewinds
+// what it reads, and no lane draws from the stream on its own.
+func TestSampledLanesAdvanceRunInstructions(t *testing.T) {
+	spec, _ := workload.SpecByName("gcc")
+	for name, set := range map[string]func(*Options){
+		"uniform": func(o *Options) { o.SampleIntervals, o.SampleLength = 8, 1_000 },
+		"phase":   func(o *Options) { o.PhaseWindows, o.PhaseClusters = 10, 4 },
+	} {
+		opt := laneTestOptions()
+		opt.WarmSeed = 7
+		set(&opt)
+		lanes := planLanes(Designs(), spec, opt)
+		core, gen, _, err := prepareLanes(lanes, spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := newLaneTarget(core, gen.Generator, lanes)
+		warmSeed, _ := warmPlan(spec, opt)
+		startTimed(gen.Generator, warmSeed, opt)
+		ref := workload.New(spec, warmSeed)
+		ref.SetState(gen.State())
+		if _, err := target.sample(lanes, spec, opt); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]cpu.MemRef, 512)
+		for left := opt.RunInstructions; left > 0; {
+			_, n := ref.NextMems(buf, left)
+			left -= n
+		}
+		if gen.State() != ref.State() {
+			t.Errorf("%s: sampled lanes left the stream at %+v, want %+v (RunInstructions past the timed start)", name, gen.State(), ref.State())
+		}
+	}
+}
+
+// TestSampledRunRewarmsARejectedCoreHalf pins the miss rule of the lane
+// path a one-core sampled run takes: a checkpoint whose core half the core
+// rejects is a miss, as one whose design half the design rejects is, so
+// the run re-warms, stores a fresh checkpoint, and matches a storeless run.
+func TestSampledRunRewarmsARejectedCoreHalf(t *testing.T) {
+	opt := laneTestOptions()
+	opt.SampleIntervals, opt.SampleLength = 8, 1_000
+	want, err := RunSampled(DesignTLC, "gcc", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Checkpoints = NewCheckpointStore(0, "")
+	if _, err := RunSampled(DesignTLC, "gcc", opt); err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := workload.SpecByName("gcc")
+	key := planLanes([]Design{DesignTLC}, spec, opt)[0].key
+	ckp, _ := opt.Checkpoints.Get(key)
+	bad := ckp
+	bad.Cores = []cpu.State{{L1: ckp.Cores[0].L1, Dirty: ckp.Cores[0].Dirty[1:]}}
+	opt.Checkpoints.Put(key, bad)
+	got, err := RunSampled(DesignTLC, "gcc", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("run over a rejected core half diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+	if st := opt.Checkpoints.Stats(); st.Puts != 3 {
+		t.Errorf("store stats %+v, want the re-warmed checkpoint stored", st)
+	}
+}
+
+// countingL2 is one design's own warm-miss count: it probes every block of
+// an install before installing it, and counts the absent ones while on.
+type countingL2 struct {
+	l2.Instrumented
+	on     bool
+	misses uint64
+}
+
+func (c *countingL2) Warm(b mem.Block) {
+	if c.on && !c.Contains(b) {
+		c.misses++
+	}
+	c.Instrumented.Warm(b)
+}
+
+func (c *countingL2) WarmBulk(blocks []mem.Block) {
+	for _, b := range blocks {
+		if c.on && !c.Contains(b) {
+			c.misses++
+		}
+	}
+	l2.WarmAll(c.Instrumented, blocks)
+}
+
+// TestLaneFanoutCountsWarmMissesPerLane pins the calibration covariate's
+// source on a lane group: behind one front end, each lane counts the warm
+// L2 misses its own design takes — the count the design's own Contains
+// probes give when it warms alone through the same stream — not the
+// group's.
+func TestLaneFanoutCountsWarmMissesPerLane(t *testing.T) {
+	spec, _ := workload.SpecByName("equake")
+	sys := config.DefaultSystem()
+	const warm, counted = 100_000, 200_000
+	var fan laneFanout
+	for _, d := range Designs() {
+		fan = append(fan, &lane{design: d, inst: Build(d, Options{})})
+	}
+	gen := workload.New(spec, 1)
+	gen.PreWarm(fan)
+	core := cpu.New(sys, fan)
+	core.Warm(gen, warm)
+	for _, l := range fan {
+		l.countWarm = true
+	}
+	core.Warm(gen, counted)
+	for _, l := range fan {
+		own := &countingL2{Instrumented: Build(l.design, Options{})}
+		g := workload.New(spec, 1)
+		g.PreWarm(own)
+		c := cpu.New(sys, own)
+		c.Warm(g, warm)
+		own.on = true
+		c.Warm(g, counted)
+		if own.misses == 0 {
+			t.Fatalf("%v: no warm misses to count", l.design)
+		}
+		if l.warmMisses != own.misses {
+			t.Errorf("%v: lane counted %d warm misses, the design alone %d", l.design, l.warmMisses, own.misses)
 		}
 	}
 }
@@ -337,14 +510,10 @@ func TestRunLanesRestoresEveryLane(t *testing.T) {
 // TestRunLanesRejectsUnsharedOptions pins that timed lanes refuse options
 // whose runs cannot share one front end, and unknown benchmarks.
 func TestRunLanesRejectsUnsharedOptions(t *testing.T) {
-	sampled := laneTestOptions()
-	sampled.SampleIntervals, sampled.SampleLength = 4, 1000
 	cmp := laneTestOptions()
 	cmp.Cores = 2
-	for name, opt := range map[string]Options{"sampled": sampled, "cmp": cmp} {
-		if _, _, err := RunLanes(Designs(), "mcf", opt); err == nil {
-			t.Errorf("%s options: want an error", name)
-		}
+	if _, _, err := RunLanes(Designs(), "mcf", cmp); err == nil {
+		t.Error("cmp options: want an error")
 	}
 	if _, _, err := RunLanes(Designs(), "nosuch", laneTestOptions()); err == nil {
 		t.Error("unknown benchmark: want an error")

@@ -9,6 +9,7 @@ import (
 	"tlc/internal/cpu"
 	"tlc/internal/l2"
 	"tlc/internal/mem"
+	"tlc/internal/sample"
 	"tlc/internal/sim"
 	"tlc/internal/snapshot"
 	"tlc/internal/workload"
@@ -62,13 +63,22 @@ type LaneStats struct {
 }
 
 // lane is one distinct configuration of a lane group: its design, its
-// checkpoint key, its live instance, and whether its warm state came from
-// a shared pass (the sim.lanes.restored provenance).
+// checkpoint key, its live instance, whether its warm state came from a
+// shared pass (the sim.lanes.restored provenance), and its functional L2
+// misses over the fast-forward stretches that count them.
 type lane struct {
 	design Design
 	key    snapshot.Key
 	inst   l2.Instrumented
 	shared bool
+	// countWarm gates warmMisses: the fan-out probes each block before
+	// installing it and counts the absent ones — the misses a detailed run
+	// over the same stretch would have charged. Off for warm-up; a
+	// calibrated phase run turns it on across its timed region to total
+	// its L2-miss covariate exactly. The probe never mutates cache state,
+	// so counting cannot perturb a run.
+	countWarm  bool
+	warmMisses uint64
 }
 
 // planLanes lists the distinct configurations of designs for one
@@ -123,7 +133,7 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 		return LaneStats{}, nil
 	}
 	start := time.Now()
-	_, gen, _, err := warmLanes(todo, spec, opt)
+	gen, _, err := warmLanes(todo, spec, opt)
 	if err != nil {
 		return LaneStats{}, err
 	}
@@ -137,17 +147,16 @@ func WarmLanes(designs []Design, benchmark string, opt Options) (LaneStats, erro
 // spill to every lane's freshly built design, and the core's snapshot is
 // every lane's core state. It stores each lane's checkpoint when opt has a
 // store, marked as lane-warmed when the pass warmed more than one lane,
-// and returns the warmed core and generator — the front end a timed pass
-// continues from — with the checkpoint's front-end half.
-func warmLanes(lanes []*lane, spec workload.Spec, opt Options) (*cpu.Core, *countingStream, snapshot.Checkpoint, error) {
+// and returns the warmed generator with the checkpoint's front-end half:
+// what a timed pass continues from.
+func warmLanes(lanes []*lane, spec workload.Spec, opt Options) (*countingStream, snapshot.Checkpoint, error) {
 	warmSeed, warm := warmPlan(spec, opt)
 	shared := len(lanes) > 1
-	fan := make(laneFanout, len(lanes))
-	for i, l := range lanes {
+	for _, l := range lanes {
 		l.inst = Build(l.design, opt)
 		l.shared = shared
-		fan[i] = l.inst
 	}
+	fan := laneFanout(lanes)
 	// One generator drives every lane. PreWarm reads the spec-derived
 	// layout without consuming generator state, so installing the footprint
 	// through the fan-out leaves the shared stream exactly where each
@@ -158,7 +167,7 @@ func warmLanes(lanes []*lane, spec workload.Spec, opt Options) (*cpu.Core, *coun
 	core.SetCancel(opt.Cancel)
 	core.Warm(gen, warm)
 	if err := core.CancelErr(); err != nil {
-		return nil, nil, snapshot.Checkpoint{}, fmt.Errorf("tlc: %s lane warm-up cancelled: %w", spec.Name, err)
+		return nil, snapshot.Checkpoint{}, fmt.Errorf("tlc: %s lane warm-up cancelled: %w", spec.Name, err)
 	}
 	front := snapshot.Checkpoint{
 		Cores: []cpu.State{core.Snapshot()},
@@ -178,28 +187,35 @@ func warmLanes(lanes []*lane, spec workload.Spec, opt Options) (*cpu.Core, *coun
 			Lanes: shared,
 		})
 	}
-	return core, gen, front, nil
+	return gen, front, nil
 }
 
 // RunLanes runs designs on one benchmark as timed lanes and returns one
-// Result per design, in order, each bit-identical to Run's for that
-// design. With one core the L1's path does not depend on the L2, so one
-// stream and one L1 — one front end — drive a back end per design:
+// SampledResult per design, in order, each bit-identical to RunSampled's
+// for that design under sampled options and carrying Run's Result alone
+// under full-detail ones. With one core the L1's path does not depend on
+// the L2, so one stream and one L1 — one front end — drive a back end per
+// design:
 //
 //   - every distinct configuration whose checkpoint opt.Checkpoints
 //     already holds is restored from it; the rest warm together through
 //     the WarmLanes pass, which stores their checkpoints;
-//   - the timed region then runs all of them in lockstep on the live
-//     instances (cpu.Core.RunLanes): each stream batch is drawn and
-//     resolved through the L1 once and timed by every back end.
+//   - the timed region then runs all of them on the live instances
+//     (laneTarget): a full-detail run is one detailed interval, and a
+//     sampled run follows its plan through sample.Run, fast-forwarding
+//     every lane's L2 in one Core.Warm behind the fan-out and timing each
+//     detailed interval once over all back ends. A phase run profiles the
+//     shared stream once for the group.
 //
-// Each design's registry carries the names a restored Run's does,
-// sim.lanes.restored included when its warm state came from a shared
-// pass, and opt.OnMetrics fires once per distinct configuration. Sampled
-// and CMP options are rejected. An error (cancellation, or checkpoints of
-// one warm plan that disagree on the front end) returns no results and
-// fires no OnMetrics.
-func RunLanes(designs []Design, benchmark string, opt Options) ([]Result, LaneStats, error) {
+// Each design's registry carries the names its own run's does:
+// sim.lanes.restored when its warm state came from a shared pass, and,
+// on phase runs, sample.phase.profile_cached on every lane after the
+// group's first when opt has a profile store — the lane the store would
+// have missed for, had each design run on its own, in order. opt.OnMetrics
+// fires once per distinct configuration. CMP options are rejected. An
+// error (cancellation, or checkpoints of one warm plan that disagree on
+// the front end) returns no results and fires no OnMetrics.
+func RunLanes(designs []Design, benchmark string, opt Options) ([]SampledResult, LaneStats, error) {
 	spec, ok := workload.SpecByName(benchmark)
 	if !ok {
 		return nil, LaneStats{}, fmt.Errorf("tlc: unknown benchmark %q", benchmark)
@@ -207,11 +223,16 @@ func RunLanes(designs []Design, benchmark string, opt Options) ([]Result, LaneSt
 	if err := opt.Validate(); err != nil {
 		return nil, LaneStats{}, err
 	}
-	if opt.Sampled() || opt.cores() > 1 {
-		// Core-count branch: a shared front end needs one core, and the
-		// lanes time the whole run.
-		return nil, LaneStats{}, fmt.Errorf("tlc: timed lanes need full-detail, one-core options")
+	if opt.cores() > 1 {
+		// Core-count branch: a shared front end needs one core.
+		return nil, LaneStats{}, fmt.Errorf("tlc: timed lanes need one-core options")
 	}
+	return runLanes(designs, spec, opt)
+}
+
+// runLanes is RunLanes on a validated one-core spec. A one-core sampled
+// run (RunSpecSampled) is its one-design case.
+func runLanes(designs []Design, spec workload.Spec, opt Options) ([]SampledResult, LaneStats, error) {
 	start := time.Now()
 	lanes := planLanes(designs, spec, opt)
 	core, gen, st, err := prepareLanes(lanes, spec, opt)
@@ -221,46 +242,145 @@ func RunLanes(designs []Design, benchmark string, opt Options) ([]Result, LaneSt
 	st.Warm = time.Since(start)
 
 	warmSeed, _ := warmPlan(spec, opt)
-	backs := make([]*cpu.Backend, len(lanes))
-	for i, l := range lanes {
-		reg := l.inst.Metrics()
-		backs[i] = core.NewBackend(l.inst)
-		registerOneCore(reg, backs[i], gen.Generator)
-		if l.shared {
-			markLaneRestored(reg)
-		}
-	}
+	t := newLaneTarget(core, gen.Generator, lanes)
 	startTimed(gen.Generator, warmSeed, opt)
 	core.SetCancel(opt.Cancel)
-	core.RunLanes(gen.Generator, opt.RunInstructions, backs)
-	if err := core.CancelErr(); err != nil {
-		return nil, LaneStats{}, fmt.Errorf("tlc: %s timed lanes cancelled: %w", spec.Name, err)
+	var res []SampledResult
+	if opt.Sampled() {
+		res, err = t.sample(lanes, spec, opt)
+	} else {
+		t.Interval(0, opt.RunInstructions)
+		if err = core.CancelErr(); err != nil {
+			err = fmt.Errorf("run cancelled: %w", err)
+		} else {
+			res = make([]SampledResult, len(lanes))
+			for i, l := range lanes {
+				res[i].Result = finish(l.design, spec.Name, l.inst, t.res[i], opt)
+			}
+		}
 	}
-	byDesign := make(map[Design]Result, len(lanes))
+	if err != nil {
+		group := spec.Name
+		if len(lanes) == 1 {
+			group = fmt.Sprintf("%v %s", lanes[0].design, spec.Name)
+		}
+		return nil, LaneStats{}, fmt.Errorf("tlc: %s %w", group, err)
+	}
+	byDesign := make(map[Design]SampledResult, len(lanes))
 	for i, l := range lanes {
-		byDesign[l.design] = finish(l.design, spec.Name, l.inst, backs[i].Result(), opt)
+		byDesign[l.design] = res[i]
 	}
-	out := make([]Result, len(designs))
+	out := make([]SampledResult, len(designs))
 	for i, d := range designs {
 		out[i] = byDesign[d]
 	}
 	return out, st, nil
 }
 
+// laneTarget is a lane group's timed region as a sample.Target: its front
+// end — the core over the fan-out and the shared generator — and one back
+// end per lane. A fast-forward stretch is one Core.Warm, whose spill the
+// fan-out installs in every lane; a detailed interval is one drive of the
+// front end over every back end, interval 0 starting each back end's
+// epoch as RunFrom does and later ones resuming it.
+type laneTarget struct {
+	core  *cpu.Core
+	gen   *workload.Generator
+	backs []*cpu.Backend
+	res   []cpu.Result
+}
+
+// newLaneTarget builds a prepared group's timed region: a back end per
+// lane behind core, each publishing the names a restored run's does in its
+// lane's registry.
+func newLaneTarget(core *cpu.Core, gen *workload.Generator, lanes []*lane) *laneTarget {
+	t := &laneTarget{core: core, gen: gen, backs: make([]*cpu.Backend, len(lanes)), res: make([]cpu.Result, len(lanes))}
+	for i, l := range lanes {
+		reg := l.inst.Metrics()
+		t.backs[i] = core.NewBackend(l.inst)
+		registerOneCore(reg, t.backs[i], gen)
+		if l.shared {
+			markLaneRestored(reg)
+		}
+	}
+	return t
+}
+
+func (t *laneTarget) Lanes() int { return len(t.backs) }
+
+func (t *laneTarget) Warm(n uint64) { t.core.Warm(t.gen, n) }
+
+func (t *laneTarget) Interval(i int, n uint64) []cpu.Result {
+	if i == 0 {
+		t.core.RunLanes(t.gen, n, t.backs)
+	} else {
+		t.core.ResumeLanes(t.gen, n, t.backs)
+	}
+	for k, b := range t.backs {
+		t.res[k] = b.Result()
+	}
+	return t.res
+}
+
+// sample runs the group's sampled plan — the phase profile's, fetched or
+// computed once on the shared stream, or the uniform one — and assembles
+// each lane's SampledResult from its own registry and estimate. A phase
+// run's estimates are GREG-calibrated, each lane's against its own exact
+// L2-miss total: its detailed misses plus the functional misses the
+// fan-out counted across the fast-forward stretches.
+func (t *laneTarget) sample(lanes []*lane, spec workload.Spec, opt Options) ([]SampledResult, error) {
+	sopt := opt.SampleOptions()
+	plan, prof, cached, err := samplePlan(spec, opt, []stream{t.gen})
+	if err != nil {
+		return nil, fmt.Errorf("phase profile cancelled: %w", err)
+	}
+	obs := make([]*observer, len(lanes))
+	rec := make([]func(sample.Interval), len(lanes))
+	for i, l := range lanes {
+		reg := l.inst.Metrics()
+		if sopt.Phase() {
+			registerPhaseMetrics(reg, prof, cached || (i > 0 && opt.PhaseProfiles != nil))
+		}
+		obs[i], rec[i] = newObserver(reg, l.inst)
+		l.countWarm = sopt.Phase()
+	}
+	ests := sample.Run(t, plan, func(k int, iv sample.Interval) { rec[k](iv) })
+	if err := t.core.CancelErr(); err != nil {
+		return nil, fmt.Errorf("run cancelled: %w", err)
+	}
+	out := make([]SampledResult, len(lanes))
+	for i, l := range lanes {
+		if sopt.Phase() {
+			reg := l.inst.Metrics()
+			totL2 := float64(reg.CounterValue("l2.misses")) + float64(l.warmMisses)
+			calibratePhase(&ests[i], prof, obs[i], totL2, float64(reg.CounterValue("workload.mispredicts")))
+		}
+		out[i] = assembleSampled(l.design, spec, opt, l.inst, 1, ests[i], obs[i].fold(plan.Weights))
+	}
+	return out, nil
+}
+
 // prepareLanes brings a lane group to measured-interval start: a lane
 // whose checkpoint the store holds restores it, and the rest warm together
-// through warmLanes. It returns the front end the lanes share — the warmed
-// core and generator, or, when every lane restored, a core and generator
-// restored from their checkpoints — with the stats of the shared warm-up.
-// Every checkpoint of one warm plan must agree on the front end.
+// through warmLanes. It returns the front end the lanes share — a core
+// over the fan-out of every lane, holding the warmed or restored L1, and
+// the generator positioned where the warm-up left it — with the stats of
+// the shared warm-up. Every checkpoint of one warm plan must agree on the
+// front end; the first one whose core half the core rejects is a miss,
+// like a design half its design rejects, and its lane warms.
 func prepareLanes(lanes []*lane, spec workload.Spec, opt Options) (*cpu.Core, *countingStream, LaneStats, error) {
 	errFront := fmt.Errorf("tlc: %s checkpoints of one warm plan disagree on the core or stream state", spec.Name)
+	core := cpu.New(config.DefaultSystem(), laneFanout(lanes))
 	var (
 		todo  []*lane
 		front snapshot.Checkpoint
+		st    LaneStats
 	)
 	for _, l := range lanes {
 		ckp, ok := restoreLane(l, opt)
+		if ok && front.Cores == nil {
+			ok = core.Restore(ckp.Cores[0]) == nil
+		}
 		if !ok {
 			todo = append(todo, l)
 			continue
@@ -270,28 +390,28 @@ func prepareLanes(lanes []*lane, spec workload.Spec, opt Options) (*cpu.Core, *c
 		}
 		front = ckp
 	}
-	if len(todo) > 0 {
-		core, gen, warmed, err := warmLanes(todo, spec, opt)
-		if err != nil {
-			return nil, nil, LaneStats{}, err
-		}
-		if front.Cores != nil && !sameFront(front, warmed) {
-			return nil, nil, LaneStats{}, errFront
-		}
-		var st LaneStats
-		if len(todo) > 1 {
-			st = LaneStats{Lanes: len(todo), Batches: gen.batches}
-		}
+	if len(todo) == 0 {
+		warmSeed, _ := warmPlan(spec, opt)
+		gen := &countingStream{Generator: workload.New(spec, warmSeed)}
+		gen.SetState(front.Gens[0].Gen)
 		return core, gen, st, nil
 	}
-	warmSeed, _ := warmPlan(spec, opt)
-	core := cpu.New(config.DefaultSystem(), laneFanout(nil))
-	if err := core.Restore(front.Cores[0]); err != nil {
+	gen, warmed, err := warmLanes(todo, spec, opt)
+	if err != nil {
 		return nil, nil, LaneStats{}, err
 	}
-	gen := &countingStream{Generator: workload.New(spec, warmSeed)}
-	gen.SetState(front.Gens[0].Gen)
-	return core, gen, LaneStats{}, nil
+	if front.Cores != nil && !sameFront(front, warmed) {
+		return nil, nil, LaneStats{}, errFront
+	}
+	if len(todo) > 1 {
+		st = LaneStats{Lanes: len(todo), Batches: gen.batches}
+	}
+	// The warm pass's core fanned out to the lanes it warmed; the timed
+	// region's fans out to all of them, from the same L1 state.
+	if err := core.Restore(warmed.Cores[0]); err != nil {
+		return nil, nil, LaneStats{}, err
+	}
+	return core, gen, st, nil
 }
 
 // restoreLane builds a lane's design and restores it from the lane's
@@ -319,31 +439,45 @@ func sameFront(a, b snapshot.Checkpoint) bool {
 	return reflect.DeepEqual(a.Cores, b.Cores) && reflect.DeepEqual(a.Gens, b.Gens)
 }
 
-// laneFanout is the L2 behind a lane pass's one core: every functional
-// install goes to every lane's design, in order. A lane pass is warm-only
-// and never counts warm misses, so timed access and residency probes
-// have no meaning here and panic.
-type laneFanout []l2.Cache
+// laneFanout is the L2 behind a lane group's one core: every functional
+// install goes to every lane's design, in order, and a lane that counts
+// warm misses probes each block before its install. One rule serves a
+// group of six and a one-design run alike. The fan-out has no timed side:
+// each lane's back end reaches its design directly.
+type laneFanout []*lane
 
 func (f laneFanout) Access(sim.Time, mem.Request) l2.Outcome {
-	panic("tlc: timed access in a lane warm pass")
+	panic("tlc: timed access through a lane fan-out")
 }
 
-func (f laneFanout) Contains(mem.Block) bool {
-	panic("tlc: residency probe in a lane warm pass")
-}
-
-func (f laneFanout) Warm(b mem.Block) {
-	for _, c := range f {
-		c.Warm(b)
+// Contains reports whether every lane holds b.
+func (f laneFanout) Contains(b mem.Block) bool {
+	for _, l := range f {
+		if !l.inst.Contains(b) {
+			return false
+		}
 	}
+	return true
 }
+
+func (f laneFanout) Warm(b mem.Block) { f.WarmBulk([]mem.Block{b}) }
 
 // WarmBulk implements l2.Warmer, reaching each lane's bulk kernel with
-// one dispatch per sweep.
+// one dispatch per sweep. A counting lane probes the whole sweep before
+// installing it, so a block repeated within one spill (a victim refilled
+// in the same sweep) counts once per probe rather than once per true
+// miss; at a few hundred references per sweep the double-count is noise
+// against the covariate total it feeds.
 func (f laneFanout) WarmBulk(blocks []mem.Block) {
-	for _, c := range f {
-		l2.WarmAll(c, blocks)
+	for _, l := range f {
+		if l.countWarm {
+			for _, b := range blocks {
+				if !l.inst.Contains(b) {
+					l.warmMisses++
+				}
+			}
+		}
+		l2.WarmAll(l.inst, blocks)
 	}
 }
 

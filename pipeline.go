@@ -8,12 +8,16 @@ package tlc
 // registry. A 1-core machine has no Shared layer: its core drives the
 // design directly and its registry holds only the unprefixed cpu.* and
 // workload.* names, so single-core results come out of the same code as
-// CMP results.
+// CMP results. A one-core sampled run takes the same steps as a lane
+// group of one design (lanes.go): the sample.Run loop drives one back end
+// there and K in a group, and the Machine is its one-lane target.
 //
 // The core count changes the pipeline in three places, each marked where
 // it branches: building the shared layer and naming metrics (newRig),
-// lane eligibility (WarmLanes, RunLanes) and GREG calibration
-// (RunSpecSampled).
+// lane eligibility (WarmLanes, RunLanes), and the sampled path
+// (RunSpecSampled): one core runs as a lane group of one and calibrates
+// phase estimates with GREG, a CMP machine runs as the Machine target
+// uncalibrated.
 
 import (
 	"errors"
@@ -265,8 +269,9 @@ func finish(d Design, bench string, inst l2.Instrumented, cr cpu.Result, opt Opt
 // of SampleLength instructions, interleaved with functional
 // fast-forwarding; the phase plan profiles (or fetches) the phase
 // clustering and times one representative window per cluster. On one core
-// a phase run's cycle estimate is then calibrated against exact covariate
-// totals. RunInstructions and SampleLength count instructions per core.
+// the run is a lane group of one (runLanes), and a phase run's cycle
+// estimate is then calibrated against exact covariate totals.
+// RunInstructions and SampleLength count instructions per core.
 func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, error) {
 	sopt := opt.SampleOptions()
 	if err := sopt.Validate(opt.RunInstructions); err != nil {
@@ -275,48 +280,54 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 	if err := opt.validateCMP(); err != nil {
 		return SampledResult{}, err
 	}
+	// Core-count branch: one core shares the lanes' path and calibrates
+	// phase estimates; a CMP machine is the one lane of its own target and
+	// does not. Its feature vectors sum counts across cores while window
+	// weights stay per-core, so the L1 covariate total would be off by N.
+	if opt.cores() == 1 {
+		res, _, err := runLanes([]Design{d}, spec, opt)
+		if err != nil {
+			return SampledResult{}, err
+		}
+		return res[0], nil
+	}
 	r, err := prepare(d, spec, opt)
 	if err != nil {
 		return SampledResult{}, err
 	}
+	plan, prof, cached, err := samplePlan(spec, opt, r.streams)
+	if err != nil {
+		return SampledResult{}, fmt.Errorf("tlc: %v %s phase profile cancelled: %w", d, spec.Name, err)
+	}
 	reg := r.inst.Metrics()
-	var prof sample.Profile // zero in uniform mode: no calibration
-	var plan sample.Plan
 	if sopt.Phase() {
-		var cached bool
-		prof, cached, err = phaseProfileFor(spec, opt, sopt, func(key string) (sample.Profile, error) {
-			return computePhaseProfile(key, r.streams, opt)
-		})
-		if err != nil {
-			return SampledResult{}, fmt.Errorf("tlc: %v %s phase profile cancelled: %w", d, spec.Name, err)
-		}
 		registerPhaseMetrics(reg, prof, cached)
-		plan = prof.Plan()
-	} else {
-		plan, _ = sample.UniformPlan(opt.RunInstructions, sopt.Intervals, sopt.Length) // validated above
 	}
 	obs, observe := newObserver(reg, r.inst)
-	// Core-count branch: GREG calibration of phase estimates runs on one
-	// core only. CMP feature vectors sum counts across cores while window
-	// weights stay per-core, so the L1 covariate total would be off by N.
-	calibrated := sopt.Phase() && len(r.cores) == 1
-	core := r.cores[0]
-	if calibrated {
-		// Count functional L2 misses across the timed region's warm
-		// stretches; added to the detailed counter they give the region's
-		// exact miss total.
-		core.SetWarmMissCounting(true)
-	}
-	warmBase := core.WarmL2Misses()
-	est := sample.Run(r.m, plan, observe)
+	est := sample.Run(r.m, plan, func(_ int, iv sample.Interval) { observe(iv) })[0]
 	if err := r.m.CancelErr(); err != nil {
 		return SampledResult{}, fmt.Errorf("tlc: %v %s run cancelled: %w", d, spec.Name, err)
 	}
-	if calibrated {
-		totL2 := float64(reg.CounterValue("l2.misses")) + float64(core.WarmL2Misses()-warmBase)
-		calibratePhase(&est, prof, obs, totL2, float64(reg.CounterValue("workload.mispredicts")))
+	return assembleSampled(d, spec, opt, r.inst, uint64(len(r.cores)), est, obs.fold(plan.Weights)), nil
+}
+
+// samplePlan resolves a sampled run's plan over its prepared streams: the
+// phase profile's — fetched from opt.PhaseProfiles, or computed and
+// stored, with cached reporting which — or the uniform one, with a zero
+// profile. A non-nil error means opt.Cancel aborted the profiling pass.
+func samplePlan(spec workload.Spec, opt Options, streams []stream) (plan sample.Plan, prof sample.Profile, cached bool, err error) {
+	sopt := opt.SampleOptions()
+	if !sopt.Phase() {
+		plan, _ = sample.UniformPlan(opt.RunInstructions, sopt.Intervals, sopt.Length) // validated by the caller
+		return plan, sample.Profile{}, false, nil
 	}
-	return assembleSampled(d, spec, opt, r, est, obs.fold(plan.Weights)), nil
+	prof, cached, err = phaseProfileFor(spec, opt, sopt, func(key string) (sample.Profile, error) {
+		return computePhaseProfile(key, streams, opt)
+	})
+	if err != nil {
+		return sample.Plan{}, sample.Profile{}, false, err
+	}
+	return prof.Plan(), prof, cached, nil
 }
 
 // observer records, per detailed interval, the deltas of the L2 lookup
@@ -440,11 +451,10 @@ func (f folded) counterTotal(name string, total, raw, detailed uint64) uint64 {
 // rate metrics — misses/1K, mean lookup, the load/store totals — from the
 // stratum-weighted fold instead, because registry aggregates over the
 // detailed window would over-represent small strata.
-func assembleSampled(d Design, spec workload.Spec, opt Options, r *rig, est sample.Estimate, f folded) SampledResult {
-	cores := uint64(len(r.cores))
+func assembleSampled(d Design, spec workload.Spec, opt Options, inst l2.Instrumented, cores uint64, est sample.Estimate, f folded) SampledResult {
 	totalInstr := opt.RunInstructions * cores
 	detailedTotal := est.Detailed * cores
-	res := assemble(d, spec.Name, r.inst.Metrics(), detailedTotal, est.FinalClock)
+	res := assemble(d, spec.Name, inst.Metrics(), detailedTotal, est.FinalClock)
 	res.Instructions = totalInstr
 	res.Cycles = uint64(est.Cycles + 0.5)
 	if f.strata > 1 {
@@ -465,7 +475,7 @@ func assembleSampled(d Design, spec workload.Spec, opt Options, r *rig, est samp
 	for i, n := range f.names {
 		mcis[i] = MetricCI{Name: n, MeanPer1K: f.counters[i].Mean(), CI95: f.counters[i].CI95()}
 	}
-	emitMetrics(d, spec.Name, r.inst, est.FinalClock, opt)
+	emitMetrics(d, spec.Name, inst, est.FinalClock, opt)
 	return SampledResult{
 		Result:               res,
 		CyclesCI:             est.CyclesCI,
