@@ -9,8 +9,9 @@ package tlc
 // design directly and its registry holds only the unprefixed cpu.* and
 // workload.* names, so single-core results come out of the same code as
 // CMP results. A one-core sampled run takes the same steps as a lane
-// group of one design (lanes.go): the sample.Run loop drives one back end
-// there and K in a group, and the Machine is its one-lane target.
+// group of one design (lanes.go), whose sample.Run loop drives one back
+// end there and K in a group; a CMP sampled run's one-lane target is its
+// Machine.
 //
 // The core count changes the pipeline in three places, each marked where
 // it branches: building the shared layer and naming metrics (newRig),
@@ -281,9 +282,10 @@ func RunSpecSampled(d Design, spec workload.Spec, opt Options) (SampledResult, e
 		return SampledResult{}, err
 	}
 	// Core-count branch: one core shares the lanes' path and calibrates
-	// phase estimates; a CMP machine is the one lane of its own target and
-	// does not. Its feature vectors sum counts across cores while window
-	// weights stay per-core, so the L1 covariate total would be off by N.
+	// phase estimates; a CMP machine is its own one-lane target and does
+	// not calibrate: its feature vectors sum counts across cores while
+	// window weights stay per-core, so the L1 covariate total would be off
+	// by N.
 	if opt.cores() == 1 {
 		res, _, err := runLanes([]Design{d}, spec, opt)
 		if err != nil {

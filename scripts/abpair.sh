@@ -93,10 +93,10 @@ for ((i = 0; i < pairs; i++)); do
 	fi
 done
 
-python3 - "$workdir/units.jsonl" "$root/BENCHMARK.json" "$out" "$workload" "$base" "$head" "$seconds" "$seed" <<'PY'
-import json, os, random, subprocess, sys
+python3 - "$workdir/units.jsonl" "$root/BENCHMARK.json" "$out" "$workload" "$base" "$head" "$seconds" "$seed" "$(nproc)" <<'PY'
+import json, random, sys
 
-units, bench, out, workload, base, head, seconds, seed = sys.argv[1:]
+units, bench, out, workload, base, head, seconds, seed, nproc = sys.argv[1:]
 better = {m["name"]: m["better"] for m in json.load(open(bench))["end_to_end"]}
 rows = [json.loads(l) for l in open(units)]
 
@@ -166,13 +166,13 @@ doc = {
     "base": base,
     "head": head,
     "correct": {s: all(r["result"].get("correct", False) for r in rows if r["side"] == s) for s in ("base", "head")},
-    "host": {"nproc": os.cpu_count(), "cpu_model": model()},
+    "host": {"nproc": int(nproc), "cpu_model": model()},
     "metrics": metrics,
 }
 with open(out, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 for name, m in metrics.items():
-    print(f"{name}: base {m['base_median']:.4g}, head {m['head_median']:.4g}, ratio {m['ratio']:.3f} "
+    print(f"{name}: base {m['base_median']:.4g}, head {m['head_median']:.4g}, ratio {m['ratio']}, "
           f"CI {m['ratio_ci95']}, wins {m['wins']}/{m['pairs']}, gain beyond IQR {m['gain_beyond_base_iqr']}")
 PY
