@@ -82,7 +82,13 @@ func (w *refWarmer) warm(gen *workload.Generator, n uint64) {
 
 // state is the core state the loop has built, in checkpoint form.
 func (w *refWarmer) state() cpu.State {
-	return cpu.State{L1: w.l1.Snapshot(), Dirty: append([]bool(nil), w.dirty...)}
+	dirty := make([]uint8, len(w.dirty))
+	for i, d := range w.dirty {
+		if d {
+			dirty[i] = 1
+		}
+	}
+	return cpu.State{L1: w.l1.Snapshot(), Dirty: dirty}
 }
 
 // equivalencePoint runs one (design, benchmark) pair through PreWarm + Warm

@@ -413,6 +413,36 @@ func BenchmarkL2Warm(b *testing.B) {
 	}
 }
 
+// BenchmarkRestoreRun times what a tlcd request for a warmed cell costs:
+// one run at serve-mix scale (1 M warm-up, 100 K timed instructions) whose
+// warm state comes from a primed in-memory checkpoint store, so each run
+// builds the design, restores the checkpoint and times the interval. It
+// reports ns per run for each design on gcc and fails unless every timed
+// run was a restore.
+func BenchmarkRestoreRun(b *testing.B) {
+	for _, d := range Designs() {
+		b.Run(d.String(), func(b *testing.B) {
+			opt := Options{WarmInstructions: 1_000_000, RunInstructions: 100_000, Seed: 100, WarmSeed: 1,
+				Checkpoints: NewCheckpointStore(0, "")}
+			if _, err := Run(d, "gcc", opt); err != nil {
+				b.Fatal(err)
+			}
+			opt.Seed = 101
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(d, "gcc", opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if st := opt.Checkpoints.Stats(); st.Puts != 1 || st.Hits != uint64(b.N) {
+				b.Fatalf("store stats %+v, want %d restores after one warm-up", st, b.N)
+			}
+		})
+	}
+}
+
 // --- Ablation benches (DESIGN.md section 5) ---
 
 func BenchmarkAblationDNUCAPromotion(b *testing.B) {

@@ -23,20 +23,20 @@ import (
 
 // pinnedCheckpointFormat is the checkpointFormat the checkpoint digests
 // were taken under.
-const pinnedCheckpointFormat = 5
+const pinnedCheckpointFormat = 6
 
 // checkpointDigests pins each design's canonical warm checkpoint (gcc,
 // 100 K warm-up instructions on one core), plus one 2-core
 // producer-consumer TLC machine whose checkpoint carries a coherence
 // directory.
 var checkpointDigests = map[string]string{
-	"SNUCA2":     "8e34d2065688dbc7",
-	"DNUCA":      "632d699d8b2ca0a3",
-	"TLC":        "da4b83b143b958c1",
-	"TLCopt1000": "76fb86b6900ad2c5",
-	"TLCopt500":  "ba417924170009e1",
-	"TLCopt350":  "cff5509e40cd2982",
-	"TLC/2-core": "7486e46e3206dd51",
+	"SNUCA2":     "49eced471445b13a",
+	"DNUCA":      "4360f66a761bb748",
+	"TLC":        "d6597af656212a49",
+	"TLCopt1000": "6aa98adfc1ed3f80",
+	"TLCopt500":  "1506c9743758015c",
+	"TLCopt350":  "fe512afa4995adbd",
+	"TLC/2-core": "dfa076353ffd4ae0",
 }
 
 // pinnedProfileFormat is the sample.ProfileFormat profileDigest was taken

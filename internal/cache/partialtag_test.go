@@ -119,9 +119,9 @@ func naiveMasks(st PartialTagsState, b mem.Block) (match, free uint64) {
 	for bank := 0; bank < st.Banks; bank++ {
 		for way := 0; way < st.Assoc; way++ {
 			i := (set*st.Banks+bank)*st.Assoc + way
-			if !st.Valid[i] {
+			if st.Entry[i] == 0 {
 				free |= 1 << bank
-			} else if st.Tags[i] == pt {
+			} else if st.Entry[i] == ptagValid|pt {
 				match |= 1 << bank
 			}
 		}

@@ -19,8 +19,8 @@ type SetAssoc struct {
 	assoc int
 	// lines[set*assoc+way] holds the block in that line, or invalidLine
 	// when the way is empty: the sentinel is the array's only validity
-	// mark, so one tag compare decides a hit. Snapshot exports it as a
-	// cleared Valid bit over a zero line, the layout checkpoints keep.
+	// mark, so one tag compare decides a hit. Checkpoints keep the same
+	// layout, so Snapshot and Restore are copies.
 	lines []mem.Block
 	// lru[set*assoc+way] is the recency rank of the line: 0 = MRU,
 	// assoc-1 = LRU. Ranks within a set are always a permutation.
@@ -28,18 +28,20 @@ type SetAssoc struct {
 }
 
 // invalidLine marks an invalid way in the lines array. No block reaches an
-// array with this value: the generator's blocks stay below 2⁵⁰, and the two
-// boundaries where outside input names blocks — trace.NewReader and the
-// restore of a SetAssocState — reject it.
+// array with this value: the generator's blocks stay below 2⁵⁰, and
+// trace.NewReader, the one boundary where outside input names blocks,
+// rejects it. A restored SetAssocState carries the mark itself, so there
+// it can only mean an empty way.
 const invalidLine = ^mem.Block(0)
 
 // NewSetAssoc returns an empty array with the given geometry. Sets must be
-// a power of two (address arithmetic), assoc must fit the recency encoding.
+// a power of two (address arithmetic); assoc is at most 64, so a set's
+// recency ranks fit one word of bits when a restore checks them.
 func NewSetAssoc(sets, assoc int) *SetAssoc {
 	if !mem.IsPow2(sets) {
 		panic(fmt.Sprintf("cache: sets=%d is not a power of two", sets))
 	}
-	if assoc <= 0 || assoc > 255 {
+	if assoc <= 0 || assoc > 64 {
 		panic(fmt.Sprintf("cache: assoc=%d out of range", assoc))
 	}
 	n := sets * assoc
@@ -49,13 +51,17 @@ func NewSetAssoc(sets, assoc int) *SetAssoc {
 		lines: make([]mem.Block, n),
 		lru:   make([]uint8, n),
 	}
-	for i := range c.lines {
-		c.lines[i] = invalidLine
+	// Every set starts empty with ranks 0..assoc-1 in way order: write the
+	// first line and the first set's ranks, then double the filled prefix.
+	c.lines[0] = invalidLine
+	for i := 1; i < n; i *= 2 {
+		copy(c.lines[i:], c.lines[:i])
 	}
-	for s := 0; s < sets; s++ {
-		for w := 0; w < assoc; w++ {
-			c.lru[s*assoc+w] = uint8(w)
-		}
+	for w := range assoc {
+		c.lru[w] = uint8(w)
+	}
+	for i := assoc; i < n; i *= 2 {
+		copy(c.lru[i:], c.lru[:i])
 	}
 	return c
 }

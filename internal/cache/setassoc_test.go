@@ -169,6 +169,7 @@ func TestGeometryValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewSetAssoc(3, 2) },
 		func() { NewSetAssoc(4, 0) },
+		func() { NewSetAssoc(4, 65) },
 		func() { NewSetAssoc(4, 300) },
 	} {
 		func() {

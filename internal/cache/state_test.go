@@ -58,20 +58,9 @@ func TestSetAssocSnapshotIsDeepCopy(t *testing.T) {
 	c := NewSetAssoc(16, 4)
 	churn(c, rng, 500)
 	st := c.Snapshot()
-	occ := 0
-	for _, v := range st.Valid {
-		if v {
-			occ++
-		}
-	}
+	occ := stateLines(st)
 	churn(c, rng, 500)
-	occAfter := 0
-	for _, v := range st.Valid {
-		if v {
-			occAfter++
-		}
-	}
-	if occ != occAfter {
+	if occ != stateLines(st) {
 		t.Fatal("mutating the array changed a captured snapshot")
 	}
 	// Restoring must also not alias: mutate the array after restore and
@@ -104,12 +93,23 @@ func TestSetAssocRestoreRejectsGeometryMismatch(t *testing.T) {
 	}
 }
 
+// stateLines counts the occupied ways of a captured state.
+func stateLines(st SetAssocState) int {
+	n := 0
+	for _, b := range st.Lines {
+		if b != invalidLine {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSetAssocRestoreRejectsCorruptContents pins the content checks a
 // checkpoint read from disk must pass: recency ranks that are not a
-// permutation would leave victim selection without an LRU way, a line
-// stored outside its set would never be found, and a valid line holding the
-// invalid-line sentinel would read as an empty way. Each fails the restore
-// before the array changes.
+// permutation would leave victim selection without an LRU way, and a line
+// stored outside its set would never be found. Each fails the restore
+// before the array changes. An empty way is the array's own sentinel, so
+// a state whose ways hold it restores.
 func TestSetAssocRestoreRejectsCorruptContents(t *testing.T) {
 	c := NewSetAssoc(64, 8)
 	for b := mem.Block(0); b < 300; b++ {
@@ -126,14 +126,17 @@ func TestSetAssocRestoreRejectsCorruptContents(t *testing.T) {
 	dupRank.LRU[1] = dupRank.LRU[0]
 	bigRank := clone()
 	bigRank.LRU[0] = 8
+	// A rank beyond the first 64 would set no bit of a one-word mask.
+	farRank := clone()
+	farRank.LRU[8*63+7] = 200
 	misplaced := clone()
 	misplaced.Lines[0] = 1 // set 0 holds a set-1 block
-	// A valid line naming the block the array reserves as its empty-way
-	// mark, in the set that block maps to.
-	reserved := clone()
-	reserved.Lines[63*8] = ^mem.Block(0)
+	// The last set's empty way filled with a block of set 0.
+	misplacedEmpty := clone()
+	misplacedEmpty.Lines[63*8+7] = 64
 	for name, st := range map[string]SetAssocState{
-		"duplicate rank": dupRank, "rank >= assoc": bigRank, "misplaced line": misplaced, "reserved block": reserved,
+		"duplicate rank": dupRank, "rank >= assoc": bigRank, "rank >= 64": farRank,
+		"misplaced line": misplaced, "misplaced line in an empty way": misplacedEmpty,
 	} {
 		dst := NewSetAssoc(64, 8)
 		if err := dst.Restore(st); err == nil {
@@ -145,6 +148,29 @@ func TestSetAssocRestoreRejectsCorruptContents(t *testing.T) {
 	}
 	if err := NewSetAssoc(64, 8).Restore(good); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
+	}
+	if stateLines(good) == len(good.Lines) {
+		t.Fatal("the valid state has no empty way")
+	}
+}
+
+// TestSetAssocRestoreWidestSet restores the widest set the array admits,
+// 64 ways, whose ranks fill every bit of the check's word.
+func TestSetAssocRestoreWidestSet(t *testing.T) {
+	c := NewSetAssoc(2, 64)
+	churn(c, rand.New(rand.NewSource(6)), 500)
+	st := c.Snapshot()
+	dst := NewSetAssoc(2, 64)
+	if err := dst.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dst.Snapshot(), st) {
+		t.Fatal("restored array differs from its state")
+	}
+	st.LRU = append([]uint8(nil), st.LRU...)
+	st.LRU[64+5] = st.LRU[64+6]
+	if err := NewSetAssoc(2, 64).Restore(st); err == nil {
+		t.Fatal("restore accepted a duplicate rank in a 64-way set")
 	}
 }
 
@@ -191,17 +217,48 @@ func TestPartialTagsSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPartialTagsRestoreRejectsWideTag pins the entry check: an entry is
+// 0 or the valid mark over a six-bit tag. A byte at or above 0x80 would
+// break the word scan in Masks, and one in 0x01–0x3f names a tag without
+// the valid mark, which no lookup matches.
 func TestPartialTagsRestoreRejectsWideTag(t *testing.T) {
 	p := NewPartialTags(32, 4, 8)
 	p.Install(mem.Block(5), 2, 3)
-	st := p.Snapshot()
+	good := p.Snapshot()
 	i := (5*4+2)*8 + 3
-	if !st.Valid[i] {
-		t.Fatal("installed entry not valid in the exported layout")
+	if good.Entry[i] != ptagValid|mem.Block(5).PartialTag(32) {
+		t.Fatalf("installed entry %#x in the exported layout", good.Entry[i])
 	}
-	st.Tags[i] |= 0x40
-	if err := NewPartialTags(32, 4, 8).Restore(st); err == nil {
-		t.Fatal("restore accepted a valid tag wider than six bits")
+	for _, e := range []uint8{0x80, 0xc5, 0xff, 0x01, 0x3f} {
+		for _, at := range []int{i, 0} {
+			st := good
+			st.Entry = append([]uint8(nil), good.Entry...)
+			st.Entry[at] = e
+			dst := NewPartialTags(32, 4, 8)
+			if err := dst.Restore(st); err == nil {
+				t.Errorf("restore accepted entry %#x at %d", e, at)
+			}
+			if !reflect.DeepEqual(dst.Snapshot(), NewPartialTags(32, 4, 8).Snapshot()) {
+				t.Errorf("rejected entry %#x at %d changed the shadow", e, at)
+			}
+		}
+	}
+}
+
+// TestPartialTagsRestoreEntryRule checks the word-wise entry check against
+// the rule byte by byte: every value at every position of a shadow whose
+// ten entries fill one word and two tail bytes.
+func TestPartialTagsRestoreEntryRule(t *testing.T) {
+	p := NewPartialTags(2, 1, 5)
+	for at := range 10 {
+		for v := range 256 {
+			st := p.Snapshot()
+			st.Entry[at] = uint8(v)
+			want := v == 0 || v&0xc0 == ptagValid
+			if got := NewPartialTags(2, 1, 5).Restore(st) == nil; got != want {
+				t.Fatalf("entry %#x at %d: restored %v, want %v", v, at, got, want)
+			}
+		}
 	}
 }
 
@@ -210,7 +267,7 @@ func TestPartialTagsRestoreRejectsGeometryMismatch(t *testing.T) {
 	if err := NewPartialTags(32, 8, 8).Restore(st); err == nil {
 		t.Fatal("restore accepted a state with the wrong bank count")
 	}
-	st.Tags = st.Tags[:5]
+	st.Entry = st.Entry[:5]
 	if err := NewPartialTags(32, 4, 8).Restore(st); err == nil {
 		t.Fatal("restore accepted truncated state arrays")
 	}

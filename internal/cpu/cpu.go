@@ -13,6 +13,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"tlc/internal/cache"
 	"tlc/internal/config"
@@ -707,44 +708,40 @@ func (b *Backend) resetTiming() {
 }
 
 // State is the core's architectural cache state: the L1 array plus its
-// per-line dirty bits. Pipeline timing state is deliberately absent — Run
-// resets it on entry, so a warm core is fully described by its caches.
-// Fields are exported for gob encoding by the on-disk checkpoint store.
+// per-line dirty bytes (1 for a dirty line, else 0) in the core's own
+// layout. Pipeline timing state is deliberately absent — Run resets it on
+// entry, so a warm core is fully described by its caches. Fields are
+// exported for gob encoding by the on-disk checkpoint store.
 type State struct {
 	L1    cache.SetAssocState
-	Dirty []bool
+	Dirty []uint8
 }
 
 // Snapshot captures the core's post-warm state. The result shares no memory
 // with the core.
 func (c *Core) Snapshot() State {
-	st := State{
-		L1:    c.l1.Snapshot(),
-		Dirty: make([]bool, len(c.dirty)),
-	}
-	for i, d := range c.dirty {
-		st.Dirty[i] = d != 0
-	}
-	return st
+	return State{L1: c.l1.Snapshot(), Dirty: slices.Clone(c.dirty)}
 }
 
 // Restore overwrites the core's L1 contents and dirty bits with a captured
 // state and clears pipeline timing, exactly the condition a fresh core is
-// in after Warm. It rejects states from a differently configured core.
+// in after Warm. It rejects states from a differently configured core and
+// dirty bytes other than 0 or 1.
 func (c *Core) Restore(st State) error {
 	if len(st.Dirty) != len(c.dirty) {
 		return fmt.Errorf("cpu: restoring %d dirty bits into a %d-line L1", len(st.Dirty), len(c.dirty))
 	}
+	var wide uint8
+	for _, d := range st.Dirty {
+		wide |= d
+	}
+	if wide > 1 {
+		return fmt.Errorf("cpu: dirty byte other than 0 or 1")
+	}
 	if err := c.l1.Restore(st.L1); err != nil {
 		return err
 	}
-	for i, d := range st.Dirty {
-		if d {
-			c.dirty[i] = 1
-		} else {
-			c.dirty[i] = 0
-		}
-	}
+	copy(c.dirty, st.Dirty)
 	c.resetTiming()
 	return nil
 }

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"tlc/internal/config"
@@ -42,17 +44,13 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	st := core.Snapshot()
 	occ := 0
 	for _, d := range st.Dirty {
-		if d {
-			occ++
-		}
+		occ += int(d)
 	}
 	// Running the core further must not change the captured snapshot.
 	core.Run(&uniqueLoads{dep: true}, 10_000)
 	after := 0
 	for _, d := range st.Dirty {
-		if d {
-			after++
-		}
+		after += int(d)
 	}
 	if occ != after {
 		t.Fatal("running the core mutated a captured snapshot")
@@ -65,6 +63,30 @@ func TestRestoreRejectsMismatchedGeometry(t *testing.T) {
 	st := New(small, &fixedL2{lat: 13}).Snapshot()
 	if err := New(config.DefaultSystem(), &fixedL2{lat: 13}).Restore(st); err == nil {
 		t.Fatal("restore accepted a snapshot from a smaller L1")
+	}
+}
+
+// TestRestoreRejectsBadDirtyByte pins the dirty-byte check: the core keeps
+// one byte per L1 line, 1 for dirty and 0 for clean, and a checkpoint
+// holding any other value is rejected before the core changes.
+func TestRestoreRejectsBadDirtyByte(t *testing.T) {
+	core := New(config.DefaultSystem(), &fixedL2{lat: 13})
+	core.Warm(&uniqueLoads{}, 10_000)
+	good := core.Snapshot()
+	for _, d := range []uint8{2, 0x80, 0xff} {
+		st := good
+		st.Dirty = slices.Clone(good.Dirty)
+		st.Dirty[len(st.Dirty)-1] = d
+		dst := New(config.DefaultSystem(), &fixedL2{lat: 13})
+		if err := dst.Restore(st); err == nil {
+			t.Errorf("restore accepted dirty byte %#x", d)
+		}
+		if !reflect.DeepEqual(dst.Snapshot(), New(config.DefaultSystem(), &fixedL2{lat: 13}).Snapshot()) {
+			t.Errorf("rejected dirty byte %#x changed the core", d)
+		}
+	}
+	if err := New(config.DefaultSystem(), &fixedL2{lat: 13}).Restore(good); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
 	}
 }
 

@@ -111,23 +111,26 @@ func TestDNUCARestoreRejectsWrongType(t *testing.T) {
 
 // damagedShadows returns copies of a partial-tag state, each with one
 // entry disagreeing with the arrays it shadows: a valid entry's tag
-// flipped, a valid entry cleared, and an invalid entry set.
+// flipped, a valid entry cleared, an invalid entry set, and an invalid
+// entry holding a byte no shadow writes.
 func damagedShadows(t *testing.T, st cache.PartialTagsState) []cache.PartialTagsState {
 	t.Helper()
-	valid, invalid := slices.Index(st.Valid, true), slices.Index(st.Valid, false)
+	valid := slices.IndexFunc(st.Entry, func(e uint8) bool { return e != 0 })
+	invalid := slices.Index(st.Entry, 0)
 	if valid < 0 || invalid < 0 {
 		t.Fatal("shadow needs both valid and invalid entries")
 	}
 	damage := func(f func(*cache.PartialTagsState)) cache.PartialTagsState {
 		d := st
-		d.Tags, d.Valid = slices.Clone(st.Tags), slices.Clone(st.Valid)
+		d.Entry = slices.Clone(st.Entry)
 		f(&d)
 		return d
 	}
 	return []cache.PartialTagsState{
-		damage(func(d *cache.PartialTagsState) { d.Tags[valid] ^= 1 }),
-		damage(func(d *cache.PartialTagsState) { d.Valid[valid] = false }),
-		damage(func(d *cache.PartialTagsState) { d.Valid[invalid] = true }),
+		damage(func(d *cache.PartialTagsState) { d.Entry[valid] ^= 1 }),
+		damage(func(d *cache.PartialTagsState) { d.Entry[valid] = 0 }),
+		damage(func(d *cache.PartialTagsState) { d.Entry[invalid] = 0x40 }),
+		damage(func(d *cache.PartialTagsState) { d.Entry[invalid] = 0x80 }),
 	}
 }
 

@@ -63,26 +63,34 @@ func NewCache[K comparable, V any](capacity int, dir string, name func(K) string
 }
 
 // Get returns the value for k, consulting memory, then disk. A disk hit is
-// promoted into the memory tier.
+// promoted into the memory tier. The disk read runs outside the lock, so
+// one caller's decode never stalls another's lookup of a different key.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
+		c.mu.Unlock()
 		return *el.Value.(*record[K, V]).Value, true
 	}
+	c.mu.Unlock()
+	var v *V
+	var err error
 	if c.dir != "" {
-		if v := c.load(k); v != nil {
-			c.insertLocked(k, v)
-			c.stats.Hits++
-			c.stats.DiskHits++
-			return *v, true
-		}
+		v, err = c.load(k)
 	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.noteDiskErr(err)
+	if v == nil {
+		c.stats.Misses++
+		var zero V
+		return zero, false
+	}
+	c.insertLocked(k, v)
+	c.stats.Hits++
+	c.stats.DiskHits++
+	return *v, true
 }
 
 // Has reports whether a value for k is resident in memory or present on
@@ -104,16 +112,22 @@ func (c *Cache[K, V]) Has(k K) bool {
 }
 
 // Put stores v for k, evicting the least-recently-used entry if the memory
-// tier is full, and writes it to the disk tier if configured. The caller
-// must not mutate v's shared state after Put.
+// tier is full, and writes it to the disk tier if configured. The encode
+// and write run outside the lock; the temp-file rename keeps concurrent
+// readers from seeing a torn record. The caller must not mutate v's shared
+// state after Put.
 func (c *Cache[K, V]) Put(k K, v V) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.insertLocked(k, &v)
 	c.stats.Puts++
-	if c.dir != "" {
-		c.save(k, &v)
+	c.mu.Unlock()
+	if c.dir == "" {
+		return
 	}
+	err := c.save(k, &v)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.noteDiskErr(err)
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -130,6 +144,14 @@ func (c *Cache[K, V]) DiskErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.diskErr
+}
+
+// noteDiskErr records err as the first disk failure, if it is one. Caller
+// holds mu.
+func (c *Cache[K, V]) noteDiskErr(err error) {
+	if err != nil && c.diskErr == nil {
+		c.diskErr = err
+	}
 }
 
 // insertLocked adds or refreshes a memory-tier entry. Caller holds mu.
@@ -149,9 +171,9 @@ func (c *Cache[K, V]) insertLocked(k K, v *V) {
 
 // save writes the record to the disk tier atomically: encode into a temp
 // file in the same directory, then rename over the final name, so a reader
-// — or a process killed mid-write — never observes a torn record. Caller
-// holds mu.
-func (c *Cache[K, V]) save(k K, v *V) {
+// — or a process killed mid-write — never observes a torn record. It
+// touches no cache state, so callers run it without mu.
+func (c *Cache[K, V]) save(k K, v *V) error {
 	name := c.name(k)
 	err := func() error {
 		if err := os.MkdirAll(c.dir, 0o755); err != nil {
@@ -171,32 +193,31 @@ func (c *Cache[K, V]) save(k K, v *V) {
 		}
 		return os.Rename(tmp.Name(), filepath.Join(c.dir, name))
 	}()
-	if err != nil && c.diskErr == nil {
-		c.diskErr = fmt.Errorf("snapshot: writing %v: %w", k, err)
+	if err != nil {
+		return fmt.Errorf("snapshot: writing %v: %w", k, err)
 	}
+	return nil
 }
 
 // load reads k's value from the disk tier, or returns nil. An absent file
 // is a plain miss. A file that does not decode (truncated), holds another
 // key (a hash collision) or has no value (another layout) is a miss too,
 // so the caller recomputes and its Put replaces the file; only the first
-// of those cannot be explained without damage, so only it sets DiskErr.
-// Caller holds mu.
-func (c *Cache[K, V]) load(k K) *V {
+// of those cannot be explained without damage, so only it returns an
+// error, for DiskErr. It touches no cache state, so callers run it without
+// mu.
+func (c *Cache[K, V]) load(k K) (*V, error) {
 	f, err := os.Open(filepath.Join(c.dir, c.name(k)))
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	defer f.Close()
 	var rec record[K, V]
 	if err := gob.NewDecoder(f).Decode(&rec); err != nil {
-		if c.diskErr == nil {
-			c.diskErr = fmt.Errorf("snapshot: reading %v: %w", k, err)
-		}
-		return nil
+		return nil, fmt.Errorf("snapshot: reading %v: %w", k, err)
 	}
 	if rec.Key != k {
-		return nil
+		return nil, nil
 	}
-	return rec.Value
+	return rec.Value, nil
 }

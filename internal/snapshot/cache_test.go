@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"tlc/internal/sample"
 )
@@ -93,4 +94,78 @@ func TestProfileStoreDiskFailsClosed(t *testing.T) {
 	prof := testProfile("a", 3)
 	failsClosed(t, func(dir string) *ProfileStore { return NewProfileStore(4, dir) },
 		"a", "b", prof, profileEnvelope{Key: "a", Profile: prof})
+}
+
+// gated is a value whose gob encoding and decoding each wait for a signal:
+// it holds a cache's disk I/O open at a known point.
+type gated struct {
+	entered, release chan struct{}
+}
+
+func (g gated) GobEncode() ([]byte, error) {
+	if g.entered != nil {
+		close(g.entered)
+		<-g.release
+	}
+	return []byte{1}, nil
+}
+
+// decodeGate, when set, makes every gated decode signal and wait.
+var decodeGate gated
+
+func (g *gated) GobDecode([]byte) error {
+	if decodeGate.entered != nil {
+		close(decodeGate.entered)
+		<-decodeGate.release
+	}
+	return nil
+}
+
+// TestCacheDiskIOOutsideLock holds one key's disk write, then one key's
+// disk read, open mid-gob and requires a lookup of another key to finish
+// meanwhile: a slow encode or decode must not stall the rest of the cache.
+func TestCacheDiskIOOutsideLock(t *testing.T) {
+	c := NewCache[string, gated](2, t.TempDir(), func(k string) string { return k })
+	c.Put("warm", gated{})
+	lookupDuring := func(t *testing.T, g gated, slow func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			slow()
+		}()
+		<-g.entered
+		got := make(chan bool)
+		go func() {
+			_, ok := c.Get("warm")
+			got <- ok
+		}()
+		select {
+		case ok := <-got:
+			if !ok {
+				t.Error("resident key missed while another key's disk I/O ran")
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("a lookup waited for another key's disk I/O")
+		}
+		close(g.release)
+		<-done
+	}
+	t.Run("write", func(t *testing.T) {
+		g := gated{entered: make(chan struct{}), release: make(chan struct{})}
+		lookupDuring(t, g, func() { c.Put("slow", g) })
+	})
+	// Two more puts evict "slow" from memory, so the next Get of it
+	// decodes its file.
+	c.Put("other", gated{})
+	c.Put("warm", gated{})
+	t.Run("read", func(t *testing.T) {
+		decodeGate = gated{entered: make(chan struct{}), release: make(chan struct{})}
+		defer func() { decodeGate = gated{} }()
+		lookupDuring(t, decodeGate, func() {
+			if _, ok := c.Get("slow"); !ok {
+				t.Error("the slow key's disk record missed")
+			}
+		})
+	})
 }

@@ -23,7 +23,9 @@
 // The store is a Cache: an in-process LRU with an optional on-disk tier.
 // Disk persistence uses encoding/gob with atomic temp-file + rename writes,
 // so concurrent processes sharing a directory never observe torn
-// checkpoints. The same Cache type holds phase profiles (ProfileStore) and
+// checkpoints; the cache array states inside a checkpoint encode
+// themselves as fixed little-endian byte strings (cache.SetAssocState and
+// cache.PartialTagsState implement encoding.BinaryMarshaler). The same Cache type holds phase profiles (ProfileStore) and
 // tlcd's result records (memory only).
 package snapshot
 

@@ -8,9 +8,10 @@ import (
 )
 
 // State is the functional contents of a TLC design: the per-group
-// complete-tag arrays plus their partial-tag shadows (captured together so
-// the shadows stay consistent without a rebuild). Exported for gob encoding
-// by the checkpoint store.
+// complete-tag arrays plus, for the optimized designs, their partial-tag
+// shadows (captured together so the shadows stay consistent without a
+// rebuild; the base design has none). Exported for gob encoding by the
+// checkpoint store.
 type State struct {
 	Groups []cache.SetAssocState
 	PTags  []cache.PartialTagsState
@@ -18,15 +19,14 @@ type State struct {
 
 // SnapshotState implements l2.Snapshotter.
 func (c *Cache) SnapshotState() l2.State {
-	st := State{
-		Groups: make([]cache.SetAssocState, len(c.groups)),
-		PTags:  make([]cache.PartialTagsState, len(c.ptags)),
-	}
+	st := State{Groups: make([]cache.SetAssocState, len(c.groups))}
 	for i, g := range c.groups {
 		st.Groups[i] = g.Snapshot()
 	}
-	for i, p := range c.ptags {
-		st.PTags[i] = p.Snapshot()
+	// Appending leaves the base design's PTags nil, the value a decoded
+	// checkpoint holds.
+	for _, p := range c.ptags {
+		st.PTags = append(st.PTags, p.Snapshot())
 	}
 	return st
 }
@@ -50,13 +50,10 @@ func (c *Cache) RestoreState(state l2.State) error {
 		if err := p.Restore(st.PTags[i]); err != nil {
 			return fmt.Errorf("tlcache: ptag %d: %w", i, err)
 		}
-		// The optimized designs' shadows decide multi-match round trips,
-		// so one that disagrees with its group array is rejected. The base
-		// design never reads (or fills) its shadows.
-		if c.p.PartialTagInBank {
-			if err := p.Verify(0, c.groups[i]); err != nil {
-				return fmt.Errorf("tlcache: ptag %d: %w", i, err)
-			}
+		// The shadows decide multi-match round trips, so one that
+		// disagrees with its group array is rejected.
+		if err := p.Verify(0, c.groups[i]); err != nil {
+			return fmt.Errorf("tlcache: ptag %d: %w", i, err)
 		}
 	}
 	return nil

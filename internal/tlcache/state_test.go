@@ -73,17 +73,19 @@ func TestRestoreRejectsInconsistentPartialTags(t *testing.T) {
 			t.Fatalf("%v: consistent state rejected: %v", d, err)
 		}
 		pt := st.PTags[1]
-		valid, invalid := slices.Index(pt.Valid, true), slices.Index(pt.Valid, false)
+		valid := slices.IndexFunc(pt.Entry, func(e uint8) bool { return e != 0 })
+		invalid := slices.Index(pt.Entry, 0)
 		if valid < 0 || invalid < 0 {
 			t.Fatalf("%v: shadow needs both valid and invalid entries", d)
 		}
 		for _, damage := range []func(*cache.PartialTagsState){
-			func(p *cache.PartialTagsState) { p.Tags[valid] ^= 1 },
-			func(p *cache.PartialTagsState) { p.Valid[valid] = false },
-			func(p *cache.PartialTagsState) { p.Valid[invalid] = true },
+			func(p *cache.PartialTagsState) { p.Entry[valid] ^= 1 },
+			func(p *cache.PartialTagsState) { p.Entry[valid] = 0 },
+			func(p *cache.PartialTagsState) { p.Entry[invalid] = 0x40 },
+			func(p *cache.PartialTagsState) { p.Entry[invalid] = 0x80 },
 		} {
 			bad := pt
-			bad.Tags, bad.Valid = slices.Clone(pt.Tags), slices.Clone(pt.Valid)
+			bad.Entry = slices.Clone(pt.Entry)
 			damage(&bad)
 			damaged := State{Groups: st.Groups, PTags: slices.Clone(st.PTags)}
 			damaged.PTags[1] = bad

@@ -57,10 +57,12 @@ type Cache struct {
 	// group g (for the base design, one group per bank).
 	groups []*cache.SetAssoc
 	// ptags[g] shadows group g's partial tags for the optimized designs'
-	// in-bank comparison and multi-match detection.
+	// in-bank comparison and multi-match detection. The base design keeps
+	// full tags in its banks and has none.
 	ptags []*cache.PartialTags
-	// bankPorts[b] is the contended port of physical bank b.
-	bankPorts []*cache.Bank
+	// bankPorts[b] is the contended port of physical bank b. The contents
+	// live in groups, so the physical banks are ports only.
+	bankPorts []cache.Port
 	pairs     []*pairLinks
 	// groupBits is log2 of the group count: the width of the group hash.
 	groupBits int
@@ -110,14 +112,15 @@ func New(d config.Design, memLat sim.Time) *Cache {
 	}
 	for g := 0; g < groups; g++ {
 		c.groups = append(c.groups, cache.NewSetAssoc(sets, 4))
-		c.ptags = append(c.ptags, cache.NewPartialTags(sets, 1, 4))
+		if p.PartialTagInBank {
+			c.ptags = append(c.ptags, cache.NewPartialTags(sets, 1, 4))
+		}
 	}
-	// Physical bank ports: the bank array behind each port holds only a
-	// slice of each block, but its set count and access time follow the
-	// physical bank geometry.
-	bankSets := p.BankBytes / mem.BlockBytes / 4
-	for b := 0; b < p.Banks; b++ {
-		c.bankPorts = append(c.bankPorts, cache.NewBank(bankSets, 4, p.BankAccess))
+	// Physical bank ports: each bank holds only a slice of each block, but
+	// its access time follows the physical bank geometry.
+	c.bankPorts = make([]cache.Port, p.Banks)
+	for b := range c.bankPorts {
+		c.bankPorts[b] = cache.NewPort(p.BankAccess)
 	}
 	for pr := 0; pr < p.Pairs(); pr++ {
 		g := config.LinkGeometry(pr, p.Pairs())
@@ -483,8 +486,8 @@ func (c *Cache) NetworkEnergyJ() float64 {
 // BankBusyCycles sums port occupancy over all physical banks.
 func (c *Cache) BankBusyCycles() sim.Time {
 	var t sim.Time
-	for _, b := range c.bankPorts {
-		t += b.PortBusyCycles()
+	for b := range c.bankPorts {
+		t += c.bankPorts[b].PortBusyCycles()
 	}
 	return t
 }

@@ -24,7 +24,7 @@ func corruptLastBank(t *testing.T, st l2.State, corrupt func(*cache.SetAssocStat
 	damage := func(banks []cache.SetAssocState) []cache.SetAssocState {
 		banks = slices.Clone(banks)
 		last := &banks[len(banks)-1]
-		last.Lines, last.Valid, last.LRU = slices.Clone(last.Lines), slices.Clone(last.Valid), slices.Clone(last.LRU)
+		last.Lines, last.LRU = slices.Clone(last.Lines), slices.Clone(last.LRU)
 		corrupt(last)
 		return banks
 	}
@@ -39,15 +39,12 @@ func corruptLastBank(t *testing.T, st l2.State, corrupt func(*cache.SetAssocStat
 }
 
 // bankCorruptions are the damaged bank arrays TestRestoreIsAllOrNothing
-// stores: a recency rank outside the set's associativity, and a valid way
-// of the last set holding block ^0, which the arrays reserve as their
-// empty-way mark (and which maps to that set, so only the reservation
-// rejects it).
+// stores: a recency rank outside the set's associativity, and a way of the
+// last set holding a block of set 0, which that set's lookups never reach.
 var bankCorruptions = map[string]func(*cache.SetAssocState){
 	"rank out of range": func(st *cache.SetAssocState) { st.LRU[0] = 255 },
-	"reserved block": func(st *cache.SetAssocState) {
-		last := (st.Sets - 1) * st.Assoc
-		st.Lines[last], st.Valid[last] = ^mem.Block(0), true
+	"line outside its set": func(st *cache.SetAssocState) {
+		st.Lines[(st.Sets-1)*st.Assoc] = mem.Block(st.Sets)
 	},
 }
 
@@ -213,14 +210,14 @@ func FuzzCheckpointRestore(f *testing.F) {
 }
 
 // corruptFirstLine returns a copy of a DNUCA state whose first bank's
-// first valid line has its block's lowest bit flipped: a block of a
+// first occupied way has its block's lowest bit flipped: a block of a
 // neighbouring set.
 func corruptFirstLine(f *testing.F, st nuca.DNUCAState) nuca.DNUCAState {
 	banks := slices.Clone(st.Banks)
 	col := slices.Clone(banks[0])
 	arr := col[0]
 	arr.Lines = slices.Clone(arr.Lines)
-	i := slices.Index(arr.Valid, true)
+	i := slices.IndexFunc(arr.Lines, func(b mem.Block) bool { return b != ^mem.Block(0) })
 	if i < 0 {
 		f.Fatal("first DNUCA bank holds no line")
 	}

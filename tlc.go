@@ -382,10 +382,13 @@ func Run(d Design, benchmark string, opt Options) (Result, error) {
 // checkpointFormat versions the warm-state layout. Bump it whenever the
 // captured state's shape or semantics change, so stale on-disk checkpoints
 // miss instead of restoring garbage.
+// v6: array states keep the arrays' own layout (the empty-way sentinel in
+// Lines, no Valid bits; partial-tag entry bytes; dirty bytes), encoded as
+// fixed little-endian binary, and base TLC carries no partial-tag shadows;
 // v5: the fidelity tier left the keys, so every configHash changed; v4: one
 // envelope for every core count; v3: fidelity tier in keys; v2: CMP axis in
 // keys.
-const checkpointFormat = 5
+const checkpointFormat = 6
 
 // keyHasher folds checkpoint-key fields into an FNV hash with explicit,
 // typed encoding: every value is written as a fixed-width little-endian
