@@ -70,8 +70,11 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	if el, ok := c.items[k]; ok {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
+		// A refresh replaces the record's pointer, never the value it
+		// points to, so the value is read after the lock drops.
+		v := el.Value.(*record[K, V]).Value
 		c.mu.Unlock()
-		return *el.Value.(*record[K, V]).Value, true
+		return *v, true
 	}
 	c.mu.Unlock()
 	var v *V
